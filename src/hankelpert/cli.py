@@ -31,8 +31,8 @@ import mpmath
 from mpmath import mpf
 
 from . import __version__
-from .errors import (DomainError, EvalDomainError, HankelpertError,
-                     ParseError, PositivityError, PrecisionError)
+from .errors import (DomainError, EvalDomainError, ParseError,
+                     PositivityError, PrecisionError)
 from .precision import Precision, to_mpf
 from .jacobi import (JacobiParams, jacobi_alpha_n, jacobi_beta_n,
                      jacobi_log_hn, jacobi_logdet_asym, jacobi_logdet_exact)
@@ -41,7 +41,7 @@ from .hankel import (auto_digits, hankel_logdet_ldl, hankel_logdet_recurrence,
                      pure_moment_sequence)
 from .fluid import (EquilibriumDensity, fluid_recurrence, support_endpoints,
                     support_endpoints_shifted)
-from .linstat import assemble_prediction, cheb_log_expand, mean_term
+from .linstat import assemble_prediction, mean_term
 from .dsl import parse_h, validate_positive
 
 SCHEMA_VERSION = 1
@@ -108,6 +108,10 @@ def _fmt_row(row: dict, digits: int) -> dict:
     return {k: _fmt(v, digits) for k, v in row.items()}
 
 
+def _heine_tol(p: Precision):
+    return mpf(10) ** (HEINE_GUARD - p.decimal_digits)
+
+
 def _param_str(value) -> str:
     if isinstance(value, Fraction):
         return str(value)
@@ -120,6 +124,45 @@ def _validated_h(args):
     return h.with_certificate(cert)
 
 
+def _parameters(jp: JacobiParams, n, **extra) -> dict:
+    """The report's ``parameters``: sizes and exponents first, then ``extra`` in order."""
+    return {"n": n, "alpha": _param_str(jp.alpha), "beta": _param_str(jp.beta), **extra}
+
+
+def _digits_param(args):
+    return args.digits if args.digits is not None else "auto"
+
+
+def _run_rows(ns, digits_of, compute) -> tuple:
+    """One report row per size, and the exit code: 3 if any row failed, else 0.
+
+    ``compute(n, p)`` returns the row's values after ``n`` and ``digits``,
+    with ``p`` the row's precision, and is timed into ``elapsed_s``. A
+    PrecisionError becomes the row {n, digits, error, error_type} and the
+    next size still runs.
+
+    ``compute`` enters ``p.workdps()`` only around its own arithmetic: the
+    ldl route rounds ``cross_tolerance`` at the caller's precision, so one
+    context around the whole row would change the reported ``method_tol``.
+    """
+    rows = []
+    failed = 0
+    for n in ns:
+        digits = digits_of(n)
+        p = Precision(digits)
+        t0 = time.perf_counter()
+        try:
+            row = {"n": n, "digits": digits, **compute(n, p)}
+        except PrecisionError as exc:
+            failed += 1
+            rows.append({"n": n, "digits": digits, "error": str(exc),
+                         "error_type": type(exc).__name__})
+            continue
+        row["elapsed_s"] = round(time.perf_counter() - t0, 3)
+        rows.append(_fmt_row(row, digits))
+    return rows, (3 if failed else 0)
+
+
 # --- subcommands ---
 
 def cmd_exact(args) -> tuple:
@@ -127,20 +170,14 @@ def cmd_exact(args) -> tuple:
     jp = JacobiParams(args.alpha, args.beta)
     ns = _parse_n_list(args.n)
     _warn_if_below_policy(args, ns)
-    rows = []
-    for n in ns:
-        digits = _row_digits(args, n)
-        p = Precision(digits)
-        t0 = time.perf_counter()
+
+    def row(n, p):
         closed = jacobi_logdet_exact(n, jp, p)
-        with p.workdps():
-            norm_product = mpmath.fsum(jacobi_log_hn(j, jp, p) for j in range(n))
         ldl = hankel_logdet_ldl(pure_moment_sequence(jp, n, p), n, p)
         asym = jacobi_logdet_asym(n, jp, p) if jp.asymptotic_valid else None
         with p.workdps():
-            row = {
-                "n": n,
-                "digits": digits,
+            norm_product = mpmath.fsum(jacobi_log_hn(j, jp, p) for j in range(n))
+            return {
                 "log_det_closed": closed,
                 "log_det_norm_product": norm_product,
                 "log_det_ldl": ldl.log_det,
@@ -149,17 +186,11 @@ def cmd_exact(args) -> tuple:
                 "diff_norm_ldl": abs(norm_product - ldl.log_det),
                 "log_det_asym": asym,
                 "asym_gap": None if asym is None else abs(closed - asym),
-                "elapsed_s": round(time.perf_counter() - t0, 3),
             }
-        rows.append(_fmt_row(row, digits))
-    parameters = {
-        "n": [int(n) for n in ns],
-        "alpha": _param_str(jp.alpha),
-        "beta": _param_str(jp.beta),
-        "asymptotic_valid": jp.asymptotic_valid,
-        "digits": args.digits if args.digits is not None else "auto",
-    }
-    return parameters, rows, 0
+
+    rows, code = _run_rows(ns, lambda n: _row_digits(args, n), row)
+    return _parameters(jp, ns, asymptotic_valid=jp.asymptotic_valid,
+                       digits=_digits_param(args)), rows, code
 
 
 def cmd_compare(args) -> tuple:
@@ -168,72 +199,48 @@ def cmd_compare(args) -> tuple:
     ns = _parse_n_list(args.n)
     _warn_if_below_policy(args, ns)
     h = _validated_h(args)
-    failed = 0
-    rows = []
-    for n in ns:
-        digits = _row_digits(args, n)
-        p = Precision(digits)
-        t0 = time.perf_counter()
-        try:
-            ms = perturbed_moment_sequence(jp, h, n, p, m=args.quad_order)
-            direct = hankel_logdet_ldl(ms, n, p)
-            second = hankel_logdet_recurrence(ms, n, jp, p)
-            pred = assemble_prediction(n, jp, h, p, cheb_m=args.cheb_m)
-            pure = jacobi_logdet_exact(n, jp, p)
-            with p.workdps():
-                ce = cheb_log_expand(h, p, args.cheb_m)
-                mean_limit = mean_term(ce, n, jp, "limit")
-                log_ratio = direct.log_det - pure
-                pv_estimate = log_ratio - mean_limit
-                row = {
-                    "n": n,
-                    "digits": digits,
-                    "log_det_ldl": direct.log_det,
-                    "log_det_recurrence": second.log_det,
-                    "method_diff": abs(direct.log_det - second.log_det),
-                    "method_tol": direct.cross_tolerance,
-                    "prediction_total": pred.total,
-                    "prediction_gap": direct.log_det - pred.total,
-                    "log_leading": pred.log_leading,
-                    "log_mean": pred.log_mean,
-                    "pv_part": pred.pv_part,
-                    "boundary_part": pred.boundary_part,
-                    "edge_part": pred.edge_part,
-                    "pure_constant_part": pred.pure_constant_part,
-                    "log_det_pure": pure,
-                    "log_ratio": log_ratio,
-                    "mean_term_limit": mean_limit,
-                    "pv_estimate": pv_estimate,
-                    "pv_estimate_edge_adjusted": pv_estimate - pred.edge_part,
-                }
-                if args.heine:
-                    if n <= 3:
-                        avg = heine_average_small_n(n, jp, h, p)
-                        row["heine_average"] = avg
-                        row["heine_diff"] = abs(mpmath.exp(log_ratio) - avg)
-                        row["heine_tol"] = mpf(10) ** (HEINE_GUARD - digits)
-                    else:
-                        row["heine_average"] = None
-                        row["heine_diff"] = None
-                        row["heine_tol"] = None
-            row["elapsed_s"] = round(time.perf_counter() - t0, 3)
-            rows.append(_fmt_row(row, digits))
-        except PrecisionError as exc:
-            failed += 1
-            rows.append({"n": n, "digits": digits, "error": str(exc),
-                         "error_type": type(exc).__name__})
-    parameters = {
-        "n": [int(n) for n in ns],
-        "alpha": _param_str(jp.alpha),
-        "beta": _param_str(jp.beta),
-        "h": h.source,
-        "h_min_sampled": _fmt(h.positivity_certificate.min_value, 16),
-        "asymptotic_valid": jp.asymptotic_valid,
-        "digits": args.digits if args.digits is not None else "auto",
-        "quad_order": args.quad_order,
-        "cheb_m": args.cheb_m,
-    }
-    return parameters, rows, (3 if failed else 0)
+
+    def row(n, p):
+        ms = perturbed_moment_sequence(jp, h, n, p, m=args.quad_order)
+        direct = hankel_logdet_ldl(ms, n, p)
+        second = hankel_logdet_recurrence(ms, n, jp, p)
+        pred = assemble_prediction(n, jp, h, p, cheb_m=args.cheb_m)
+        pure = jacobi_logdet_exact(n, jp, p)
+        with p.workdps():
+            mean_limit = mean_term(pred.expansion, n, jp, "limit")
+            log_ratio = direct.log_det - pure
+            pv_estimate = log_ratio - mean_limit
+            out = {
+                "log_det_ldl": direct.log_det,
+                "log_det_recurrence": second.log_det,
+                "method_diff": abs(direct.log_det - second.log_det),
+                "method_tol": direct.cross_tolerance,
+                "prediction_total": pred.total,
+                "prediction_gap": direct.log_det - pred.total,
+                "log_leading": pred.log_leading,
+                "log_mean": pred.log_mean,
+                "pv_part": pred.pv_part,
+                "boundary_part": pred.boundary_part,
+                "edge_part": pred.edge_part,
+                "pure_constant_part": pred.pure_constant_part,
+                "log_det_pure": pure,
+                "log_ratio": log_ratio,
+                "mean_term_limit": mean_limit,
+                "pv_estimate": pv_estimate,
+                "pv_estimate_edge_adjusted": pv_estimate - pred.edge_part,
+            }
+            if args.heine:
+                avg = heine_average_small_n(n, jp, h, p) if n <= 3 else None
+                out["heine_average"] = avg
+                out["heine_diff"] = None if avg is None else abs(mpmath.exp(log_ratio) - avg)
+                out["heine_tol"] = None if avg is None else _heine_tol(p)
+            return out
+
+    rows, code = _run_rows(ns, lambda n: _row_digits(args, n), row)
+    return _parameters(
+        jp, ns, h=h.source, h_min_sampled=_fmt(h.positivity_certificate.min_value, 16),
+        asymptotic_valid=jp.asymptotic_valid, digits=_digits_param(args),
+        quad_order=args.quad_order, cheb_m=args.cheb_m), rows, code
 
 
 def cmd_fluid(args) -> tuple:
@@ -241,19 +248,15 @@ def cmd_fluid(args) -> tuple:
     jp = JacobiParams(args.alpha, args.beta)
     ns = _parse_n_list(args.n)
     digits = args.digits if args.digits is not None else 64
-    p = Precision(digits)
-    rows = []
-    for n in ns:
-        t0 = time.perf_counter()
+
+    def row(n, p):
         with p.workdps():
             si = support_endpoints(n, jp)
             shifted = support_endpoints_shifted(n, jp)
             alpha_tilde, beta_tilde = fluid_recurrence(n, jp)
             alpha_true = to_mpf(jacobi_alpha_n(n, jp))
             beta_true = to_mpf(jacobi_beta_n(n, jp))
-            row = {
-                "n": n,
-                "digits": digits,
+            return {
                 "a_n": si.a_n,
                 "b_n": si.b_n,
                 "a_n_shifted": shifted.a_n,
@@ -266,16 +269,10 @@ def cmd_fluid(args) -> tuple:
                 "n2_beta_dev": n ** 2 * (beta_tilde - beta_true),
                 "n2_one_plus_a": n ** 2 * (1 + si.a_n),
                 "n2_one_minus_b": n ** 2 * (1 - si.b_n),
-                "elapsed_s": round(time.perf_counter() - t0, 3),
             }
-        rows.append(_fmt_row(row, digits))
-    parameters = {
-        "n": [int(n) for n in ns],
-        "alpha": _param_str(jp.alpha),
-        "beta": _param_str(jp.beta),
-        "digits": digits,
-    }
-    return parameters, rows, 0
+
+    rows, code = _run_rows(ns, lambda n: digits, row)
+    return _parameters(jp, ns, digits=digits), rows, code
 
 
 def cmd_density(args) -> tuple:
@@ -303,18 +300,11 @@ def cmd_density(args) -> tuple:
             elif j == args.points - 1:
                 x = si.b_n
             rows.append(_fmt_row({"x": x, "sigma": density(x)}, digits))
-        parameters = {
-            "n": n,
-            "alpha": _param_str(jp.alpha),
-            "beta": _param_str(jp.beta),
-            "digits": digits,
-            "points": args.points,
-            "a_n": _fmt(si.a_n, digits),
-            "b_n": _fmt(si.b_n, digits),
-            "mass": _fmt(mass, digits),
-            "mass_rel_err": _fmt(abs(mass - n) / n, 8),
-            "elapsed_s": round(time.perf_counter() - t0, 3),
-        }
+        parameters = _parameters(
+            jp, n, digits=digits, points=args.points, a_n=_fmt(si.a_n, digits),
+            b_n=_fmt(si.b_n, digits), mass=_fmt(mass, digits),
+            mass_rel_err=_fmt(abs(mass - n) / n, 8),
+            elapsed_s=round(time.perf_counter() - t0, 3))
     return parameters, rows, 0
 
 
@@ -327,35 +317,23 @@ def cmd_heine(args) -> tuple:
             raise DomainError(f"ensemble averages are evaluated for n <= 3, got {n}")
     _warn_if_below_policy(args, ns)
     h = _validated_h(args)
-    rows = []
-    for n in ns:
-        digits = _row_digits(args, n)
-        p = Precision(digits)
-        t0 = time.perf_counter()
+
+    def row(n, p):
         ms = perturbed_moment_sequence(jp, h, n, p, m=args.quad_order)
         perturbed = hankel_logdet_ldl(ms, n, p)
-        pure = hankel_logdet_ldl(pure_moment_sequence(jp, n, p), n, p)
+        pure = jacobi_logdet_exact(n, jp, p)
         with p.workdps():
-            ratio_direct = mpmath.exp(perturbed.log_det - pure.log_det)
+            ratio_direct = mpmath.exp(perturbed.log_det - pure)
             average = heine_average_small_n(n, jp, h, p)
-            row = {
-                "n": n,
-                "digits": digits,
+            return {
                 "ratio_direct": ratio_direct,
                 "ratio_average": average,
                 "diff": abs(ratio_direct - average),
-                "tol": mpf(10) ** (HEINE_GUARD - digits),
-                "elapsed_s": round(time.perf_counter() - t0, 3),
+                "tol": _heine_tol(p),
             }
-        rows.append(_fmt_row(row, digits))
-    parameters = {
-        "n": [int(n) for n in ns],
-        "alpha": _param_str(jp.alpha),
-        "beta": _param_str(jp.beta),
-        "h": h.source,
-        "digits": args.digits if args.digits is not None else "auto",
-    }
-    return parameters, rows, 0
+
+    rows, code = _run_rows(ns, lambda n: _row_digits(args, n), row)
+    return _parameters(jp, ns, h=h.source, digits=_digits_param(args)), rows, code
 
 
 # --- report emission ---
@@ -442,12 +420,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_signed_exponents(argv) -> list:
+    """'--alpha -9/10' -> '--alpha=-9/10': argparse takes a lone '-9/10' for an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--alpha", "--beta") and tok[:1] == "-" \
+                and (tok[1:2].isdigit() or tok[1:2] == "."):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_exponents(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     started = time.perf_counter()

@@ -41,10 +41,9 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import DomainError, PrecisionError
-from .jacobi import (JacobiParams, RecurrenceCoeffs, jacobi_alpha_n,
-                     jacobi_alpha_n_exact, jacobi_beta_n, jacobi_beta_n_exact,
-                     jacobi_moment, jacobi_moment_exact)
-from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite, to_mpf
+from .jacobi import (JacobiParams, RecurrenceCoeffs, jacobi_moment,
+                     jacobi_moment_exact, jacobi_recurrence_table)
+from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite
 from .quadrature import gauss_jacobi_rule
 
 #: Extra decimal digits per matrix row consumed by pivot decay during factorization.
@@ -74,10 +73,12 @@ class MomentSequence:
     """Moments mu_0..mu_{2n-2} of a weight, with provenance.
 
     ``source`` is "pure" for the bare weight or "perturbed(<expr>)" for a
-    multiplicative perturbation. When available, ``modified`` carries the
-    moments against the monic orthogonal basis of the unperturbed weight
-    ``basis`` (one extra entry, indices 0..2n-1); these are well conditioned
-    for the recurrence route, unlike the raw power moments.
+    multiplicative perturbation. ``modified`` carries the moments against the
+    monic orthogonal basis of the unperturbed weight ``basis`` (one extra
+    entry, indices 0..2n-1); these are well conditioned, unlike the raw power
+    moments, and the recurrence route reads nothing else. Both sequence
+    constructors attach them; a hand-built sequence without them serves the
+    ldl route only.
     """
 
     mu: tuple
@@ -144,8 +145,7 @@ def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
         boosted = Precision(max(32, mp.dps))
         rule = gauss_jacobi_rule(m, jp, boosted)
         count = 2 * n - 1
-        ca = [jacobi_alpha_n(k, jp) for k in range(count)]
-        cb = [mpf(0)] + [jacobi_beta_n(k, jp) for k in range(1, count)]
+        ca, cb = jacobi_recurrence_table(count, jp)
         mus = [mpf(0)] * count
         nus = [mpf(0)] * (count + 1)
         for x, w in zip(rule.nodes, rule.weights):
@@ -236,48 +236,20 @@ def modified_chebyshev(nu, aux_alpha, aux_beta, count: int):
     return alphas, betas
 
 
-def _modified_from_raw(ms: MomentSequence, jp: JacobiParams, count: int):
-    """Modified moments nu_0..nu_{count-1} from raw moments by exact basis change.
-
-    Expands each monic auxiliary polynomial in powers of x and contracts with
-    the raw moments. Mathematically exact; numerically it reintroduces the
-    cancellation the modified moments exist to avoid, so it is only a
-    fallback for sequences built without them (adequate under the linear
-    digit budget of auto_digits).
-    """
-    ca = [jacobi_alpha_n(k, jp) for k in range(count)]
-    cb = [mpf(0)] + [jacobi_beta_n(k, jp) for k in range(1, count)]
-    prev = []
-    cur = [mpf(1)]
-    nus = []
-    for k in range(count):
-        if k > 0:
-            shifted = [mpf(0)] + cur
-            nxt = [mpf(0)] * (k + 1)
-            for i, c in enumerate(shifted):
-                nxt[i] += c
-            for i, c in enumerate(cur):
-                nxt[i] -= ca[k - 1] * c
-            for i, c in enumerate(prev):
-                nxt[i] -= cb[k - 1] * c
-            prev, cur = cur, nxt
-        if len(cur) > len(ms.mu):
-            raise DomainError("raw moment sequence too short for basis change")
-        nus.append(mpmath.fsum(c * ms.mu[i] for i, c in enumerate(cur)))
-    return nus
-
-
 def perturbed_recurrence_coeffs(ms: MomentSequence, n: int, jp: JacobiParams,
                                 p: Precision) -> RecurrenceCoeffs:
-    """Recurrence coefficients alpha_0..alpha_{n-1}, beta_1..beta_{n-1} of the weight behind ``ms``."""
+    """Recurrence coefficients alpha_0..alpha_{n-1}, beta_1..beta_{n-1} of the weight behind ``ms``.
+
+    Reads only ``ms.modified``; a sequence without modified moments against
+    the basis ``jp`` raises DomainError.
+    """
+    if ms.modified is None or ms.basis != jp or len(ms.modified) < 2 * n:
+        raise DomainError(
+            f"recurrence route needs {2 * n} modified moments against the basis "
+            f"alpha={jp.alpha}, beta={jp.beta}; sequence {ms.source!r} does not carry them")
     with p.workdps(_conditioning_guard(n)):
-        if ms.modified is not None and ms.basis == jp and len(ms.modified) >= 2 * n:
-            nus = list(ms.modified[:2 * n])
-        else:
-            nus = _modified_from_raw(ms, jp, 2 * n)
-        aux_a = [jacobi_alpha_n(k, jp) for k in range(2 * n)]
-        aux_b = [mpf(0)] + [jacobi_beta_n(k, jp) for k in range(1, 2 * n)]
-        alphas, betas = modified_chebyshev(nus, aux_a, aux_b, n)
+        aux_a, aux_b = jacobi_recurrence_table(2 * n, jp)
+        alphas, betas = modified_chebyshev(ms.modified[:2 * n], aux_a, aux_b, n)
         for k in range(1, n):
             if not betas[k] > 0:
                 raise PrecisionError(

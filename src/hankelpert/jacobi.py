@@ -101,9 +101,8 @@ class RecurrenceCoeffs:
                 raise PrecisionError(f"recurrence coefficient beta_{i + 1} is not positive: {b}")
 
 
-def jacobi_alpha_n_exact(n: int, jp: JacobiParams) -> Fraction:
-    """Exact diagonal recurrence coefficient alpha_n for rational parameters."""
-    a, b = jp.ab_exact()
+def _alpha_n(n: int, a, b):
+    """alpha_n over the field of a and b: Fractions stay exact, mpfs run at working precision."""
     s = a + b
     if n == 0:
         # the generic formula is 0/0 at n=0 when alpha+beta=0; the
@@ -113,11 +112,10 @@ def jacobi_alpha_n_exact(n: int, jp: JacobiParams) -> Fraction:
     return (b * b - a * a) / ((2 * n + s) * (2 * n + s + 2))
 
 
-def jacobi_beta_n_exact(n: int, jp: JacobiParams) -> Fraction:
-    """Exact off-diagonal recurrence coefficient beta_n (n >= 1) for rational parameters."""
+def _beta_n(n: int, a, b):
+    """beta_n (n >= 1) over the field of a and b, like :func:`_alpha_n`."""
     if n < 1:
         raise DomainError(f"beta_n is defined for n >= 1, got {n}")
-    a, b = jp.ab_exact()
     s = a + b
     if n == 1:
         # at n=1 the factors (n+s) and (2n+s-1) coincide; cancelling them
@@ -127,38 +125,46 @@ def jacobi_beta_n_exact(n: int, jp: JacobiParams) -> Fraction:
             / ((2 * n + s) ** 2 * (2 * n + s + 1) * (2 * n + s - 1)))
 
 
+def jacobi_alpha_n_exact(n: int, jp: JacobiParams) -> Fraction:
+    """Exact diagonal recurrence coefficient alpha_n for rational parameters."""
+    return _alpha_n(n, *jp.ab_exact())
+
+
+def jacobi_beta_n_exact(n: int, jp: JacobiParams) -> Fraction:
+    """Exact off-diagonal recurrence coefficient beta_n (n >= 1) for rational parameters."""
+    return _beta_n(n, *jp.ab_exact())
+
+
 def jacobi_alpha_n(n: int, jp: JacobiParams) -> BigReal:
     """Diagonal recurrence coefficient alpha_n at the current working precision."""
     if jp.is_rational:
         return to_mpf(jacobi_alpha_n_exact(n, jp))
-    a, b = jp.ab_mpf()
-    s = a + b
-    if n == 0:
-        return (b - a) / (s + 2)
-    return (b * b - a * a) / ((2 * n + s) * (2 * n + s + 2))
+    return _alpha_n(n, *jp.ab_mpf())
 
 
 def jacobi_beta_n(n: int, jp: JacobiParams) -> BigReal:
     """Off-diagonal recurrence coefficient beta_n (n >= 1), always positive."""
     if jp.is_rational:
         return to_mpf(jacobi_beta_n_exact(n, jp))
-    if n < 1:
-        raise DomainError(f"beta_n is defined for n >= 1, got {n}")
-    a, b = jp.ab_mpf()
-    s = a + b
-    if n == 1:
-        # same cancellation as the exact path: finite at s=-1
-        return 4 * (1 + a) * (1 + b) / ((s + 2) ** 2 * (s + 3))
-    return (4 * n * (n + a) * (n + b) * (n + s)
-            / ((2 * n + s) ** 2 * (2 * n + s + 1) * (2 * n + s - 1)))
+    return _beta_n(n, *jp.ab_mpf())
+
+
+def jacobi_recurrence_table(count: int, jp: JacobiParams) -> tuple:
+    """Lists (alpha_0..alpha_{count-1}, [0, beta_1..beta_{count-1}]) at the current working precision.
+
+    The leading zero aligns beta_k with alpha_k, so the monic recurrence
+    P_{k+1} = (x - alpha_k) P_k - beta_k P_{k-1} reads both at index k.
+    """
+    alphas = [jacobi_alpha_n(k, jp) for k in range(count)]
+    betas = [mpf(0)] + [jacobi_beta_n(k, jp) for k in range(1, count)]
+    return alphas, betas
 
 
 def jacobi_recurrence(count: int, jp: JacobiParams, p: Precision) -> RecurrenceCoeffs:
     """First ``count`` recurrence coefficients: alpha_0..alpha_{count-1}, beta_1..beta_{count-1}."""
     with p.workdps():
-        alphas = tuple(jacobi_alpha_n(k, jp) for k in range(count))
-        betas = tuple(jacobi_beta_n(k, jp) for k in range(1, count))
-    return RecurrenceCoeffs(alphas, betas)
+        alphas, betas = jacobi_recurrence_table(count, jp)
+    return RecurrenceCoeffs(tuple(alphas), tuple(betas[1:]))
 
 
 def jacobi_moment_exact(k: int, jp: JacobiParams) -> Fraction:
@@ -234,6 +240,21 @@ def jacobi_hn(n: int, jp: JacobiParams, p: Precision) -> BigReal:
         return ensure_finite(mpmath.exp(jacobi_log_hn(n, jp, p)), f"h_{n}")
 
 
+def _log_gamma_g_ratio(s, p: Precision) -> BigReal:
+    """ln[Gamma(eps) G(eps)^2 / G(2 eps)], eps = (s+1)/2, for every s > -2.
+
+    Shifted by G(z+1) = Gamma(z) G(z) to
+
+        2 ln G(eps+1) - ln Gamma(eps+1) + ln Gamma(2 eps+1) - ln G(2 eps+1) - ln 2,
+
+    whose arguments stay positive for eps > -1/2; the unshifted form needs
+    eps > 0 (s > -1) and is 0/0 at s = -1, where this gives -ln 2.
+    """
+    eps = (s + 1) / 2
+    return (2 * log_barnes_g(eps + 1, p) - log_gamma(eps + 1, p) + log_gamma(2 * eps + 1, p)
+            - log_barnes_g(2 * eps + 1, p) - mpmath.log(2))
+
+
 def jacobi_logdet_exact(n: int, jp: JacobiParams, p: Precision) -> BigReal:
     """ln D_n of the unperturbed weight from its Gamma/Barnes-G closed form.
 
@@ -245,6 +266,9 @@ def jacobi_logdet_exact(n: int, jp: JacobiParams, p: Precision) -> BigReal:
              - ln G(s+1) - ln G(a+1) - ln G(b+1)
              + ln G(n+1) + ln G(n+a+1) + ln G(n+b+1) + ln G(n+s+1)
              - 2 ln G(n+(s+1)/2) - 2 ln G(n+s/2+1) - ln Gamma(n+(s+1)/2).
+
+    The first three head terms go through :func:`_log_gamma_g_ratio`, which
+    keeps every argument positive down to s > -2.
     """
     if n < 1:
         raise DomainError(f"determinant order must be >= 1, got {n}")
@@ -254,16 +278,8 @@ def jacobi_logdet_exact(n: int, jp: JacobiParams, p: Precision) -> BigReal:
         inner = Precision(max(32, mp.dps))
         lg = lambda z: log_gamma(z, inner)
         lG = lambda z: log_barnes_g(z, inner)
-        if s + 1 == 0:
-            # ln Gamma((s+1)/2) + 2 ln G((s+1)/2) - ln G(s+1) has a removable
-            # singularity at s=-1; with eps=(s+1)/2 it is
-            # ln[Gamma(eps) G(eps)^2 / G(2 eps)] -> -ln 2 as eps -> 0
-            head = -mpmath.log(2) + 2 * lG(s / 2 + 1)
-        else:
-            head = (lg((s + 1) / 2) + 2 * lG((s + 1) / 2) + 2 * lG(s / 2 + 1)
-                    - lG(s + 1))
         value = (-n * (n + s) * mpmath.log(2) + n * mpmath.log(2 * mpmath.pi)
-                 + head - lG(a + 1) - lG(b + 1)
+                 + _log_gamma_g_ratio(s, inner) + 2 * lG(s / 2 + 1) - lG(a + 1) - lG(b + 1)
                  + lG(n + 1) + lG(n + a + 1) + lG(n + b + 1) + lG(n + s + 1)
                  - 2 * lG(n + (s + 1) / 2) - 2 * lG(n + s / 2 + 1) - lg(n + (s + 1) / 2))
         return ensure_finite(value, f"ln D_{n}")
@@ -278,16 +294,8 @@ def jacobi_asym_constant(jp: JacobiParams, p: Precision) -> BigReal:
         a, b = jp.ab_mpf()
         s = a + b
         inner = Precision(max(32, mp.dps))
-        if s + 1 == 0:
-            # same removable singularity as the exact form: the bracketed
-            # Gamma((s+1)/2) G((s+1)/2)^2 / G(s+1) factor tends to 1/2
-            value = (-mpmath.log(2) + 2 * log_barnes_g(s / 2 + 1, inner)
-                     - log_barnes_g(a + 1, inner) - log_barnes_g(b + 1, inner))
-            return ensure_finite(value, "asymptotic constant")
-        value = (2 * log_barnes_g((s + 1) / 2, inner) + 2 * log_barnes_g(s / 2 + 1, inner)
-                 + log_gamma((s + 1) / 2, inner)
-                 - log_barnes_g(s + 1, inner) - log_barnes_g(a + 1, inner)
-                 - log_barnes_g(b + 1, inner))
+        value = (_log_gamma_g_ratio(s, inner) + 2 * log_barnes_g(s / 2 + 1, inner)
+                 - log_barnes_g(a + 1, inner) - log_barnes_g(b + 1, inner))
         return ensure_finite(value, "asymptotic constant")
 
 

@@ -40,12 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .errors import DomainError, ValidityError
 from .fluid import band_kernel, support_endpoints
 from .jacobi import JacobiParams, jacobi_asym_constant
-from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite, to_mpf
+from .precision import BigReal, Precision, ensure_finite, to_mpf
 from .quadrature import ChebExpansion, cheb_expand, cheb_expand_auto
 
 
@@ -176,6 +176,7 @@ class AsymptoticPrediction:
 
     ``total`` re-assembles the prediction; ``log_constant`` collects the
     n-independent part (everything except log_leading and log_mean).
+    ``expansion`` is the Chebyshev expansion of ln h the parts were read from.
     """
 
     n: int
@@ -186,6 +187,7 @@ class AsymptoticPrediction:
     edge_part: object
     pure_constant_part: object
     precision: Precision
+    expansion: ChebExpansion
 
     @property
     def log_constant(self) -> BigReal:
@@ -242,4 +244,4 @@ def assemble_prediction(n: int, jp: JacobiParams, h, p: Precision,
                         ("boundary", boundary), ("edge", edge), ("pv", pv),
                         ("constant", pure)):
             ensure_finite(v, f"{name} part")
-    return AsymptoticPrediction(n, log_leading, log_mean, pv, boundary, edge, pure, p)
+    return AsymptoticPrediction(n, log_leading, log_mean, pv, boundary, edge, pure, p, ce)

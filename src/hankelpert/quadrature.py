@@ -17,7 +17,6 @@ which is positive at every root and needs one extra norm constant h_{m-1}.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import mpmath
@@ -25,7 +24,7 @@ from mpmath import mp, mpf
 from scipy.special import roots_jacobi
 
 from .errors import DomainError, ResolutionError, RootFindError
-from .jacobi import JacobiParams, jacobi_alpha_n, jacobi_beta_n, jacobi_log_hn
+from .jacobi import JacobiParams, jacobi_log_hn, jacobi_recurrence_table
 from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite
 
 
@@ -46,13 +45,6 @@ class QuadratureRule:
     def integrate(self, f) -> BigReal:
         """Sum of w_i * f(x_i) at the current working precision."""
         return mpmath.fsum(w * f(x) for x, w in zip(self.nodes, self.weights))
-
-
-def _monic_coeffs(count: int, jp: JacobiParams):
-    """Recurrence coefficient tables (a_k, b_k) for k < count, at current precision."""
-    a = [jacobi_alpha_n(k, jp) for k in range(count)]
-    b = [mpf(0)] + [jacobi_beta_n(k, jp) for k in range(1, count)]
-    return a, b
 
 
 def _eval_monic(m: int, x, ca, cb, deriv: bool = False):
@@ -97,7 +89,7 @@ def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
         raise DomainError(f"rule order must be >= 1, got {m}")
     with p.workdps(2 * GUARD_DIGITS):
         inner = Precision(max(32, mp.dps))
-        ca, cb = _monic_coeffs(m, jp)
+        ca, cb = jacobi_recurrence_table(m, jp)
         seeds = [mpf(v) for v in roots_jacobi(m, float(jp.alpha), float(jp.beta))[0]]
         # interlacing brackets between consecutive seeds (seeds are within
         # ~1e-13 of the true roots, midpoints separate them safely)

@@ -178,6 +178,16 @@ def test_exit_2_on_syntax_error(capsys):
     assert "offset 6" in err
 
 
+def test_negative_fraction_exponent_as_separate_token(capsys):
+    # argparse alone reads a lone "-9/10" as an unknown option
+    code, spaced, _ = run_json(["exact", "--n", "3", "--alpha", "-9/10", "--beta", "5"], capsys)
+    assert code == 0
+    assert spaced["command"] == "hankelpert exact --n 3 --alpha -9/10 --beta 5"
+    _, joined, _ = run_json(["exact", "--n", "3", "--alpha=-9/10", "--beta", "5"], capsys)
+    assert strip_timing(spaced)["rows"] == strip_timing(joined)["rows"]
+    assert spaced["parameters"] == joined["parameters"]
+
+
 def test_exit_2_on_bad_parameters(capsys):
     code, _, err = run(["exact", "--n", "4", "--alpha", "-2"], capsys)
     assert code == 2
@@ -195,12 +205,17 @@ def test_exit_4_on_sign_changing_perturbation(capsys):
     assert code == 4
 
 
-def test_exit_3_on_precision_failure(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["exact", "--n", "4,6"],
+    ["compare", "--n", "4,6", "--h", "exp(x)"],
+    ["heine", "--n", "1,2", "--h", "exp(x)"],
+], ids=["exact", "compare", "heine"])
+def test_exit_3_on_precision_failure(capsys, monkeypatch, argv):
     def broken(ms, n, p):
         raise PrecisionError(f"pivot 3 is not positive at {p.decimal_digits} digits")
 
     monkeypatch.setattr(cli, "hankel_logdet_ldl", broken)
-    code, out, err = run(["compare", "--n", "4,6", "--h", "exp(x)"], capsys)
+    code, out, err = run(argv, capsys)
     assert code == 3
     rep = json.loads(out)
     assert all(row["error_type"] == "PrecisionError" for row in rep["rows"])

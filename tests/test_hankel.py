@@ -180,11 +180,26 @@ def test_moment_map_breakdown_raises():
 
 def test_indefinite_moments_raise_on_both_routes():
     with mpmath.workdps(70):
-        bad = MomentSequence(tuple(mpmath.mpf(v) for v in (1, 0, -1, 0, 1)), "bad")
+        # nu_k against monic Legendre P_0..P_3 = 1, x, x^2 - 1/3, x^3 - 3x/5
+        modified = (mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(-4) / 3, mpmath.mpf(0))
+        bad = MomentSequence(tuple(mpmath.mpf(v) for v in (1, 0, -1, 0, 1)), "bad",
+                             modified, LEG)
     with pytest.raises(PrecisionError):
         hankel_logdet_ldl(bad, 2, P64)
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError, match="beta_1"):
         hankel_logdet_recurrence(bad, 2, LEG, P64)
+
+
+def test_recurrence_route_reads_only_modified_moments():
+    """Raw moments alone, or modified moments against another basis, are refused."""
+    with mpmath.workdps(70):
+        ms = pure_moment_sequence(LEG, 4, P64)
+        raw_only = MomentSequence(ms.mu, "raw")
+        other_basis = MomentSequence(ms.mu, "pure", ms.modified, JacobiParams(1, 0))
+    with pytest.raises(DomainError, match="modified moments"):
+        hankel_logdet_recurrence(raw_only, 4, LEG, P64)
+    with pytest.raises(DomainError, match="modified moments"):
+        hankel_logdet_recurrence(other_basis, 4, LEG, P64)
 
 
 def test_rational_minors_flat_weight():

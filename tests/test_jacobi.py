@@ -151,7 +151,9 @@ def test_logdet_hand_values():
 def test_logdet_equals_norm_product():
     """The Gamma/Barnes-G closed form equals sum of ln h_j up to n = 50."""
     with mpmath.workdps(80):
-        for a_s, b_s in (("0", "0"), ("1/2", "3/2"), ("2", "1/4")):
+        # the last two pairs have alpha + beta < -1
+        for a_s, b_s in (("0", "0"), ("1/2", "3/2"), ("2", "1/4"),
+                         ("-2/3", "-3/4"), ("-9/10", "-9/10")):
             jp = JacobiParams(a_s, b_s)
             acc = mpmath.mpf(0)
             for j in range(50):
