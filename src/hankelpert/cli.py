@@ -140,10 +140,6 @@ def _run_rows(ns, digits_of, compute) -> tuple:
     with ``p`` the row's precision, and is timed into ``elapsed_s``. A
     PrecisionError becomes the row {n, digits, error, error_type} and the
     next size still runs.
-
-    ``compute`` enters ``p.workdps()`` only around its own arithmetic: the
-    ldl route rounds ``cross_tolerance`` at the caller's precision, so one
-    context around the whole row would change the reported ``method_tol``.
     """
     rows = []
     failed = 0
@@ -207,13 +203,18 @@ def cmd_compare(args) -> tuple:
         pred = assemble_prediction(n, jp, h, p, cheb_m=args.cheb_m)
         pure = jacobi_logdet_exact(n, jp, p)
         with p.workdps():
+            method_diff = abs(direct.log_det - second.log_det)
+            if method_diff > direct.cross_tolerance:
+                raise PrecisionError(
+                    f"ldl and recurrence routes differ by {mpmath.nstr(method_diff, 6)}, "
+                    f"above method_tol {mpmath.nstr(direct.cross_tolerance, 6)}")
             mean_limit = mean_term(pred.expansion, n, jp, "limit")
             log_ratio = direct.log_det - pure
             pv_estimate = log_ratio - mean_limit
             out = {
                 "log_det_ldl": direct.log_det,
                 "log_det_recurrence": second.log_det,
-                "method_diff": abs(direct.log_det - second.log_det),
+                "method_diff": method_diff,
                 "method_tol": direct.cross_tolerance,
                 "prediction_total": pred.total,
                 "prediction_gap": direct.log_det - pred.total,

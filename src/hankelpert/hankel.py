@@ -2,8 +2,9 @@
 
 Three independent routes are implemented:
 
-* ``hankel_logdet_ldl``        symmetric triangular (LDL) factorization of the
-                               moment matrix; ln det = sum of ln pivots;
+* ``hankel_logdet_ldl``        LDL pivots h_j = beta_0 ... beta_j of the raw
+                               moments by the classical Chebyshev algorithm;
+                               ln det = sum of ln pivots;
 * ``hankel_logdet_recurrence`` recurrence coefficients of the (possibly
                                perturbed) weight recovered from modified
                                moments by the Chebyshev-style moment map,
@@ -34,16 +35,19 @@ independent oracle for the moment-based routes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 from mpmath import mp, mpf
 
 from .errors import DomainError, PrecisionError
 from .jacobi import (JacobiParams, RecurrenceCoeffs, jacobi_moment,
-                     jacobi_moment_exact, jacobi_recurrence_table)
-from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite
+                     jacobi_moment_exact, jacobi_moment_ratios,
+                     jacobi_recurrence_table)
+from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite, to_mpf
 from .quadrature import gauss_jacobi_rule
 
 #: Extra decimal digits per matrix row consumed by pivot decay during factorization.
@@ -115,14 +119,15 @@ class HankelResult:
 def pure_moment_sequence(jp: JacobiParams, n: int, p: Precision) -> MomentSequence:
     """Moments of the unperturbed weight, for determinants up to size n.
 
+    mu_0 comes from :func:`jacobi_moment`, the rest from the moment ratios.
     The modified moments against the weight's own orthogonal basis are
     (h_0, 0, 0, ...) by orthogonality, so they are attached analytically.
     """
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     with p.workdps(_conditioning_guard(n)):
-        boosted = Precision(max(32, mp.dps))
-        mus = tuple(jacobi_moment(k, jp, boosted) for k in range(2 * n - 1))
+        mu0 = jacobi_moment(0, jp, Precision(max(32, mp.dps)))
+        mus = tuple(mu0 * to_mpf(r) for r in jacobi_moment_ratios(2 * n - 1, jp))
         modified = (mus[0],) + tuple(mpf(0) for _ in range(2 * n - 1))
     return MomentSequence(mus, "pure", modified, jp)
 
@@ -166,42 +171,38 @@ def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
     return MomentSequence(tuple(mus), f"perturbed({label})", tuple(nus), jp)
 
 
-def hankel_logdet_ldl(ms: MomentSequence, n: int, p: Precision) -> HankelResult:
-    """ln det of the n x n Hankel matrix (mu_{j+k}) by symmetric LDL factorization.
+def _log_det_from_betas(betas) -> BigReal:
+    """ln D_n = sum_{j<n} (n-j) ln beta_j, n = len(betas), as D_n = prod_{j<n} beta_0 ... beta_j."""
+    n = len(betas)
+    log_det = mpmath.fsum((n - j) * mpmath.log(b) for j, b in enumerate(betas))
+    return ensure_finite(log_det, f"ln det (size {n})")
 
-    The matrix is positive definite for any positive weight; a nonpositive
-    pivot therefore identifies precision exhaustion (or an invalid weight)
-    and raises with the failing index.
+
+def hankel_logdet_ldl(ms: MomentSequence, n: int, p: Precision) -> HankelResult:
+    """ln det of the n x n Hankel matrix (mu_{j+k}) from its LDL pivots h_j = D_{j+1}/D_j.
+
+    h_j = beta_0 ... beta_j in O(n^2) by the classical Chebyshev algorithm
+    (zero auxiliary coefficients); the padded mu_{2n-1} feeds only
+    alpha_{n-1}. The matrix is positive definite for any positive weight; a
+    nonpositive pivot therefore identifies precision exhaustion (or an
+    invalid weight) and raises with the failing index.
     """
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     if ms.max_order() < n:
         raise DomainError(f"moment sequence covers size {ms.max_order()}, need {n}")
     with p.workdps(_conditioning_guard(n)):
-        A = [[ms.mu[j + k] for k in range(n)] for j in range(n)]
-        log_det = mpf(0)
-        min_pivot = None
-        for i in range(n):
-            piv = A[i][i]
+        zeros = [mpf(0)] * (2 * n)
+        _, betas = modified_chebyshev([*ms.mu[:2 * n - 1], mpf(0)], zeros, zeros, n)
+        pivots = list(accumulate(betas, operator.mul))
+        for i, piv in enumerate(pivots):
             if not piv > 0:
                 raise PrecisionError(
                     f"matrix not positive definite at requested precision: "
                     f"pivot {i} = {mpmath.nstr(piv, 6)} at {p.decimal_digits} digits")
-            if min_pivot is None or piv < min_pivot:
-                min_pivot = piv
-            log_det += mpmath.log(piv)
-            row_i = A[i]
-            for j in range(i + 1, n):
-                factor = A[j][i] / piv
-                row_j = A[j]
-                for k in range(j, n):
-                    row_j[k] -= factor * row_i[k]
-                # symmetry: only the upper triangle of each Schur complement
-                # is updated, the lower is mirrored on read
-                for k in range(i + 1, j):
-                    row_j[k] = A[k][j]
-        ensure_finite(log_det, f"ln det (size {n})")
-    return HankelResult(n, log_det, "ldl", p, cross_validation_tol(n, p), min_pivot)
+        log_det = _log_det_from_betas(betas)
+        tol = cross_validation_tol(n, p)
+    return HankelResult(n, log_det, "ldl", p, tol, min(pivots))
 
 
 def modified_chebyshev(nu, aux_alpha, aux_beta, count: int):
@@ -272,10 +273,9 @@ def hankel_logdet_recurrence(ms: MomentSequence, n: int, jp: JacobiParams,
         raise DomainError(f"moment sequence covers size {ms.max_order()}, need {n}")
     with p.workdps(_conditioning_guard(n)):
         rc = perturbed_recurrence_coeffs(ms, n, jp, p)
-        betas = (ms.mu[0],) + rc.beta_seq
-        log_det = mpmath.fsum((n - j) * mpmath.log(b) for j, b in enumerate(betas[:n]))
-        ensure_finite(log_det, f"ln det (size {n})")
-    return HankelResult(n, log_det, "recurrence", p, cross_validation_tol(n, p))
+        log_det = _log_det_from_betas((ms.mu[0],) + rc.beta_seq)
+        tol = cross_validation_tol(n, p)
+    return HankelResult(n, log_det, "recurrence", p, tol)
 
 
 def _bareiss_leading_minors(rows):
@@ -317,7 +317,8 @@ def rational_hankel_minors(jp: JacobiParams, n: int, h_coeffs=None):
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     extra = 0 if h_coeffs is None else len(h_coeffs) - 1
-    base = [jacobi_moment_exact(k, jp) for k in range(2 * n - 1 + extra)]
+    mu0 = jacobi_moment_exact(0, jp)
+    base = [mu0 * r for r in jacobi_moment_ratios(2 * n - 1 + extra, jp)]
     if h_coeffs is None:
         mus = base
     else:

@@ -3,7 +3,7 @@
 Everything here rests on classical orthogonal-polynomial identities for the
 weight w(x) = (1-x)^alpha (1+x)^beta on [-1, 1] with alpha, beta > -1:
 
-* moments        mu_k = integral of x^k w(x) dx,
+* moments        mu_k = integral of x^k w(x) dx, by a three-term recurrence,
 * recurrence     x P_n = P_{n+1} + alpha_n P_n + beta_n P_{n-1}  (monic P_n),
 * square norms   h_n = integral of P_n(x)^2 w(x) dx,
 * determinants   D_n = det(mu_{j+k})_{j,k<n} = prod_{j<n} h_j,
@@ -13,9 +13,10 @@ its large-n asymptotic. Determinants underflow like 2^(-n^2), so every
 product of Gammas is assembled in log space; exponentiation happens only at
 the API boundary.
 
-When both parameters are exact rationals the recurrence coefficients and
-(for nonnegative integer parameters) the moments are also available as exact
-``Fraction`` values; these form the bit-exact ground truth used by the tests.
+When both parameters are exact rationals the recurrence coefficients and the
+moment ratios mu_k/mu_0 (and, for nonnegative integer parameters, the moments)
+are also available as exact ``Fraction`` values; these form the bit-exact
+ground truth used by the tests.
 """
 from __future__ import annotations
 
@@ -167,45 +168,40 @@ def jacobi_recurrence(count: int, jp: JacobiParams, p: Precision) -> RecurrenceC
     return RecurrenceCoeffs(tuple(alphas), tuple(betas[1:]))
 
 
+def jacobi_moment_ratios(count: int, jp: JacobiParams) -> list:
+    """mu_k/mu_0 for k < count by (a+b+k+2) mu_{k+1} = (b-a) mu_k + k mu_{k-1}.
+
+    The recurrence integrates d/dx[(1-x)^(a+1) (1+x)^(b+1) x^k] over [-1, 1];
+    both of its solutions decay like powers of k, so the forward run is
+    stable. Exact Fractions for rational parameters, else mpfs at working precision.
+    """
+    a, b = (jp.alpha, jp.beta) if jp.is_rational else jp.ab_mpf()
+    ratios = [a * 0 + 1, (b - a) / (a + b + 2)]
+    for k in range(1, count - 1):
+        ratios.append(((b - a) * ratios[k] + k * ratios[k - 1]) / (a + b + k + 2))
+    return ratios[:count]
+
+
 def jacobi_moment_exact(k: int, jp: JacobiParams) -> Fraction:
-    """Exact rational moment mu_k for nonnegative integer parameters."""
+    """Exact rational moment mu_k for nonnegative integer parameters: mu_0 times mu_k/mu_0."""
     if k < 0:
         raise DomainError(f"moment order must be nonnegative, got {k}")
     if not jp.is_nonneg_integer:
         raise DomainError("exact moments require nonnegative integer parameters")
     a = int(jp.alpha)
     b = int(jp.beta)
-    total = Fraction(0)
-    for j in range(k + 1):
-        beta_fn = Fraction(math.factorial(a + j) * math.factorial(b),
-                           math.factorial(a + j + b + 1))
-        total += math.comb(k, j) * Fraction(-2) ** j * beta_fn
-    return Fraction(2) ** (a + b + 1) * total
+    mu0 = Fraction(2 ** (a + b + 1) * math.factorial(a) * math.factorial(b),
+                   math.factorial(a + b + 1))
+    return mu0 * jacobi_moment_ratios(k + 1, jp)[k]
 
 
 def jacobi_moment(k: int, jp: JacobiParams, p: Precision) -> BigReal:
-    """Moment mu_k of the weight, via the binomial expansion of (1-x)^alpha about x=1.
-
-    The sum mu_k = 2^(alpha+beta+1) * sum_j C(k,j) (-2)^j B(alpha+j+1, beta+1)
-    alternates, with terms up to ~3^k times larger than the result, so the
-    working precision is raised by k*log10(3) digits internally.
-    """
+    """Moment mu_k of the weight: mu_0 = h_0 from its Gamma form, times mu_k/mu_0."""
     if k < 0:
         raise DomainError(f"moment order must be nonnegative, got {k}")
-    cancellation_guard = math.ceil(0.48 * k) + GUARD_DIGITS
-    with p.workdps(GUARD_DIGITS + cancellation_guard):
-        a, b = jp.ab_mpf()
-        inner = Precision(max(32, mp.dps))
-        ln_gamma_b1 = log_gamma(b + 1, inner)
-        total = mpf(0)
-        sign = 1
-        pow2 = mpf(1)
-        for j in range(k + 1):
-            ln_beta = log_gamma(a + j + 1, inner) + ln_gamma_b1 - log_gamma(a + b + j + 2, inner)
-            total += sign * mpmath.binomial(k, j) * pow2 * mpmath.exp(ln_beta)
-            sign = -sign
-            pow2 *= 2
-        return ensure_finite(2 ** (a + b + 1) * total, f"mu_{k}")
+    with p.workdps():
+        ratio = to_mpf(jacobi_moment_ratios(k + 1, jp)[k])
+        return ensure_finite(jacobi_hn(0, jp, p) * ratio, f"mu_{k}")
 
 
 def jacobi_log_hn(n: int, jp: JacobiParams, p: Precision) -> BigReal:

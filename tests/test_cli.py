@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: report schema, values, and exit codes."""
 import csv
+import dataclasses
 import io
 import json
 import math
 
+import mpmath
 import pytest
 
 import hankelpert.cli as cli
@@ -89,6 +91,7 @@ def test_compare_exponential_perturbation(capsys):
     assert abs(float(row["edge_part"])) < 1e-50  # flat weight: no edge factor
     assert float(rep["parameters"]["h_min_sampled"]) > 0.36
     assert rep["parameters"]["h"] == "exp(x)"
+    assert row["method_tol"] == "1.0e-47"
 
 
 def test_compare_heine_columns_for_small_sizes(capsys):
@@ -220,6 +223,22 @@ def test_exit_3_on_precision_failure(capsys, monkeypatch, argv):
     rep = json.loads(out)
     assert all(row["error_type"] == "PrecisionError" for row in rep["rows"])
     assert "pivot" in rep["rows"][0]["error"]
+
+
+def test_exit_3_when_routes_differ_beyond_method_tol(capsys, monkeypatch):
+    recurrence = cli.hankel_logdet_recurrence
+
+    def offset(ms, n, jp, p):
+        r = recurrence(ms, n, jp, p)
+        with p.workdps():
+            return dataclasses.replace(r, log_det=r.log_det + mpmath.mpf("1e-30"))
+
+    monkeypatch.setattr(cli, "hankel_logdet_recurrence", offset)
+    code, out, _ = run(["compare", "--n", "10", "--h", "exp(x)"], capsys)
+    assert code == 3
+    row = json.loads(out)["rows"][0]
+    assert row["error_type"] == "PrecisionError"
+    assert "method_tol 1.0e-47" in row["error"]
 
 
 def test_usage_error_exits_2(capsys):

@@ -141,6 +141,17 @@ def test_ldl_on_oracle_moments_agrees_with_quadrature_route():
         assert float(abs(via_quad.log_det - via_parts.log_det)) < 1e-48
 
 
+def test_ldl_against_dense_determinant():
+    """The ldl route against mpmath's LU determinant of the same Hankel matrix,
+    which shares no code with the Chebyshev algorithm behind the pivots."""
+    with mpmath.workdps(120):
+        for n in (2, 5, 10):
+            mu = exp_moments(2 * n - 1, Precision(120))
+            H = mpmath.matrix([[mu[j + k] for k in range(n)] for j in range(n)])
+            got = hankel_logdet_ldl(MomentSequence(mu, "exp-parts"), n, P64)
+            assert float(abs(got.log_det - mpmath.log(mpmath.det(H)))) < 1e-48, f"n={n}"
+
+
 def test_precision_policy_values():
     assert auto_digits(1) == 64
     assert auto_digits(10) == 64
@@ -167,7 +178,7 @@ def test_degraded_moments_are_detected_not_masked():
         ms = pure_moment_sequence(LEG, 40, P64)
         rounded = tuple(mpmath.mpf(mpmath.nstr(mu, 16)) if mu != 0 else mu
                         for mu in ms.mu)
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError, match="pivot 25"):
         hankel_logdet_ldl(MomentSequence(rounded, "degraded"), 40, P64)
 
 

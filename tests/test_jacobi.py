@@ -1,4 +1,5 @@
 """Moments, recurrence coefficients, norms, and determinant closed forms."""
+import math
 from fractions import Fraction
 
 import mpmath
@@ -61,10 +62,24 @@ def test_moments_match_direct_quadrature():
                 assert float(abs(got - want)) < 1e-40, f"({a_s},{b_s}) k={k}"
 
 
+def monomial_moments(a, b, count):
+    """Exact mu_k for integer a, b: expand (1-x)^a (1+x)^b into monomials c_j x^j
+    and integrate termwise, the integral of x^j over [-1, 1] being 2/(j+1) for
+    even j and 0 for odd j. Shares no code with the moment recurrence."""
+    coeffs = [0] * (a + b + 1)
+    for i in range(a + 1):
+        for j in range(b + 1):
+            coeffs[i + j] += (-1) ** i * math.comb(a, i) * math.comb(b, j)
+    return [sum(Fraction(2 * c, j + k + 1) for j, c in enumerate(coeffs) if (j + k) % 2 == 0)
+            for k in range(count)]
+
+
 def test_moment_routes_agree_for_integer_params():
     with mpmath.workdps(70):
-        for pair in ((0, 0), (1, 1), (2, 0), (1, 2)):
+        for pair in ((0, 0), (1, 1), (2, 0), (1, 2), (3, 5)):
             jp = JacobiParams(*pair)
+            for k, want in enumerate(monomial_moments(*pair, 200)):
+                assert jacobi_moment_exact(k, jp) == want, f"{pair} k={k}"
             for k in range(0, 25):
                 exact = jacobi_moment_exact(k, jp)
                 got = jacobi_moment(k, jp, P64)

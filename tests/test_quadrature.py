@@ -34,7 +34,8 @@ def test_two_point_rule_values():
 def test_polynomial_exactness():
     """An m-point rule integrates x^k exactly for k <= 2m-1."""
     with mpmath.workdps(80):
-        for a_s, b_s in (("0", "0"), ("1/2", "0"), ("1", "2")):
+        for a_s, b_s in (("0", "0"), ("1/2", "0"), ("1", "2"), ("-9/10", "5"),
+                         ("-2/3", "1/2")):
             jp = JacobiParams(a_s, b_s)
             for m in (5, 10, 20):
                 rule = gauss_jacobi_rule(m, jp, P64)
