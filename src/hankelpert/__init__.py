@@ -27,7 +27,7 @@ from .jacobi import (JacobiParams, RecurrenceCoeffs, jacobi_alpha_n,
                      jacobi_log_hn, jacobi_logdet_asym, jacobi_logdet_exact,
                      jacobi_moment, jacobi_moment_exact, jacobi_recurrence)
 from .quadrature import (ChebExpansion, QuadratureRule, cheb_expand,
-                         cheb_expand_auto, gauss_jacobi_rule, perturbed_moment)
+                         cheb_expand_auto, gauss_jacobi_rule)
 from .hankel import (HankelResult, MomentSequence, auto_digits,
                      auto_precision, cross_validation_tol,
                      hankel_logdet_ldl, hankel_logdet_rational,
@@ -61,8 +61,8 @@ __all__ = [
     "jacobi_moment", "jacobi_moment_exact", "jacobi_log_hn", "jacobi_hn",
     "jacobi_logdet_exact", "jacobi_logdet_asym", "jacobi_asym_constant",
     # quadrature and expansions
-    "QuadratureRule", "gauss_jacobi_rule", "perturbed_moment",
-    "ChebExpansion", "cheb_expand", "cheb_expand_auto",
+    "QuadratureRule", "gauss_jacobi_rule", "ChebExpansion", "cheb_expand",
+    "cheb_expand_auto",
     # determinant routes
     "MomentSequence", "HankelResult", "auto_digits", "auto_precision",
     "cross_validation_tol", "pure_moment_sequence",

@@ -14,8 +14,9 @@ are emitted as decimal strings, never as binary floats. Identical command
 lines produce identical reports except for the timing fields.
 
 Exit codes: 0 success; 2 usage or parameter error (including expression
-syntax errors); 3 numeric or precision failure; 4 perturbation validation
-failure (nonpositive value or evaluation fault).
+syntax errors); 3 numeric or precision failure, including a printed
+difference above its printed bound; 4 perturbation validation failure
+(nonpositive value or evaluation fault).
 """
 from __future__ import annotations
 
@@ -46,6 +47,11 @@ from .dsl import parse_h, validate_positive
 
 SCHEMA_VERSION = 1
 HEINE_GUARD = 20
+#: Differences of two working-precision values carry only a few meaningful
+#: digits; these fields print that many significant digits, not ``digits``.
+DIFF_FIELDS = frozenset({"diff_closed_norm", "diff_closed_ldl", "diff_norm_ldl",
+                         "method_diff", "heine_diff", "diff"})
+DIFF_DIGITS = 3
 
 
 def _parse_n_list(text: str) -> list:
@@ -105,11 +111,18 @@ def _fmt(value, digits: int):
 
 
 def _fmt_row(row: dict, digits: int) -> dict:
-    return {k: _fmt(v, digits) for k, v in row.items()}
+    return {k: _fmt(v, DIFF_DIGITS if k in DIFF_FIELDS else digits) for k, v in row.items()}
 
 
 def _heine_tol(p: Precision):
     return mpf(10) ** (HEINE_GUARD - p.decimal_digits)
+
+
+def _enforce(diff, tol, what: str, tol_name: str) -> None:
+    """Raise PrecisionError when a difference the row prints exceeds the bound it prints."""
+    if diff > tol:
+        raise PrecisionError(f"{what} differ by {mpmath.nstr(diff, DIFF_DIGITS)}, "
+                             f"above {tol_name} {mpmath.nstr(tol, DIFF_DIGITS)}")
 
 
 def _param_str(value) -> str:
@@ -204,10 +217,8 @@ def cmd_compare(args) -> tuple:
         pure = jacobi_logdet_exact(n, jp, p)
         with p.workdps():
             method_diff = abs(direct.log_det - second.log_det)
-            if method_diff > direct.cross_tolerance:
-                raise PrecisionError(
-                    f"ldl and recurrence routes differ by {mpmath.nstr(method_diff, 6)}, "
-                    f"above method_tol {mpmath.nstr(direct.cross_tolerance, 6)}")
+            _enforce(method_diff, direct.cross_tolerance, "ldl and recurrence routes",
+                     "method_tol")
             mean_limit = mean_term(pred.expansion, n, jp, "limit")
             log_ratio = direct.log_det - pure
             pv_estimate = log_ratio - mean_limit
@@ -232,9 +243,11 @@ def cmd_compare(args) -> tuple:
             }
             if args.heine:
                 avg = heine_average_small_n(n, jp, h, p) if n <= 3 else None
-                out["heine_average"] = avg
-                out["heine_diff"] = None if avg is None else abs(mpmath.exp(log_ratio) - avg)
-                out["heine_tol"] = None if avg is None else _heine_tol(p)
+                diff = tol = None
+                if avg is not None:
+                    diff, tol = abs(mpmath.exp(log_ratio) - avg), _heine_tol(p)
+                    _enforce(diff, tol, "determinant ratio and ensemble average", "heine_tol")
+                out.update(heine_average=avg, heine_diff=diff, heine_tol=tol)
             return out
 
     rows, code = _run_rows(ns, lambda n: _row_digits(args, n), row)
@@ -326,11 +339,13 @@ def cmd_heine(args) -> tuple:
         with p.workdps():
             ratio_direct = mpmath.exp(perturbed.log_det - pure)
             average = heine_average_small_n(n, jp, h, p)
+            diff, tol = abs(ratio_direct - average), _heine_tol(p)
+            _enforce(diff, tol, "ratio_direct and ratio_average", "tol")
             return {
                 "ratio_direct": ratio_direct,
                 "ratio_average": average,
-                "diff": abs(ratio_direct - average),
-                "tol": _heine_tol(p),
+                "diff": diff,
+                "tol": tol,
             }
 
     rows, code = _run_rows(ns, lambda n: _row_digits(args, n), row)

@@ -40,11 +40,6 @@ class Precision:
         """Context manager setting mpmath working precision with guard digits."""
         return mp.workdps(self.decimal_digits + extra)
 
-    @property
-    def rel_tolerance(self) -> BigReal:
-        """The contract bound 10**(8 - decimal_digits) on relative error."""
-        return mpf(10) ** (GUARD_DIGITS - self.decimal_digits)
-
 
 def to_mpf(value) -> BigReal:
     """Convert ``value`` to mpf at the current working precision.

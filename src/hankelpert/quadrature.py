@@ -1,31 +1,50 @@
 """High-precision Gauss quadrature for the weight (1-x)^alpha (1+x)^beta,
 and Chebyshev expansion of smooth functions on [-1, 1].
 
-Nodes are the roots of the degree-m monic orthogonal polynomial, located by
-Newton iteration on the three-term recurrence evaluation. Double-precision
-root estimates seed the iteration (they are accurate to ~1e-14, so Newton
-converges quadratically in a handful of steps); any node that fails to
-converge or lands outside its interlacing bracket is recovered by bisection
-on the sign change of the polynomial, and failure after that raises with
-diagnostics rather than returning silently.
+Nodes are the roots of the degree-m monic orthogonal polynomial P_m, found
+on the scaled recurrence Q_k = 2^k P_k,
+
+    Q_{k+1} = (2x - 2 alpha_k) Q_k - 4 beta_k Q_{k-1},
+
+whose values do not shrink like 2^-k as the P_k do (4 beta_k -> 1).
+Seeds come from Newton in floats with Maehly deflation, working in from
+x = 1: started right of the largest root of a real-rooted polynomial,
+Newton descends monotonically onto it, and dividing out the roots found
+makes the next root the largest. Newton then polishes each seed on F-bit
+fixed-point Python integers (x, 2 alpha_k and 4 beta_k scaled by 2^F,
+F = working bits + guard bits, each product shifted back by F), which
+does the work of mpf arithmetic without its per-operation overhead. Fixed
+point resolves small values only absolutely, so the guard grows with m
+and with the bits by which the smallest |Q_k(+-1)| falls below 1 (large
+exponents). A node that fails to converge inside its bracket (midpoints
+between neighbouring seeds) is recovered by bisection on the sign change
+of Q_m on the same kernel; failure after that raises with diagnostics
+rather than returning silently.
 
 Weights use the classical Christoffel formula for monic polynomials,
 
-    w_i = h_{m-1} / (P_{m-1}(x_i) * P'_m(x_i)),
+    w_i = h_{m-1} / (P_{m-1}(x_i) * P'_m(x_i))
+        = h_{m-1} 2^(2m-1) / (Q_{m-1}(x_i) * Q'_m(x_i)),
 
 which is positive at every root and needs one extra norm constant h_{m-1}.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpf
-from scipy.special import roots_jacobi
 
 from .errors import DomainError, ResolutionError, RootFindError
 from .jacobi import JacobiParams, jacobi_log_hn, jacobi_recurrence_table
 from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite
+
+#: Fixed-point guard bits on top of the working precision, plus 3 per bit of the
+#: rule order and the bits of :func:`_small_value_bits`.
+KERNEL_GUARD_BITS = 16
+#: Float Newton steps allowed per seed.
+SEED_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -47,24 +66,75 @@ class QuadratureRule:
         return mpmath.fsum(w * f(x) for x, w in zip(self.nodes, self.weights))
 
 
-def _eval_monic(m: int, x, ca, cb, deriv: bool = False):
-    """P_m(x), and optionally (P'_m(x), P_{m-1}(x)), by the three-term recurrence."""
-    pkm1, pk = mpf(0), mpf(1)
-    dkm1, dk = mpf(0), mpf(0)
-    for k in range(m):
-        pkp1 = (x - ca[k]) * pk - cb[k] * pkm1
-        if deriv:
-            dkp1 = pk + (x - ca[k]) * dk - cb[k] * dkm1
-            dkm1, dk = dk, dkp1
-        pkm1, pk = pk, pkp1
-    if deriv:
-        return pk, dk, pkm1
-    return pk
+def _eval_float(x: float, two_alpha, four_beta) -> tuple:
+    """(Q_m(x), Q'_m(x), Q''_m(x)) in floats."""
+    qm1, q, dm1, dq, em1, d2q = 0.0, 1.0, 0.0, 0.0, 0.0, 0.0
+    for a, b in zip(two_alpha, four_beta):
+        c = 2 * x - a
+        qm1, q, dm1, dq, em1, d2q = (q, c * q - b * qm1, dq, 2 * q + c * dq - b * dm1,
+                                     d2q, 4 * dq + c * d2q - b * em1)
+    return q, dq, d2q
 
 
-def _bisect_root(m, lo, hi, ca, cb, tol):
-    flo = _eval_monic(m, lo, ca, cb)
-    fhi = _eval_monic(m, hi, ca, cb)
+def _seed_nodes(two_alpha, four_beta) -> list:
+    """Increasing float roots of Q_m, by Newton with Maehly deflation from x = 1 inward."""
+    roots = []
+    x = 1.0
+    while True:
+        last = math.inf
+        for _ in range(SEED_ITERATIONS):
+            q, dq, _ = _eval_float(x, two_alpha, four_beta)
+            den = dq - q * sum(1 / (x - r) for r in roots)
+            if den == 0:
+                break
+            step = q / den
+            x -= step
+            # done at the float floor, or when rounding noise stops the descent
+            if abs(step) <= 4e-16 or last <= abs(step) < 1e-10:
+                break
+            last = abs(step)
+        roots.append(x)
+        if len(roots) == len(two_alpha):
+            return roots[::-1]
+        # start the next search one Newton step for Q_m / prod (x - r) away
+        # from the root just found, where the quotient is 0/0: the step 1/S,
+        # S = Q''/(2Q') - sum over the earlier roots of 1/(x - r), lands right
+        # of the next root and, unlike a start near x, cancels no digits
+        _, dq, d2q = _eval_float(x, two_alpha, four_beta)
+        x -= 1 / (d2q / (2 * dq) + sum(1 / (r - x) for r in roots[:-1]))
+
+
+def _small_value_bits(two_alpha, four_beta) -> int:
+    """Bits to add for |Q_k| < 1, which fixed point resolves only absolutely.
+
+    The recurrence values are smallest at the endpoints (for large exponents
+    the far endpoint's Q_k fall far below 1), so the smallest |Q_k(+-1)|,
+    k <= m, measured in floats, sets the count.
+    """
+    smallest = 1.0
+    for x in (-1.0, 1.0):
+        qm1, q = 0.0, 1.0
+        for a, b in zip(two_alpha, four_beta):
+            qm1, q = q, (2 * x - a) * q - b * qm1
+            smallest = min(smallest, abs(q))
+    return 1 - math.frexp(smallest)[1]
+
+
+def _eval_fixed(x: int, two_alpha, four_beta, bits: int) -> tuple:
+    """(Q_m(x), Q'_m(x), Q_{m-1}(x)) on fixed-point integers scaled by 2^bits."""
+    two_x = 2 * x
+    qm1, q, dm1, dq = 0, 1 << bits, 0, 0
+    for a, b in zip(two_alpha, four_beta):
+        c = two_x - a
+        qm1, q, dm1, dq = (q, (c * q - b * qm1) >> bits,
+                           dq, 2 * q + ((c * dq - b * dm1) >> bits))
+    return q, dq, qm1
+
+
+def _bisect_root(lo: int, hi: int, two_alpha, four_beta, bits: int, tol: int):
+    """A sign change of Q_m in [lo, hi] narrowed to width ``tol``, or None without one."""
+    flo = _eval_fixed(lo, two_alpha, four_beta, bits)[0]
+    fhi = _eval_fixed(hi, two_alpha, four_beta, bits)[0]
     if flo == 0:
         return lo
     if fhi == 0:
@@ -72,15 +142,15 @@ def _bisect_root(m, lo, hi, ca, cb, tol):
     if (flo > 0) == (fhi > 0):
         return None
     while hi - lo > tol:
-        mid = (lo + hi) / 2
-        fm = _eval_monic(m, mid, ca, cb)
+        mid = (lo + hi) // 2
+        fm = _eval_fixed(mid, two_alpha, four_beta, bits)[0]
         if fm == 0:
             return mid
         if (fm > 0) == (flo > 0):
             lo, flo = mid, fm
         else:
             hi = mid
-    return (lo + hi) / 2
+    return (lo + hi) // 2
 
 
 def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
@@ -90,31 +160,41 @@ def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
     with p.workdps(2 * GUARD_DIGITS):
         inner = Precision(max(32, mp.dps))
         ca, cb = jacobi_recurrence_table(m, jp)
-        seeds = [mpf(v) for v in roots_jacobi(m, float(jp.alpha), float(jp.beta))[0]]
+        two_alpha_f, four_beta_f = [float(2 * a) for a in ca], [float(4 * b) for b in cb]
+        seeds = _seed_nodes(two_alpha_f, four_beta_f)
+        for i, s in enumerate(seeds):
+            if not -1 < s < 1:
+                raise RootFindError(
+                    f"seed {i} of order-{m} rule for alpha={jp.alpha}, "
+                    f"beta={jp.beta} is {s}, outside (-1, 1)")
+        bits = (mp.prec + KERNEL_GUARD_BITS + 3 * m.bit_length()
+                + _small_value_bits(two_alpha_f, four_beta_f))
+        one = 1 << bits
+        two_alpha = [int(mpmath.ldexp(2 * a, bits)) for a in ca]
+        four_beta = [int(mpmath.ldexp(4 * b, bits)) for b in cb]
+        xs = [int(mpmath.ldexp(s, bits)) for s in seeds]
         # interlacing brackets between consecutive seeds (seeds are within
-        # ~1e-13 of the true roots, midpoints separate them safely)
-        edges = [mpf(-1)] + [(seeds[i] + seeds[i + 1]) / 2 for i in range(m - 1)] + [mpf(1)]
-        tol = mpf(10) ** (-(mp.dps - 4))
+        # ~1e-15 of the true roots, midpoints separate them safely)
+        edges = [-one] + [(xs[i] + xs[i + 1]) // 2 for i in range(m - 1)] + [one]
+        # a step below 2^-(prec-16), about 10^-(dps-5), leaves an error of
+        # order its square, so the node is converged
+        tol = 1 << (bits - mp.prec + 16)
         nodes = []
-        for i, seed in enumerate(seeds):
-            x = seed
+        for i, x in enumerate(xs):
             converged = False
             for _ in range(120):
-                pm, dpm, _ = _eval_monic(m, x, ca, cb, deriv=True)
-                if dpm == 0:
+                q, dq, _ = _eval_fixed(x, two_alpha, four_beta, bits)
+                if dq == 0:
                     break
-                step = pm / dpm
-                x = x - step
-                if not (edges[i] < x < edges[i + 1]):
+                step = (q << bits) // dq
+                x -= step
+                if not edges[i] < x < edges[i + 1]:
                     break
-                if abs(step) <= tol * max(abs(x), mpf(1)):
-                    pm, dpm, _ = _eval_monic(m, x, ca, cb, deriv=True)
-                    if dpm != 0:
-                        x = x - pm / dpm
+                if abs(step) <= tol:
                     converged = True
                     break
             if not converged:
-                x = _bisect_root(m, edges[i], edges[i + 1], ca, cb, tol)
+                x = _bisect_root(edges[i], edges[i + 1], two_alpha, four_beta, bits, tol)
                 if x is None:
                     raise RootFindError(
                         f"node {i} of order-{m} rule for alpha={jp.alpha}, "
@@ -124,33 +204,19 @@ def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
             if not nodes[i] < nodes[i + 1]:
                 raise RootFindError(
                     f"nodes {i}, {i + 1} of order-{m} rule are not increasing: "
-                    f"{nodes[i]}, {nodes[i + 1]}")
-        h_last = mpmath.exp(jacobi_log_hn(m - 1, jp, inner))
+                    f"{mpmath.ldexp(nodes[i], -bits)}, {mpmath.ldexp(nodes[i + 1], -bits)}")
+        # Q_{m-1} Q'_m carries the scale 2^(2 bits) of its two fixed-point factors
+        scale = mpmath.ldexp(mpmath.exp(jacobi_log_hn(m - 1, jp, inner)), 2 * m - 1 + 2 * bits)
         weights = []
         for i, x in enumerate(nodes):
-            _, dpm, pm1 = _eval_monic(m, x, ca, cb, deriv=True)
-            w = h_last / (pm1 * dpm)
-            if not w > 0:
+            _, dq, qm1 = _eval_fixed(x, two_alpha, four_beta, bits)
+            if not qm1 * dq > 0:
                 raise RootFindError(
-                    f"weight {i} of order-{m} rule is not positive: {w}")
-            weights.append(ensure_finite(w, f"weight {i}"))
-        return QuadratureRule(tuple(nodes), tuple(weights), m, jp)
-
-
-def perturbed_moment(k: int, jp: JacobiParams, h, m: int, p: Precision) -> BigReal:
-    """Moment mu_k of the perturbed weight w(x) h(x), by an order-m Gauss rule.
-
-    The rule is exact for the polynomial factor x^k through degree 2m-1; the
-    excess order absorbs the analytic perturbation h. Convergence in m is the
-    caller's check.
-    """
-    if k < 0:
-        raise DomainError(f"moment order must be nonnegative, got {k}")
-    rule = gauss_jacobi_rule(m, jp, p)
-    with p.workdps():
-        return ensure_finite(
-            mpmath.fsum(w * x ** k * h(x) for x, w in zip(rule.nodes, rule.weights)),
-            f"perturbed mu_{k}")
+                    f"weight {i} of order-{m} rule is not positive: "
+                    f"Q_(m-1) Q'_m = {mpmath.ldexp(qm1 * dq, -2 * bits)}")
+            weights.append(ensure_finite(scale / (qm1 * dq), f"weight {i}"))
+        return QuadratureRule(tuple(mpmath.ldexp(x, -bits) for x in nodes),
+                              tuple(weights), m, jp)
 
 
 @dataclass(frozen=True)

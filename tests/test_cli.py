@@ -4,6 +4,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -55,6 +58,11 @@ def test_exact_sweep_and_asym_column(capsys):
     gaps = [abs(float(row["asym_gap"])) for row in rep["rows"]]
     assert gaps[2] < gaps[0]
     assert rep["parameters"]["asymptotic_valid"] is True
+    for row in rep["rows"]:
+        # route differences print 3 significant digits, determinants all of them
+        for key in ("diff_closed_norm", "diff_closed_ldl", "diff_norm_ldl"):
+            assert len(row[key].split("e")[0].replace(".", "").strip("0")) <= 3, row[key]
+        assert len(row["log_det_closed"]) > 60
 
 
 def test_exact_range_syntax(capsys):
@@ -142,6 +150,32 @@ def test_heine_matches_determinant_ratio(capsys):
     for row in rep["rows"]:
         assert abs(float(row["diff"])) < float(row["tol"])
         assert float(row["ratio_direct"]) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["heine", "--n", "1,2"],
+    ["compare", "--n", "1,2", "--heine"],
+], ids=["heine", "compare"])
+def test_exit_3_when_ratio_misses_ensemble_average(capsys, argv):
+    # an order-(n+32) rule leaves the pole at 1.05 unresolved by ~1e-10,
+    # far above the 1e-44 bound both subcommands print
+    code, rep, _ = run_json(
+        argv + ["--alpha", "2/3", "--beta=-1/2", "--h", "1/(1.05-x)"], capsys)
+    assert code == 3
+    for row in rep["rows"]:
+        assert row["error_type"] == "PrecisionError"
+        assert "differ by " in row["error"]
+        assert "tol 1.0e-44" in row["error"]
+
+
+def test_cli_import_loads_no_scipy_or_numpy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys, hankelpert.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'numpy')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_heine_rejects_large_n(capsys):

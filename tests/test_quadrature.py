@@ -5,10 +5,11 @@ import mpmath
 import pytest
 
 from hankelpert.errors import DomainError, ResolutionError
-from hankelpert.jacobi import JacobiParams, jacobi_moment
-from hankelpert.precision import Precision
+from hankelpert.jacobi import (JacobiParams, jacobi_hn, jacobi_moment,
+                              jacobi_moment_ratios, jacobi_recurrence_table)
+from hankelpert.precision import GUARD_DIGITS, Precision, to_mpf
 from hankelpert.quadrature import (cheb_expand, cheb_expand_auto,
-                                   gauss_jacobi_rule, perturbed_moment)
+                                   gauss_jacobi_rule)
 
 P64 = Precision(64)
 LEG = JacobiParams(0, 0)
@@ -93,10 +94,11 @@ def test_integrate_helper():
 
 def test_perturbed_moment_against_closed_integral():
     """k=0 exponential perturbation: integral of e^{tx} over [-1,1] is 2 sinh(t)/t."""
+    rule = gauss_jacobi_rule(40, LEG, P64)
     with mpmath.workdps(70):
         for t_s in ("1", "0.3"):
             t = mpmath.mpf(t_s)
-            got = perturbed_moment(0, LEG, lambda x, t=t: mpmath.exp(t * x), 40, P64)
+            got = rule.integrate(lambda x, t=t: mpmath.exp(t * x))
             want = 2 * mpmath.sinh(t) / t
             assert float(abs(got - want)) < 1e-55, f"t={t_s}"
 
@@ -104,10 +106,10 @@ def test_perturbed_moment_against_closed_integral():
 def test_perturbed_moment_trivial_cases():
     with mpmath.workdps(70):
         # h = 1 reduces to the plain moment
-        got = perturbed_moment(4, JacobiParams(1, 0), lambda x: mpmath.mpf(1), 30, P64)
+        got = gauss_jacobi_rule(30, JacobiParams(1, 0), P64).integrate(lambda x: x ** 4)
         assert float(abs(got - jacobi_moment(4, JacobiParams(1, 0), P64))) < 1e-55
         # odd integrand vanishes
-        got = perturbed_moment(1, LEG, lambda x: 1 + x * x, 30, P64)
+        got = gauss_jacobi_rule(30, LEG, P64).integrate(lambda x: x * (1 + x * x))
         assert float(abs(got)) < 1e-55
 
 
@@ -160,3 +162,79 @@ def test_cheb_auto_rejects_nonanalytic_function():
 def test_rule_rejects_bad_order():
     with pytest.raises(DomainError):
         gauss_jacobi_rule(0, LEG, P64)
+
+
+def _newton_oracle(m, jp, p, seeds):
+    """Order-m rule by plain mpf Newton on the monic recurrence, from float ``seeds``.
+
+    Each node must converge inside the midpoints between neighbouring seeds;
+    the weights use h_{m-1} / (P_{m-1}(x) P'_m(x)).
+    """
+    with p.workdps(2 * GUARD_DIGITS):
+        ca, cb = jacobi_recurrence_table(m, jp)
+
+        def monic(x):
+            pkm1, pk, dkm1, dk = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+            for a, b in zip(ca, cb):
+                pkm1, pk, dkm1, dk = pk, (x - a) * pk - b * pkm1, dk, pk + (x - a) * dk - b * dkm1
+            return pk, dk, pkm1
+
+        seeds = [mpmath.mpf(s) for s in seeds]
+        edges = [-1] + [(s + t) / 2 for s, t in zip(seeds, seeds[1:])] + [1]
+        tol = mpmath.mpf(10) ** (4 - mpmath.mp.dps)
+        nodes = []
+        for i, x in enumerate(seeds):
+            for _ in range(60):
+                pm, dpm, _ = monic(x)
+                step = pm / dpm
+                x -= step
+                assert edges[i] < x < edges[i + 1], f"oracle node {i} left its bracket"
+                if abs(step) <= tol:
+                    pm, dpm, _ = monic(x)
+                    x -= pm / dpm
+                    break
+            else:
+                raise AssertionError(f"oracle node {i} did not converge")
+            nodes.append(x)
+        h_last = jacobi_hn(m - 1, jp, Precision(mpmath.mp.dps))
+        weights = []
+        for x in nodes:
+            _, dpm, pm1 = monic(x)
+            weights.append(h_last / (pm1 * dpm))
+        return nodes, weights
+
+
+@pytest.mark.parametrize("m, digits", [(5, 64), (42, 64), (62, 103)])
+@pytest.mark.parametrize("a_s, b_s", [("1/3", "2"), ("-9/10", "5"), ("-1/2", "-1/2"),
+                                      ("100", "-99/100")])
+def test_fixed_point_kernel_matches_mpf_newton(m, digits, a_s, b_s):
+    """The integer kernel's nodes and weights agree with plain mpf Newton to working precision."""
+    jp, p = JacobiParams(a_s, b_s), Precision(digits)
+    rule = gauss_jacobi_rule(m, jp, p)
+    assert len(rule.nodes) == m
+    assert all(-1 < x < y < 1 for x, y in zip(rule.nodes, rule.nodes[1:]))
+    nodes, weights = _newton_oracle(m, jp, p, [float(x) for x in rule.nodes])
+    # both run at digits + 16 working digits; the weights lose a few more to
+    # the division by Q_{m-1} Q'_m
+    for i in range(m):
+        assert abs(rule.nodes[i] - nodes[i]) < mpmath.mpf(10) ** -(digits + 12), f"node {i}"
+        assert abs(rule.weights[i] / weights[i] - 1) < mpmath.mpf(10) ** -(digits + 8), \
+            f"weight {i}"
+
+
+@pytest.mark.parametrize("m, a_s, b_s", [(208, "1/3", "2"), (150, "0", "-1/2"),
+                                         (150, "100", "-99/100")])
+def test_high_order_rule_is_exact(m, a_s, b_s):
+    """A rule of order 150 or more integrates every x^k, k <= 2m-1, exactly."""
+    jp = JacobiParams(a_s, b_s)
+    rule = gauss_jacobi_rule(m, jp, P64)
+    with mpmath.workdps(80):
+        mu0 = jacobi_moment(0, jp, P64)
+        sums = [mpmath.mpf(0)] * (2 * m)
+        for x, w in zip(rule.nodes, rule.weights):
+            xk = w
+            for k in range(2 * m):
+                sums[k] += xk
+                xk *= x
+        for k, ratio in enumerate(jacobi_moment_ratios(2 * m, jp)):
+            assert abs(sums[k] - mu0 * to_mpf(ratio)) < 1e-52 * mu0, f"k={k}"
