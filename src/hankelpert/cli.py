@@ -13,6 +13,9 @@ Reports go to stdout as JSON (default) or CSV; arbitrary-precision values
 are emitted as decimal strings, never as binary floats. Identical command
 lines produce identical reports except for the timing fields.
 
+Each printed difference is paired with its printed bound in ``BOUNDS``;
+the row runner checks every pair and makes a row over its bound an error row.
+
 Exit codes: 0 success; 2 usage or parameter error (including expression
 syntax errors); 3 numeric or precision failure, including a printed
 difference above its printed bound; 4 perturbation validation failure
@@ -47,10 +50,19 @@ from .dsl import parse_h, validate_positive
 
 SCHEMA_VERSION = 1
 HEINE_GUARD = 20
+#: Every printed (difference, bound, what differs) of a row. ``_run_rows``
+#: turns a row whose difference exceeds its bound into an error row (exit 3).
+BOUNDS = (
+    ("diff_closed_norm", "method_tol", "closed form and norm product"),
+    ("diff_closed_ldl", "method_tol", "closed form and ldl routes"),
+    ("diff_norm_ldl", "method_tol", "norm product and ldl routes"),
+    ("method_diff", "method_tol", "ldl and recurrence routes"),
+    ("heine_diff", "heine_tol", "determinant ratio and ensemble average"),
+    ("diff", "tol", "ratio_direct and ratio_average"),
+)
 #: Differences of two working-precision values carry only a few meaningful
 #: digits; these fields print that many significant digits, not ``digits``.
-DIFF_FIELDS = frozenset({"diff_closed_norm", "diff_closed_ldl", "diff_norm_ldl",
-                         "method_diff", "heine_diff", "diff"})
+DIFF_FIELDS = frozenset(diff for diff, _, _ in BOUNDS)
 DIFF_DIGITS = 3
 
 
@@ -118,13 +130,6 @@ def _heine_tol(p: Precision):
     return mpf(10) ** (HEINE_GUARD - p.decimal_digits)
 
 
-def _enforce(diff, tol, what: str, tol_name: str) -> None:
-    """Raise PrecisionError when a difference the row prints exceeds the bound it prints."""
-    if diff > tol:
-        raise PrecisionError(f"{what} differ by {mpmath.nstr(diff, DIFF_DIGITS)}, "
-                             f"above {tol_name} {mpmath.nstr(tol, DIFF_DIGITS)}")
-
-
 def _param_str(value) -> str:
     if isinstance(value, Fraction):
         return str(value)
@@ -151,8 +156,8 @@ def _run_rows(ns, digits_of, compute) -> tuple:
 
     ``compute(n, p)`` returns the row's values after ``n`` and ``digits``,
     with ``p`` the row's precision, and is timed into ``elapsed_s``. A
-    PrecisionError becomes the row {n, digits, error, error_type} and the
-    next size still runs.
+    PrecisionError, or a difference of ``BOUNDS`` above its bound, becomes
+    the row {n, digits, error, error_type} and the next size still runs.
     """
     rows = []
     failed = 0
@@ -162,6 +167,11 @@ def _run_rows(ns, digits_of, compute) -> tuple:
         t0 = time.perf_counter()
         try:
             row = {"n": n, "digits": digits, **compute(n, p)}
+            for diff, bound, what in BOUNDS:
+                if row.get(diff) is not None and row[diff] > row[bound]:
+                    raise PrecisionError(
+                        f"{what} differ by {mpmath.nstr(row[diff], DIFF_DIGITS)}, "
+                        f"above {bound} {mpmath.nstr(row[bound], DIFF_DIGITS)}")
         except PrecisionError as exc:
             failed += 1
             rows.append({"n": n, "digits": digits, "error": str(exc),
@@ -193,6 +203,7 @@ def cmd_exact(args) -> tuple:
                 "diff_closed_norm": abs(closed - norm_product),
                 "diff_closed_ldl": abs(closed - ldl.log_det),
                 "diff_norm_ldl": abs(norm_product - ldl.log_det),
+                "method_tol": ldl.cross_tolerance,
                 "log_det_asym": asym,
                 "asym_gap": None if asym is None else abs(closed - asym),
             }
@@ -216,16 +227,13 @@ def cmd_compare(args) -> tuple:
         pred = assemble_prediction(n, jp, h, p, cheb_m=args.cheb_m)
         pure = jacobi_logdet_exact(n, jp, p)
         with p.workdps():
-            method_diff = abs(direct.log_det - second.log_det)
-            _enforce(method_diff, direct.cross_tolerance, "ldl and recurrence routes",
-                     "method_tol")
             mean_limit = mean_term(pred.expansion, n, jp, "limit")
             log_ratio = direct.log_det - pure
             pv_estimate = log_ratio - mean_limit
             out = {
                 "log_det_ldl": direct.log_det,
                 "log_det_recurrence": second.log_det,
-                "method_diff": method_diff,
+                "method_diff": abs(direct.log_det - second.log_det),
                 "method_tol": direct.cross_tolerance,
                 "prediction_total": pred.total,
                 "prediction_gap": direct.log_det - pred.total,
@@ -246,7 +254,6 @@ def cmd_compare(args) -> tuple:
                 diff = tol = None
                 if avg is not None:
                     diff, tol = abs(mpmath.exp(log_ratio) - avg), _heine_tol(p)
-                    _enforce(diff, tol, "determinant ratio and ensemble average", "heine_tol")
                 out.update(heine_average=avg, heine_diff=diff, heine_tol=tol)
             return out
 
@@ -339,13 +346,11 @@ def cmd_heine(args) -> tuple:
         with p.workdps():
             ratio_direct = mpmath.exp(perturbed.log_det - pure)
             average = heine_average_small_n(n, jp, h, p)
-            diff, tol = abs(ratio_direct - average), _heine_tol(p)
-            _enforce(diff, tol, "ratio_direct and ratio_average", "tol")
             return {
                 "ratio_direct": ratio_direct,
                 "ratio_average": average,
-                "diff": diff,
-                "tol": tol,
+                "diff": abs(ratio_direct - average),
+                "tol": _heine_tol(p),
             }
 
     rows, code = _run_rows(ns, lambda n: _row_digits(args, n), row)

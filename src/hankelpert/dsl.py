@@ -13,6 +13,10 @@ rational), NAME is one of exp, log, sqrt, cosh, sinh. Exponents must
 constant-fold to a rational; 'x^x' is rejected at parse time. Parse errors
 carry the byte offset and the token kinds that would have been accepted.
 
+One table, ``BINARY_OPS``, drives the binary operators in the parser, the
+printer and both evaluators; the ``h_*`` constructors write source text and
+parse it, so the parser is the only code that builds trees.
+
 Evaluation is exact-rational-in, arbitrary-precision-out: numeric leaves are
 Fractions, arithmetic on them stays exact until a transcendental call or an
 mpf argument forces the current mpmath working precision. Domain faults
@@ -26,6 +30,7 @@ raises PositivityError with the witnessing point.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -57,27 +62,38 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
+class Binary:
+    """left <op> right; the operator's symbol, precedence and arithmetic are in BINARY_OPS."""
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Add(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Sub(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
+class Mul(Binary):
+    pass
+
+
+class Div(Binary):
+    pass
+
+
+#: node class -> (printed form, precedence, operation). Precedence 1 is the
+#: grammar's ``expr`` level and 2 its ``term`` level; the symbol is the printed
+#: form without its spaces. A zero divisor raises ZeroDivisionError.
+BINARY_OPS = {
+    Add: (" + ", 1, operator.add),
+    Sub: (" - ", 1, operator.sub),
+    Mul: ("*", 2, operator.mul),
+    Div: ("/", 2, operator.truediv),
+}
+_BY_SYMBOL = {text.strip(): (cls, prec) for cls, (text, prec, _) in BINARY_OPS.items()}
 
 
 @dataclass(frozen=True)
@@ -117,17 +133,12 @@ def evaluate(node, x):
         return x
     if isinstance(node, Neg):
         return -evaluate(node.operand, x)
-    if isinstance(node, (Add, Sub, Mul, Div)):
+    if isinstance(node, Binary):
         a, b = _coerce(evaluate(node.left, x), evaluate(node.right, x))
-        if isinstance(node, Add):
-            return a + b
-        if isinstance(node, Sub):
-            return a - b
-        if isinstance(node, Mul):
-            return a * b
-        if b == 0:
-            raise EvalDomainError("division by zero", x)
-        return a / b
+        try:
+            return BINARY_OPS[type(node)][2](a, b)
+        except ZeroDivisionError:
+            raise EvalDomainError("division by zero", x) from None
     if isinstance(node, Pow):
         base = evaluate(node.base, x)
         q = node.exponent
@@ -179,10 +190,8 @@ def _decimal_repr(q: Fraction):
 
 
 def _precedence(node) -> int:
-    if isinstance(node, (Add, Sub)):
-        return 1
-    if isinstance(node, (Mul, Div)):
-        return 2
+    if isinstance(node, Binary):
+        return BINARY_OPS[type(node)][1]
     if isinstance(node, Neg):
         return 3
     if isinstance(node, Pow):
@@ -219,14 +228,9 @@ def to_source(node) -> str:
         return "x"
     if isinstance(node, Neg):
         return "-" + wrap(node.operand, 3)
-    if isinstance(node, Add):
-        return f"{wrap(node.left, 1)} + {wrap(node.right, 2)}"
-    if isinstance(node, Sub):
-        return f"{wrap(node.left, 1)} - {wrap(node.right, 2)}"
-    if isinstance(node, Mul):
-        return f"{wrap(node.left, 2)}*{wrap(node.right, 3)}"
-    if isinstance(node, Div):
-        return f"{wrap(node.left, 2)}/{wrap(node.right, 3)}"
+    if isinstance(node, Binary):
+        text, prec, _ = BINARY_OPS[type(node)]
+        return f"{wrap(node.left, prec)}{text}{wrap(node.right, prec + 1)}"
     if isinstance(node, Pow):
         return f"{wrap(node.base, 5)}^{_exponent_repr(node.exponent)}"
     if isinstance(node, Call):
@@ -290,27 +294,22 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        node = self.expr()
+        node = self.binary(1)
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos,
-                             ("+", "-", "*", "/", "^"))
+                             tuple(_BY_SYMBOL) + ("^",))
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            right = self.term()
-            node = Add(node, right) if op.kind == "+" else Sub(node, right)
-        return node
+    def binary(self, level: int):
+        """A left-associative chain at one precedence level: 1 is expr, 2 is term."""
+        def operand():
+            return self.binary(2) if level == 1 else self.unary()
 
-    def term(self):
-        node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            right = self.unary()
-            node = Mul(node, right) if op.kind == "*" else Div(node, right)
+        node = operand()
+        while _BY_SYMBOL.get(self.peek().kind, (None, 0))[1] == level:
+            cls = _BY_SYMBOL[self.advance().kind][0]
+            node = cls(node, operand())
         return node
 
     def unary(self):
@@ -342,14 +341,14 @@ class _Parser:
                 return Var()
             if tok.text in FUNCTION_NAMES:
                 self.expect("(")
-                arg = self.expr()
+                arg = self.binary(1)
                 self.expect(")")
                 return Call(tok.text, arg)
             raise ParseError(f"unknown name {tok.text!r}", tok.pos,
                              ("x",) + FUNCTION_NAMES)
         if tok.kind == "(":
             self.advance()
-            node = self.expr()
+            node = self.binary(1)
             self.expect(")")
             return node
         shown = tok.text or "end of input"
@@ -364,20 +363,15 @@ def _fold_rational(node):
     if isinstance(node, Neg):
         v = _fold_rational(node.operand)
         return None if v is None else -v
-    if isinstance(node, (Add, Sub, Mul, Div)):
+    if isinstance(node, Binary):
         lv = _fold_rational(node.left)
         rv = _fold_rational(node.right)
         if lv is None or rv is None:
             return None
-        if isinstance(node, Add):
-            return lv + rv
-        if isinstance(node, Sub):
-            return lv - rv
-        if isinstance(node, Mul):
-            return lv * rv
-        if rv == 0:
+        try:
+            return BINARY_OPS[type(node)][2](lv, rv)
+        except ZeroDivisionError:
             return None
-        return lv / rv
     if isinstance(node, Pow):
         bv = _fold_rational(node.base)
         if bv is None or (bv == 0 and node.exponent < 0):
@@ -462,22 +456,15 @@ def validate_positive(h: PerturbationFn, samples: int = 257,
 
 # --- ready-made perturbations ---
 
-def _num_node(q) -> object:
-    """Literal node for a rational constant; negatives get a unary minus."""
+def _literal(q) -> str:
+    """Source text of a rational constant: '0.5', '-(1/3)'."""
     q = Fraction(q)
-    neg = q < 0
-    mag = abs(q)
-    if _decimal_repr(mag) is None:
-        node = Div(Num(Fraction(mag.numerator)), Num(Fraction(mag.denominator)))
-    else:
-        node = Num(mag)
-    return Neg(node) if neg else node
+    return ("-" if q < 0 else "") + to_source(Num(abs(q)))
 
 
 def h_one() -> PerturbationFn:
     """The trivial perturbation h = 1."""
-    ast = Num(Fraction(1))
-    return PerturbationFn(to_source(ast), ast)
+    return parse_h("1")
 
 
 def h_const(c) -> PerturbationFn:
@@ -485,30 +472,20 @@ def h_const(c) -> PerturbationFn:
     c = Fraction(c)
     if c <= 0:
         raise DomainError(f"constant perturbation must be positive, got {c}")
-    ast = _num_node(c)
-    return PerturbationFn(to_source(ast), ast)
+    return parse_h(_literal(c))
 
 
 def h_exp_linear(t) -> PerturbationFn:
     """h = exp(t x), entire and positive for every rational t."""
     t = Fraction(t)
-    if t == 1:
-        inner = Var()
-    elif t == -1:
-        inner = Neg(Var())
-    else:
-        inner = Mul(_num_node(t), Var())
-    ast = Call("exp", inner)
-    return PerturbationFn(to_source(ast), ast)
+    inner = {1: "x", -1: "-x"}.get(t) or f"{_literal(t)}*x"
+    return parse_h(f"exp({inner})")
 
 
 def h_exp_cheb2(t) -> PerturbationFn:
     """h = exp(t (2x^2 - 1)), the degree-two pure-oscillation perturbation."""
     t = Fraction(t)
-    poly = Sub(Mul(Num(Fraction(2)), Pow(Var(), Fraction(2))), Num(Fraction(1)))
-    inner = poly if t == 1 else Mul(_num_node(t), poly)
-    ast = Call("exp", inner)
-    return PerturbationFn(to_source(ast), ast)
+    return parse_h("exp(2*x^2 - 1)" if t == 1 else f"exp({_literal(t)}*(2*x^2 - 1))")
 
 
 def h_one_plus_square(c) -> PerturbationFn:
@@ -518,10 +495,5 @@ def h_one_plus_square(c) -> PerturbationFn:
         raise DomainError(f"1 + c x^2 must stay positive on [-1, 1], got c = {c}")
     if c == 0:
         return h_one()
-    mag = abs(c)
-    square = Pow(Var(), Fraction(2))
-    if mag != 1:
-        square = Mul(_num_node(mag), square)
-    one = Num(Fraction(1))
-    ast = Add(one, square) if c > 0 else Sub(one, square)
-    return PerturbationFn(to_source(ast), ast)
+    square = "x^2" if abs(c) == 1 else f"{_literal(abs(c))}*x^2"
+    return parse_h(f"1 {'+' if c > 0 else '-'} {square}")

@@ -34,7 +34,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import DomainError
-from .precision import GUARD_DIGITS, BigReal, Precision, to_mpf
+from .precision import BigReal, Precision, to_mpf
 from .jacobi import JacobiParams
 
 
@@ -152,6 +152,22 @@ def band_kernel(si: SupportInterval, t) -> tuple:
     return x, right * left
 
 
+def band_integral(si: SupportInterval, f) -> BigReal:
+    """int sigma(x) f(x) dx over the band, at the current working precision.
+
+    The substitution x = center + halfwidth * sin(t) removes the square-root
+    endpoint singularities of the integrand's derivative.
+    """
+    a, b = si.jp.ab_mpf()
+    s = a + b
+
+    def g(t):
+        x, kernel = band_kernel(si, t)
+        return (si.n + s / 2) * kernel * f(x) / mpmath.pi
+
+    return mpmath.quad(g, [-mpmath.pi / 2, mpmath.pi / 2])
+
+
 @dataclass(frozen=True)
 class EquilibriumDensity:
     """Callable wrapper around ``equilibrium_density`` for a fixed band."""
@@ -164,15 +180,7 @@ class EquilibriumDensity:
     def mass(self, p: Precision) -> BigReal:
         """Integral of the density over its band (equals the size n)."""
         with p.workdps():
-            # substitution x = center + halfwidth * sin(t) removes the
-            # square-root endpoint singularities of the integrand's derivative
-            a, b = self.si.jp.ab_mpf()
-            s = a + b
-
-            def g(t):
-                return (self.si.n + s / 2) * band_kernel(self.si, t)[1] / mpmath.pi
-
-            return mpmath.quad(g, [-mpmath.pi / 2, mpmath.pi / 2])
+            return band_integral(self.si, lambda x: 1)
 
 
 def fluid_recurrence(n: int, jp: JacobiParams):

@@ -43,7 +43,7 @@ import mpmath
 from mpmath import mpf
 
 from .errors import DomainError, ValidityError
-from .fluid import band_kernel, support_endpoints
+from .fluid import band_integral, support_endpoints
 from .jacobi import JacobiParams, jacobi_asym_constant
 from .precision import BigReal, Precision, ensure_finite, to_mpf
 from .quadrature import ChebExpansion, cheb_expand, cheb_expand_auto
@@ -121,19 +121,11 @@ def mean_term(ce: ChebExpansion, n: int, jp: JacobiParams, form: str = "limit") 
     """
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
-    a, b = jp.ab_mpf()
-    s = a + b
     if form == "limit":
-        return (n + s / 2) * ce.coeffs[0] / 2
+        a, b = jp.ab_mpf()
+        return (n + (a + b) / 2) * ce.coeffs[0] / 2
     if form == "finite":
-        si = support_endpoints(n, jp)
-
-        def g(t):
-            x, kernel = band_kernel(si, t)
-            return (n + s / 2) * kernel * ce(x) / mpmath.pi
-
-        return ensure_finite(
-            mpmath.quad(g, [-mpmath.pi / 2, mpmath.pi / 2]), "mean term")
+        return ensure_finite(band_integral(support_endpoints(n, jp), ce), "mean term")
     raise DomainError(f"unknown form {form!r}, expected 'limit' or 'finite'")
 
 

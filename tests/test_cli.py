@@ -275,6 +275,22 @@ def test_exit_3_when_routes_differ_beyond_method_tol(capsys, monkeypatch):
     assert "method_tol 1.0e-47" in row["error"]
 
 
+def test_exit_3_when_exact_routes_differ_beyond_method_tol(capsys, monkeypatch):
+    closed = cli.jacobi_logdet_exact
+
+    def offset(n, jp, p):
+        with p.workdps():
+            return closed(n, jp, p) + mpmath.mpf("1e-30")
+
+    monkeypatch.setattr(cli, "jacobi_logdet_exact", offset)
+    code, out, _ = run(["exact", "--n", "10"], capsys)
+    assert code == 3
+    row = json.loads(out)["rows"][0]
+    assert row["error_type"] == "PrecisionError"
+    assert "closed form and norm product differ by 1.0e-30" in row["error"]
+    assert "method_tol 1.0e-47" in row["error"]
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit):
         # argparse exits by itself on unknown subcommands; main() converts

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from hankelpert.dsl import (Add, Call, Div, Mul, Num, Pow, Var, evaluate,
+from hankelpert.dsl import (Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var, evaluate,
                             h_const, h_exp_cheb2, h_exp_linear, h_one,
                             h_one_plus_square, parse_h, to_source,
                             validate_positive)
@@ -84,6 +84,32 @@ def test_builtin_sources_round_trip():
            h_one_plus_square(Fraction(1, 2)), h_one_plus_square(Fraction(-1, 2)))
     for h in fns:
         assert parse_h(h.source).ast == h.ast, h.source
+
+
+def test_builtin_sources_are_pinned():
+    # negative and non-decimal parameters: a non-decimal magnitude prints as
+    # n/d, parenthesized only under a unary minus
+    cases = (
+        (h_const(Fraction(1, 3)), "1/3"),
+        (h_const(Fraction(3, 2)), "1.5"),
+        (h_exp_linear(-1), "exp(-x)"),
+        (h_exp_linear(Fraction(-1, 3)), "exp(-(1/3)*x)"),
+        (h_exp_linear(Fraction(-3, 2)), "exp(-1.5*x)"),
+        (h_exp_linear(Fraction(7, 3)), "exp(7/3*x)"),
+        (h_exp_cheb2(-1), "exp(-1*(2*x^2 - 1))"),
+        (h_exp_cheb2(Fraction(-2, 7)), "exp(-(2/7)*(2*x^2 - 1))"),
+        (h_exp_cheb2(Fraction(1, 3)), "exp(1/3*(2*x^2 - 1))"),
+        (h_one_plus_square(Fraction(-1, 2)), "1 - 0.5*x^2"),
+        (h_one_plus_square(Fraction(-1, 3)), "1 - 1/3*x^2"),
+        (h_one_plus_square(1), "1 + x^2"),
+        (h_one_plus_square(Fraction(7, 3)), "1 + 7/3*x^2"),
+    )
+    for h, source in cases:
+        assert h.source == source
+    assert h_exp_linear(Fraction(-1, 3)).ast == Call(
+        "exp", Mul(Neg(Div(Num(Fraction(1)), Num(Fraction(3)))), Var()))
+    assert h_one_plus_square(Fraction(-1, 2)).ast == Sub(
+        Num(Fraction(1)), Mul(Num(Fraction(1, 2)), Pow(Var(), Fraction(2))))
 
 
 def test_exact_evaluation_stays_rational():
