@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import shlex
 import sys
@@ -45,7 +46,8 @@ from .hankel import (auto_digits, hankel_logdet_ldl, hankel_logdet_recurrence,
                      pure_moment_sequence)
 from .fluid import (EquilibriumDensity, fluid_recurrence, support_endpoints,
                     support_endpoints_shifted)
-from .linstat import assemble_prediction, mean_term
+from .linstat import (assemble_prediction, cheb_log_expand, mean_term,
+                      require_asymptotic)
 from .dsl import parse_h, validate_positive
 
 SCHEMA_VERSION = 1
@@ -151,6 +153,17 @@ def _digits_param(args):
     return args.digits if args.digits is not None else "auto"
 
 
+def _once_at_largest(args, ns, build):
+    """``build(N, p)`` for the largest size N at its row precision p, run on first call.
+
+    The result is cached for the other rows; each row reads the prefix it
+    needs. The rows call it inside ``_run_rows``, so a PrecisionError from
+    it becomes error rows.
+    """
+    top = max(ns)
+    return functools.cache(lambda: build(top, Precision(_row_digits(args, top))))
+
+
 def _run_rows(ns, digits_of, compute) -> tuple:
     """One report row per size, and the exit code: 3 if any row failed, else 0.
 
@@ -219,12 +232,16 @@ def cmd_compare(args) -> tuple:
     ns = _parse_n_list(args.n)
     _warn_if_below_policy(args, ns)
     h = _validated_h(args)
+    require_asymptotic(jp)
+    moments = _once_at_largest(
+        args, ns, lambda top, p: perturbed_moment_sequence(jp, h, top, p, m=args.quad_order))
+    expansion = _once_at_largest(args, ns, lambda top, p: cheb_log_expand(h, p, args.cheb_m))
 
     def row(n, p):
-        ms = perturbed_moment_sequence(jp, h, n, p, m=args.quad_order)
+        ms = moments()
         direct = hankel_logdet_ldl(ms, n, p)
         second = hankel_logdet_recurrence(ms, n, jp, p)
-        pred = assemble_prediction(n, jp, h, p, cheb_m=args.cheb_m)
+        pred = assemble_prediction(n, jp, h, p, expansion())
         pure = jacobi_logdet_exact(n, jp, p)
         with p.workdps():
             mean_limit = mean_term(pred.expansion, n, jp, "limit")
@@ -338,10 +355,11 @@ def cmd_heine(args) -> tuple:
             raise DomainError(f"ensemble averages are evaluated for n <= 3, got {n}")
     _warn_if_below_policy(args, ns)
     h = _validated_h(args)
+    moments = _once_at_largest(
+        args, ns, lambda top, p: perturbed_moment_sequence(jp, h, top, p, m=args.quad_order))
 
     def row(n, p):
-        ms = perturbed_moment_sequence(jp, h, n, p, m=args.quad_order)
-        perturbed = hankel_logdet_ldl(ms, n, p)
+        perturbed = hankel_logdet_ldl(moments(), n, p)
         pure = jacobi_logdet_exact(n, jp, p)
         with p.workdps():
             ratio_direct = mpmath.exp(perturbed.log_det - pure)
@@ -412,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="perturbation expression in x, e.g. 'exp(0.5*x)'")
         if with_quad:
             sp.add_argument("--quad-order", type=int, default=None,
-                            help="Gauss rule order for perturbed moments (default n+32)")
+                            help="Gauss rule order for perturbed moments "
+                                 "(default: largest n + 32, shared by every row)")
 
     sp = sub.add_parser("exact", help="bare-weight ln det by three routes")
     common(sp)

@@ -20,6 +20,7 @@ ground truth used by the tests.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,8 +264,9 @@ def jacobi_logdet_exact(n: int, jp: JacobiParams, p: Precision) -> BigReal:
              + ln G(n+1) + ln G(n+a+1) + ln G(n+b+1) + ln G(n+s+1)
              - 2 ln G(n+(s+1)/2) - 2 ln G(n+s/2+1) - ln Gamma(n+(s+1)/2).
 
-    The first three head terms go through :func:`_log_gamma_g_ratio`, which
-    keeps every argument positive down to s > -2.
+    The n-independent head, the second and third lines, is the memoized
+    :func:`jacobi_asym_constant`, which keeps every argument positive down
+    to s > -2.
     """
     if n < 1:
         raise DomainError(f"determinant order must be >= 1, got {n}")
@@ -272,19 +274,27 @@ def jacobi_logdet_exact(n: int, jp: JacobiParams, p: Precision) -> BigReal:
         a, b = jp.ab_mpf()
         s = a + b
         inner = Precision(max(32, mp.dps))
-        lg = lambda z: log_gamma(z, inner)
         lG = lambda z: log_barnes_g(z, inner)
         value = (-n * (n + s) * mpmath.log(2) + n * mpmath.log(2 * mpmath.pi)
-                 + _log_gamma_g_ratio(s, inner) + 2 * lG(s / 2 + 1) - lG(a + 1) - lG(b + 1)
+                 + jacobi_asym_constant(jp, p)
                  + lG(n + 1) + lG(n + a + 1) + lG(n + b + 1) + lG(n + s + 1)
-                 - 2 * lG(n + (s + 1) / 2) - 2 * lG(n + s / 2 + 1) - lg(n + (s + 1) / 2))
+                 - 2 * lG(n + (s + 1) / 2) - 2 * lG(n + s / 2 + 1)
+                 - log_gamma(n + (s + 1) / 2, inner))
         return ensure_finite(value, f"ln D_{n}")
 
 
+@functools.lru_cache
 def jacobi_asym_constant(jp: JacobiParams, p: Precision) -> BigReal:
     """The n-independent constant of the large-n determinant asymptotic (log form).
 
     ln [ G((s+1)/2)^2 G(s/2+1)^2 Gamma((s+1)/2) / (G(s+1) G(a+1) G(b+1)) ].
+
+    It is also the head of the closed form in :func:`jacobi_logdet_exact`,
+    so the closed form, the asymptotic and the perturbed prediction of one
+    row share it. Memoized on the frozen (jp, p) (the 128 most recent): it
+    is computed at p.decimal_digits + 16 digits whatever the caller's
+    working precision, so rows of equal precision evaluate its five Barnes
+    G terms once.
     """
     with p.workdps(2 * GUARD_DIGITS):
         a, b = jp.ab_mpf()
@@ -313,5 +323,5 @@ def jacobi_logdet_asym(n: int, jp: JacobiParams, p: Precision) -> BigReal:
         value = (-n * (n + s) * mpmath.log(2)
                  + ((a * a + b * b) / 2 - mpf(1) / 4) * mpmath.log(n)
                  + n * mpmath.log(2 * mpmath.pi)
-                 + jacobi_asym_constant(jp, Precision(max(32, mp.dps))))
+                 + jacobi_asym_constant(jp, p))
         return ensure_finite(value, f"asymptotic ln D_{n}")

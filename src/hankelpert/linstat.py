@@ -191,8 +191,16 @@ class AsymptoticPrediction:
         return self.log_leading + self.log_mean + self.log_constant
 
 
+def require_asymptotic(jp: JacobiParams) -> None:
+    """Raise ValidityError unless alpha, beta >= -1/2, where the prediction holds."""
+    if not jp.asymptotic_valid:
+        raise ValidityError(
+            f"asymptotic requires alpha, beta >= -1/2, got "
+            f"alpha = {jp.alpha}, beta = {jp.beta}")
+
+
 def assemble_prediction(n: int, jp: JacobiParams, h, p: Precision,
-                        cheb_m: int = None) -> AsymptoticPrediction:
+                        expansion: ChebExpansion = None) -> AsymptoticPrediction:
     """Predicted ln D_n for the perturbed weight, split into named parts.
 
     Parts, with m = c_0/2 the mean of ln h against the arcsine density:
@@ -208,17 +216,18 @@ def assemble_prediction(n: int, jp: JacobiParams, h, p: Precision,
     expansion, so edge_part carries no truncation error. Residual error of
     ``total`` against the computed ln D_n is O(1/n) in general and O(1/n^2)
     for symmetric data (alpha = beta with even h).
+
+    ``expansion`` is the Chebyshev expansion of ln h, which does not depend
+    on n; a sweep builds it once and passes it to every size. Without it the
+    expansion is built here at ``p`` with the automatic degree.
     """
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
-    if not jp.asymptotic_valid:
-        raise ValidityError(
-            f"asymptotic requires alpha, beta >= -1/2, got "
-            f"alpha = {jp.alpha}, beta = {jp.beta}")
+    require_asymptotic(jp)
     with p.workdps():
         a, b = jp.ab_mpf()
         s = a + b
-        ce = cheb_log_expand(h, p, cheb_m)
+        ce = expansion if expansion is not None else cheb_log_expand(h, p)
         m = ce.coeffs[0] / 2
         log_leading = (-n * (n + s) * mpmath.log(2)
                        + ((a * a + b * b) / 2 - mpf(1) / 4) * mpmath.log(n)

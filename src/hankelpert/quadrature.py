@@ -38,10 +38,11 @@ from mpmath import mp, mpf
 
 from .errors import DomainError, ResolutionError, RootFindError
 from .jacobi import JacobiParams, jacobi_log_hn, jacobi_recurrence_table
-from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite
+from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite, to_mpf
 
-#: Fixed-point guard bits on top of the working precision, plus 3 per bit of the
-#: rule order and the bits of :func:`_small_value_bits`.
+#: Fixed-point guard bits on top of the working precision: in the Gauss rule
+#: plus 3 per bit of the rule order and the bits of :func:`_small_value_bits`,
+#: in the Chebyshev transform below the largest sample.
 KERNEL_GUARD_BITS = 16
 #: Float Newton steps allowed per seed.
 SEED_ITERATIONS = 200
@@ -245,6 +246,38 @@ class ChebExpansion:
         return self.coeffs[0] / 2 + x * b1 - b2
 
 
+def _dft(re: list, im: list, cos_t: list, sin_t: list, stride: int, bits: int) -> tuple:
+    """X_k = sum_j x_j e^(-2 pi i j k / L), L = len(re), on fixed-point integers.
+
+    ``cos_t[t]`` and ``sin_t[t]`` hold cos and sin of 2 pi t / (L * stride)
+    scaled by 2^bits. Even lengths split into even and odd samples (radix 2);
+    odd lengths are summed directly.
+    """
+    L = len(re)
+    if L % 2:
+        out_re, out_im = [], []
+        for k in range(L):
+            acc_re = acc_im = 0
+            for j in range(L):
+                c, s = cos_t[j * k % L * stride], sin_t[j * k % L * stride]
+                acc_re += re[j] * c + im[j] * s
+                acc_im += im[j] * c - re[j] * s
+            out_re.append(acc_re >> bits)
+            out_im.append(acc_im >> bits)
+        return out_re, out_im
+    even_re, even_im = _dft(re[0::2], im[0::2], cos_t, sin_t, 2 * stride, bits)
+    odd_re, odd_im = _dft(re[1::2], im[1::2], cos_t, sin_t, 2 * stride, bits)
+    half = L // 2
+    out_re, out_im = [0] * L, [0] * L
+    for k in range(half):
+        c, s = cos_t[k * stride], sin_t[k * stride]
+        t_re = (odd_re[k] * c + odd_im[k] * s) >> bits
+        t_im = (odd_im[k] * c - odd_re[k] * s) >> bits
+        out_re[k], out_re[k + half] = even_re[k] + t_re, even_re[k] - t_re
+        out_im[k], out_im[k + half] = even_im[k] + t_im, even_im[k] - t_im
+    return out_re, out_im
+
+
 def cheb_expand(f, M: int, p: Precision) -> ChebExpansion:
     """Degree-M Chebyshev interpolant of f from its values at the M+1 extrema points.
 
@@ -252,24 +285,30 @@ def cheb_expand(f, M: int, p: Precision) -> ChebExpansion:
 
         c_k = (2/M) * sum''_{j=0..M} f(x_j) cos(pi j k / M)
 
-    where '' halves the first and last terms of the sum.
+    where '' halves the first and last terms of the sum. The sum is 1/M
+    times the length-2M DFT of the even extension f_0..f_M, f_{M-1}..f_1,
+    run by :func:`_dft` in O(M log M) for M a power of two times a small
+    odd factor. Its fixed-point integers carry the working bits plus
+    ``KERNEL_GUARD_BITS`` below the largest |f(x_j)|, so each coefficient
+    is off by a few working ulps of that largest value, as a cosine sum in
+    mpf would be.
     """
     if M < 1:
         raise DomainError(f"expansion degree must be >= 1, got {M}")
     with p.workdps(2 * GUARD_DIGITS):
-        # one shared table: cos(pi i / M) for i = 0..2M-1 covers every product jk mod 2M
-        cos_table = [mpmath.cos(mpmath.pi * i / M) for i in range(2 * M)]
-        fx = [f(cos_table[j]) for j in range(M + 1)]
-        fx[0] = fx[0] / 2
-        fx[M] = fx[M] / 2
-        coeffs = []
-        for k in range(M + 1):
-            acc = mpf(0)
-            for j in range(M + 1):
-                acc += fx[j] * cos_table[(j * k) % (2 * M)]
-            coeffs.append(ensure_finite(2 * acc / M, f"c_{k}"))
-        tail = max(abs(coeffs[-1]), abs(coeffs[-2]))
-        return ChebExpansion(tuple(coeffs), tail)
+        # cos and sin of pi t / M for t < 2M; the nodes are cos_t[:M + 1]
+        angles = [mpmath.cos_sin(mpmath.pi * t / M) for t in range(M)]
+        cos_t = [c for c, _ in angles] + [-c for c, _ in angles]
+        sin_t = [s for _, s in angles] + [-s for _, s in angles]
+        fx = [ensure_finite(to_mpf(f(cos_t[j])), f"f(x_{j})") for j in range(M + 1)]
+        bits = mp.prec + KERNEL_GUARD_BITS
+        scale = bits - max((mpmath.mag(v) for v in fx if v), default=0)
+        ints = [int(mpmath.ldexp(v, scale)) for v in fx]
+        out, _ = _dft(ints + ints[M - 1:0:-1], [0] * (2 * M),
+                      [int(mpmath.ldexp(c, bits)) for c in cos_t],
+                      [int(mpmath.ldexp(s, bits)) for s in sin_t], 1, bits)
+        coeffs = tuple(mpmath.ldexp(v, -scale) / M for v in out[:M + 1])
+        return ChebExpansion(coeffs, max(abs(coeffs[-1]), abs(coeffs[-2])))
 
 
 def cheb_expand_auto(f, p: Precision, start: int = 64, limit: int = 8192) -> ChebExpansion:
@@ -278,11 +317,20 @@ def cheb_expand_auto(f, p: Precision, start: int = 64, limit: int = 8192) -> Che
     Doubles the resolution until the last two coefficients fall below the
     threshold; analytic sources decay geometrically so this terminates fast.
     Raises ResolutionError if ``limit`` is reached without convergence.
+    The nodes of degree M are the even-indexed nodes of degree 2M, so each
+    doubling evaluates f only at its M new nodes.
     """
     threshold = mpf(10) ** (-(p.decimal_digits // 2))
+    values = {}
+
+    def once(x):
+        if x not in values:
+            values[x] = f(x)
+        return values[x]
+
     M = start
     while M <= limit:
-        ce = cheb_expand(f, M, p)
+        ce = cheb_expand(once, M, p)
         if ce.tail_bound < threshold:
             return ce
         M *= 2

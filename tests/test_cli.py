@@ -12,6 +12,7 @@ import mpmath
 import pytest
 
 import hankelpert.cli as cli
+from hankelpert import hankel, jacobi, linstat
 from hankelpert.errors import PrecisionError
 
 LN2 = math.log(2)
@@ -102,6 +103,82 @@ def test_compare_exponential_perturbation(capsys):
     assert row["method_tol"] == "1.0e-47"
 
 
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls; returns the count list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+SWEEP = ["compare", "--n", "10:30:10", "--alpha=1/3", "--beta=2", "--h", "1+0.5*x^2"]
+
+
+def test_compare_sweep_rows_match_single_size_runs(capsys, monkeypatch):
+    """One moment pass and one ln h expansion serve every row, within each row's method_tol."""
+    rules = _counting(monkeypatch, hankel, "gauss_jacobi_rule")
+    expansions = _counting(monkeypatch, cli, "cheb_log_expand")
+    inner_expansions = _counting(monkeypatch, linstat, "cheb_log_expand")
+    code, sweep, _ = run_json(SWEEP, capsys)
+    assert code == 0
+    assert (len(rules), len(expansions), len(inner_expansions)) == (1, 1, 0)
+    assert rules[0][0] == 30 + 32  # the largest size's default order
+    for row in sweep["rows"]:
+        argv = SWEEP[:2] + [str(row["n"])] + SWEEP[3:]
+        code, single, _ = run_json(argv, capsys)
+        assert code == 0
+        alone = single["rows"][0]
+        tol = mpmath.mpf(row["method_tol"])
+        assert alone["method_tol"] == row["method_tol"]
+        for key in ("log_det_ldl", "log_det_recurrence"):
+            assert abs(mpmath.mpf(row[key]) - mpmath.mpf(alone[key])) <= tol, (row["n"], key)
+
+
+def test_exact_row_evaluates_barnes_g_head_once(capsys, monkeypatch):
+    """The closed form and the asymptotic share the memoized n-independent constant."""
+    jacobi.jacobi_asym_constant.cache_clear()
+    calls = _counting(monkeypatch, jacobi, "log_barnes_g")
+    code, rep, _ = run_json(["exact", "--n", "10", "--alpha", "1/2", "--beta", "3/2"], capsys)
+    assert code == 0
+    assert rep["rows"][0]["log_det_asym"] is not None
+    # 6 n-dependent terms, plus the 5 of the head, once
+    assert len(calls) == 11
+
+
+def test_compare_refuses_exponents_below_half_before_moments(capsys, monkeypatch):
+    rules = _counting(monkeypatch, hankel, "gauss_jacobi_rule")
+    code, _, err = run(["compare", "--n", "10:30:10", "--alpha=-2/3", "--beta=1/2",
+                        "--h", "exp(x)"], capsys)
+    assert code == 2
+    assert "asymptotic requires alpha, beta >= -1/2" in err
+    assert rules == []
+
+
+def test_compare_cheb_degree_override(capsys):
+    argv = ["compare", "--n", "10", "--alpha", "1/2", "--h", "1+0.5*x^2"]
+    code, auto, _ = run_json(argv, capsys)
+    assert code == 0
+    code, fixed, _ = run_json(argv + ["--cheb-m", "100"], capsys)
+    assert code == 0
+    assert fixed["parameters"]["cheb_m"] == 100
+    digits = auto["rows"][0]["digits"]
+    gap = abs(mpmath.mpf(auto["rows"][0]["pv_part"]) - mpmath.mpf(fixed["rows"][0]["pv_part"]))
+    assert gap < mpmath.mpf(10) ** -(digits - 8)
+
+
+def test_compare_quad_order_too_small_for_largest_size(capsys):
+    code, out, err = run(["compare", "--n", "10:30:10", "--h", "exp(x)",
+                          "--quad-order", "15"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "rule order 15 cannot resolve moments for size 30" in err
+
+
 def test_compare_heine_columns_for_small_sizes(capsys):
     code, rep, _ = run_json(
         ["compare", "--n", "2", "--alpha", "1/2", "--h", "1 + x^2/2", "--heine"],
@@ -157,7 +234,7 @@ def test_heine_matches_determinant_ratio(capsys):
     ["compare", "--n", "1,2", "--heine"],
 ], ids=["heine", "compare"])
 def test_exit_3_when_ratio_misses_ensemble_average(capsys, argv):
-    # an order-(n+32) rule leaves the pole at 1.05 unresolved by ~1e-10,
+    # the shared order-(largest n + 32) rule leaves the pole at 1.05 unresolved by ~1e-10,
     # far above the 1e-44 bound both subcommands print
     code, rep, _ = run_json(
         argv + ["--alpha", "2/3", "--beta=-1/2", "--h", "1/(1.05-x)"], capsys)

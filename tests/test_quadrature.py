@@ -154,6 +154,41 @@ def test_cheb_auto_reaches_spectral_tail():
     assert abs(ce.coeffs[20]) < abs(ce.coeffs[4]) * 1e-10
 
 
+def _cheb_expand_by_cosine_sum(f, M, p):
+    """Oracle: c_k = (2/M) sum''_{j=0..M} f(x_j) cos(pi j k / M) summed directly, O(M^2)."""
+    with p.workdps(2 * GUARD_DIGITS):
+        cos_table = [mpmath.cos(mpmath.pi * i / M) for i in range(2 * M)]
+        fx = [f(cos_table[j]) for j in range(M + 1)]
+        fx[0] = fx[0] / 2
+        fx[M] = fx[M] / 2
+        return [2 * mpmath.fsum(fx[j] * cos_table[(j * k) % (2 * M)] for j in range(M + 1)) / M
+                for k in range(M + 1)]
+
+
+@pytest.mark.parametrize("M", [64, 1024, 100, 97])
+def test_cheb_expand_matches_cosine_sum(M):
+    """The FFT transform against the direct sum; 100 and 97 reach the odd-length base case."""
+    f = lambda x: mpmath.log(1 / (mpmath.mpf("1.02") - x))
+    got = cheb_expand(f, M, P64).coeffs
+    want = _cheb_expand_by_cosine_sum(f, M, P64)
+    assert len(got) == M + 1
+    worst = max(abs(g - w) for g, w in zip(got, want))
+    assert worst < mpmath.mpf(10) ** -(P64.decimal_digits + 8), mpmath.nstr(worst, 3)
+
+
+def test_cheb_auto_evaluates_each_node_once():
+    """Doublings reuse the nodes they share: one evaluation per node of the final degree."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return mpmath.log(1 / (mpmath.mpf("1.02") - x))
+
+    ce = cheb_expand_auto(f, P64)
+    assert ce.degree > 64
+    assert len(calls) == len(set(calls)) == ce.degree + 1
+
+
 def test_cheb_auto_rejects_nonanalytic_function():
     with pytest.raises(ResolutionError):
         cheb_expand_auto(lambda x: abs(x), Precision(40), limit=512)
