@@ -21,11 +21,11 @@ from .errors import (DomainError, EvalDomainError, HankelpertError,
                      ResolutionError, RootFindError, ValidityError)
 from .precision import BigReal, Precision, ensure_finite, exact_fraction, to_mpf
 from .specfun import constant_K, log_barnes_g, log_barnes_g_asym, log_gamma
-from .jacobi import (JacobiParams, RecurrenceCoeffs, jacobi_alpha_n,
-                     jacobi_alpha_n_exact, jacobi_asym_constant,
-                     jacobi_beta_n, jacobi_beta_n_exact, jacobi_hn,
-                     jacobi_log_hn, jacobi_logdet_asym, jacobi_logdet_exact,
-                     jacobi_moment, jacobi_moment_exact, jacobi_recurrence)
+from .jacobi import (JacobiParams, jacobi_alpha_n, jacobi_alpha_n_exact,
+                     jacobi_asym_constant, jacobi_beta_n, jacobi_beta_n_exact,
+                     jacobi_hn, jacobi_log_hn, jacobi_logdet_asym,
+                     jacobi_logdet_exact, jacobi_moment, jacobi_moment_exact,
+                     jacobi_recurrence_table)
 from .quadrature import (ChebExpansion, QuadratureRule, cheb_expand,
                          cheb_expand_auto, gauss_jacobi_rule)
 from .hankel import (HankelResult, MomentSequence, auto_digits,
@@ -33,8 +33,7 @@ from .hankel import (HankelResult, MomentSequence, auto_digits,
                      hankel_logdet_ldl, hankel_logdet_rational,
                      hankel_logdet_recurrence, heine_average_small_n,
                      modified_chebyshev, perturbed_moment_sequence,
-                     perturbed_recurrence_coeffs, pure_moment_sequence,
-                     rational_hankel_minors)
+                     pure_moment_sequence, rational_hankel_minors)
 from .fluid import (EquilibriumDensity, SupportInterval, band_kernel,
                     equilibrium_density, fluid_recurrence,
                     support_endpoints, support_endpoints_shifted, v_prime)
@@ -56,8 +55,8 @@ __all__ = [
     # special functions
     "log_gamma", "log_barnes_g", "log_barnes_g_asym", "constant_K",
     # bare weight
-    "JacobiParams", "RecurrenceCoeffs", "jacobi_alpha_n", "jacobi_beta_n",
-    "jacobi_alpha_n_exact", "jacobi_beta_n_exact", "jacobi_recurrence",
+    "JacobiParams", "jacobi_alpha_n", "jacobi_beta_n", "jacobi_alpha_n_exact",
+    "jacobi_beta_n_exact", "jacobi_recurrence_table",
     "jacobi_moment", "jacobi_moment_exact", "jacobi_log_hn", "jacobi_hn",
     "jacobi_logdet_exact", "jacobi_logdet_asym", "jacobi_asym_constant",
     # quadrature and expansions
@@ -68,8 +67,7 @@ __all__ = [
     "cross_validation_tol", "pure_moment_sequence",
     "perturbed_moment_sequence", "hankel_logdet_ldl",
     "hankel_logdet_recurrence", "hankel_logdet_rational",
-    "rational_hankel_minors", "modified_chebyshev",
-    "perturbed_recurrence_coeffs", "heine_average_small_n",
+    "rational_hankel_minors", "modified_chebyshev", "heine_average_small_n",
     # continuum approximation
     "SupportInterval", "support_endpoints", "support_endpoints_shifted",
     "v_prime", "equilibrium_density", "EquilibriumDensity",

@@ -40,14 +40,14 @@ from .errors import (DomainError, EvalDomainError, ParseError,
                      PositivityError, PrecisionError)
 from .precision import Precision, to_mpf
 from .jacobi import (JacobiParams, jacobi_alpha_n, jacobi_beta_n,
-                     jacobi_log_hn, jacobi_logdet_asym, jacobi_logdet_exact)
+                     jacobi_log_hn, jacobi_logdet_asym, jacobi_logdet_exact,
+                     require_asymptotic)
 from .hankel import (auto_digits, hankel_logdet_ldl, hankel_logdet_recurrence,
                      heine_average_small_n, perturbed_moment_sequence,
                      pure_moment_sequence)
 from .fluid import (EquilibriumDensity, fluid_recurrence, support_endpoints,
                     support_endpoints_shifted)
-from .linstat import (assemble_prediction, cheb_log_expand, mean_term,
-                      require_asymptotic)
+from .linstat import assemble_prediction, cheb_log_expand, mean_term
 from .dsl import parse_h, validate_positive
 
 SCHEMA_VERSION = 1
@@ -75,8 +75,11 @@ def _parse_n_list(text: str) -> list:
         parts = text.split(":")
         if len(parts) not in (2, 3):
             raise DomainError(f"range must be start:stop[:step], got {text!r}")
-        start, stop = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
+        try:
+            start, stop = int(parts[0]), int(parts[1])
+            step = int(parts[2]) if len(parts) == 3 else 1
+        except ValueError:
+            raise DomainError(f"range bounds must be integers, got {text!r}") from None
         if step < 1:
             raise DomainError(f"range step must be >= 1, got {step}")
         if stop < start:
@@ -128,14 +131,10 @@ def _fmt_row(row: dict, digits: int) -> dict:
     return {k: _fmt(v, DIFF_DIGITS if k in DIFF_FIELDS else digits) for k, v in row.items()}
 
 
-def _heine_tol(p: Precision):
-    return mpf(10) ** (HEINE_GUARD - p.decimal_digits)
-
-
-def _param_str(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    return mpmath.nstr(value, 24) if isinstance(value, mpf) else str(value)
+def _ensemble_check(n: int, jp: JacobiParams, h, p: Precision, ratio) -> tuple:
+    """(ensemble average, |ratio - average|, bound) for ratio = D_n[w h]/D_n[w], n <= 3."""
+    average = heine_average_small_n(n, jp, h, p)
+    return average, abs(ratio - average), mpf(10) ** (HEINE_GUARD - p.decimal_digits)
 
 
 def _validated_h(args):
@@ -146,7 +145,7 @@ def _validated_h(args):
 
 def _parameters(jp: JacobiParams, n, **extra) -> dict:
     """The report's ``parameters``: sizes and exponents first, then ``extra`` in order."""
-    return {"n": n, "alpha": _param_str(jp.alpha), "beta": _param_str(jp.beta), **extra}
+    return {"n": n, "alpha": _fmt(jp.alpha, 24), "beta": _fmt(jp.beta, 24), **extra}
 
 
 def _digits_param(args):
@@ -267,10 +266,9 @@ def cmd_compare(args) -> tuple:
                 "pv_estimate_edge_adjusted": pv_estimate - pred.edge_part,
             }
             if args.heine:
-                avg = heine_average_small_n(n, jp, h, p) if n <= 3 else None
-                diff = tol = None
-                if avg is not None:
-                    diff, tol = abs(mpmath.exp(log_ratio) - avg), _heine_tol(p)
+                avg = diff = tol = None
+                if n <= 3:
+                    avg, diff, tol = _ensemble_check(n, jp, h, p, mpmath.exp(log_ratio))
                 out.update(heine_average=avg, heine_diff=diff, heine_tol=tol)
             return out
 
@@ -363,12 +361,12 @@ def cmd_heine(args) -> tuple:
         pure = jacobi_logdet_exact(n, jp, p)
         with p.workdps():
             ratio_direct = mpmath.exp(perturbed.log_det - pure)
-            average = heine_average_small_n(n, jp, h, p)
+            average, diff, tol = _ensemble_check(n, jp, h, p, ratio_direct)
             return {
                 "ratio_direct": ratio_direct,
                 "ratio_average": average,
-                "diff": abs(ratio_direct - average),
-                "tol": _heine_tol(p),
+                "diff": diff,
+                "tol": tol,
             }
 
     rows, code = _run_rows(ns, lambda n: _row_digits(args, n), row)

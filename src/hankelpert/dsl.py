@@ -41,7 +41,16 @@ from mpmath import mpf
 from .errors import DomainError, EvalDomainError, ParseError, PositivityError
 from .precision import BigReal, Precision, to_mpf
 
-FUNCTION_NAMES = ("exp", "log", "sqrt", "cosh", "sinh")
+#: name -> (function, domain fault or None, fault message). The fault test
+#: reads the argument before rounding, so exact arguments are judged exactly.
+FUNCTIONS = {
+    "exp": (mpmath.exp, None, None),
+    "log": (mpmath.log, lambda v: v <= 0, "log of a nonpositive value"),
+    "sqrt": (mpmath.sqrt, lambda v: v < 0, "sqrt of a negative value"),
+    "cosh": (mpmath.cosh, None, None),
+    "sinh": (mpmath.sinh, None, None),
+}
+FUNCTION_NAMES = tuple(FUNCTIONS)
 
 
 # --- syntax tree ---
@@ -151,20 +160,10 @@ def evaluate(node, x):
         return mpmath.power(to_mpf(base), to_mpf(q))
     if isinstance(node, Call):
         v = evaluate(node.argument, x)
-        if node.name == "exp":
-            return mpmath.exp(to_mpf(v))
-        if node.name == "log":
-            if v <= 0:
-                raise EvalDomainError("log of a nonpositive value", x)
-            return mpmath.log(to_mpf(v))
-        if node.name == "sqrt":
-            if v < 0:
-                raise EvalDomainError("sqrt of a negative value", x)
-            return mpmath.sqrt(to_mpf(v))
-        if node.name == "cosh":
-            return mpmath.cosh(to_mpf(v))
-        if node.name == "sinh":
-            return mpmath.sinh(to_mpf(v))
+        fn, fault, message = FUNCTIONS[node.name]
+        if fault is not None and fault(v):
+            raise EvalDomainError(message, x)
+        return fn(to_mpf(v))
     raise DomainError(f"cannot evaluate node {node!r}")
 
 

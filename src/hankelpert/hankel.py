@@ -3,15 +3,17 @@
 Three independent routes are implemented:
 
 * ``hankel_logdet_ldl``        LDL pivots h_j = beta_0 ... beta_j of the raw
-                               moments by the classical Chebyshev algorithm;
-                               ln det = sum of ln pivots;
-* ``hankel_logdet_recurrence`` recurrence coefficients of the (possibly
-                               perturbed) weight recovered from modified
-                               moments by the Chebyshev-style moment map,
-                               then ln det = sum over j < n of (n-j) ln beta_j;
+                               moments (monomial basis); ln det = sum of ln h_j;
+* ``hankel_logdet_recurrence`` beta_j of the (possibly perturbed) weight from
+                               its modified moments in the unperturbed Jacobi
+                               basis; ln det = sum over j < n of (n-j) ln beta_j;
 * ``hankel_logdet_rational``   exact fraction-free (Bareiss) elimination over
                                the rationals, available for integer weight
                                exponents and polynomial perturbations.
+
+The first two run one algorithm, :func:`modified_chebyshev` (Gautschi,
+*Orthogonal Polynomials: Computation and Approximation*, 2004); only the
+basis and the failure message differ.
 
 Hankel matrices of smooth positive weights are notoriously ill-conditioned:
 the pivots decay geometrically (like 4^-j here), so a linear-in-n digit
@@ -44,9 +46,8 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import DomainError, PrecisionError
-from .jacobi import (JacobiParams, RecurrenceCoeffs, jacobi_moment,
-                     jacobi_moment_exact, jacobi_moment_ratios,
-                     jacobi_recurrence_table)
+from .jacobi import (JacobiParams, jacobi_moment, jacobi_moment_exact,
+                     jacobi_moment_ratios, jacobi_recurrence_table)
 from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite, to_mpf
 from .quadrature import gauss_jacobi_rule
 
@@ -237,43 +238,32 @@ def modified_chebyshev(nu, aux_alpha, aux_beta, count: int):
     return alphas, betas
 
 
-def perturbed_recurrence_coeffs(ms: MomentSequence, n: int, jp: JacobiParams,
-                                p: Precision) -> RecurrenceCoeffs:
-    """Recurrence coefficients alpha_0..alpha_{n-1}, beta_1..beta_{n-1} of the weight behind ``ms``.
+def hankel_logdet_recurrence(ms: MomentSequence, n: int, jp: JacobiParams,
+                             p: Precision) -> HankelResult:
+    """ln det via the norm product: ln D_n = sum_{j<n} (n-j) ln beta_j, beta_0 = mu_0.
 
-    Reads only ``ms.modified``; a sequence without modified moments against
-    the basis ``jp`` raises DomainError.
+    beta_1..beta_{n-1} come from :func:`modified_chebyshev` on
+    ``ms.modified``, the moments against the unperturbed orthogonal basis
+    ``jp``, which keeps the map well conditioned for smooth perturbations.
+    A sequence without modified moments against ``jp`` raises DomainError.
     """
+    if n < 1:
+        raise DomainError(f"size must be >= 1, got {n}")
+    if ms.max_order() < n:
+        raise DomainError(f"moment sequence covers size {ms.max_order()}, need {n}")
     if ms.modified is None or ms.basis != jp or len(ms.modified) < 2 * n:
         raise DomainError(
             f"recurrence route needs {2 * n} modified moments against the basis "
             f"alpha={jp.alpha}, beta={jp.beta}; sequence {ms.source!r} does not carry them")
     with p.workdps(_conditioning_guard(n)):
         aux_a, aux_b = jacobi_recurrence_table(2 * n, jp)
-        alphas, betas = modified_chebyshev(ms.modified[:2 * n], aux_a, aux_b, n)
+        _, betas = modified_chebyshev(ms.modified[:2 * n], aux_a, aux_b, n)
         for k in range(1, n):
             if not betas[k] > 0:
                 raise PrecisionError(
                     f"recurrence breakdown: beta_{k} = {mpmath.nstr(betas[k], 6)} "
                     f"at {p.decimal_digits} digits")
-    return RecurrenceCoeffs(tuple(alphas), tuple(betas[1:]))
-
-
-def hankel_logdet_recurrence(ms: MomentSequence, n: int, jp: JacobiParams,
-                             p: Precision) -> HankelResult:
-    """ln det via the norm product: ln D_n = sum_{j<n} (n-j) ln beta_j, beta_0 = mu_0.
-
-    The recurrence coefficients come from the modified-moment map against the
-    unperturbed orthogonal basis ``jp``, which keeps the map well conditioned
-    for smooth perturbations.
-    """
-    if n < 1:
-        raise DomainError(f"size must be >= 1, got {n}")
-    if ms.max_order() < n:
-        raise DomainError(f"moment sequence covers size {ms.max_order()}, need {n}")
-    with p.workdps(_conditioning_guard(n)):
-        rc = perturbed_recurrence_coeffs(ms, n, jp, p)
-        log_det = _log_det_from_betas((ms.mu[0],) + rc.beta_seq)
+        log_det = _log_det_from_betas((ms.mu[0],) + tuple(betas[1:]))
         tol = cross_validation_tol(n, p)
     return HankelResult(n, log_det, "recurrence", p, tol)
 
@@ -356,28 +346,24 @@ def heine_average_small_n(n: int, jp: JacobiParams, h, p: Precision) -> BigReal:
         ws = rule.weights
         hx = [h(x) for x in xs]
         q = len(xs)
-        if n == 1:
-            num = mpmath.fsum(w * hv for w, hv in zip(ws, hx))
-            den = mpmath.fsum(ws)
-            return ensure_finite(num / den, "ensemble average")
         # pairwise squared differences, shared by both integrals
         d2 = [[(xs[i] - xs[j]) ** 2 for j in range(q)] for i in range(q)]
-        num = mpf(0)
-        den = mpf(0)
-        if n == 2:
-            for i in range(q):
-                for j in range(i + 1, q):
-                    v = ws[i] * ws[j] * d2[i][j]
-                    num += v * hx[i] * hx[j]
+        num = den = mpf(0)
+
+        def visit(chosen, weight, hprod):
+            """Add the terms of every i_1 < ... < i_n that extends ``chosen``; ``weight``
+            and ``hprod`` are the partial products over ``chosen``, None while it is empty."""
+            nonlocal num, den
+            for k in range(chosen[-1] + 1 if chosen else 0, q):
+                v = ws[k] if weight is None else weight * ws[k]
+                for i in chosen:
+                    v *= d2[i][k]
+                if len(chosen) + 1 < n:
+                    visit(chosen + (k,), v, hx[k] if hprod is None else hprod * hx[k])
+                else:
+                    num += (v if hprod is None else v * hprod) * hx[k]
                     den += v
-        else:
-            for i in range(q):
-                for j in range(i + 1, q):
-                    wij = ws[i] * ws[j] * d2[i][j]
-                    hij = hx[i] * hx[j]
-                    for k in range(j + 1, q):
-                        v = wij * ws[k] * d2[i][k] * d2[j][k]
-                        num += v * hij * hx[k]
-                        den += v
+
+        visit((), None, None)
         # ordered-index sums omit the same n! factor from both integrals
         return ensure_finite(num / den, "ensemble average")

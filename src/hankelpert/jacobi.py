@@ -28,7 +28,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf
 
-from .errors import DomainError, PrecisionError, ValidityError
+from .errors import DomainError, ValidityError
 from .precision import (GUARD_DIGITS, BigReal, Precision, ensure_finite,
                         exact_fraction, to_mpf)
 from .specfun import log_barnes_g, log_gamma
@@ -83,24 +83,6 @@ class JacobiParams:
         if not self.is_rational:
             raise DomainError("parameters are not exact rationals")
         return self.alpha, self.beta
-
-
-@dataclass(frozen=True)
-class RecurrenceCoeffs:
-    """Three-term recurrence coefficients of a family of monic orthogonal polynomials.
-
-    ``alpha_seq[k]`` is the diagonal coefficient alpha_k for k = 0, 1, ...;
-    ``beta_seq[k]`` is the off-diagonal coefficient beta_{k+1} (the sequence
-    starts at index one in the recurrence, where every beta must be > 0).
-    """
-
-    alpha_seq: tuple
-    beta_seq: tuple
-
-    def __post_init__(self):
-        for i, b in enumerate(self.beta_seq):
-            if not b > 0:
-                raise PrecisionError(f"recurrence coefficient beta_{i + 1} is not positive: {b}")
 
 
 def _alpha_n(n: int, a, b):
@@ -160,13 +142,6 @@ def jacobi_recurrence_table(count: int, jp: JacobiParams) -> tuple:
     alphas = [jacobi_alpha_n(k, jp) for k in range(count)]
     betas = [mpf(0)] + [jacobi_beta_n(k, jp) for k in range(1, count)]
     return alphas, betas
-
-
-def jacobi_recurrence(count: int, jp: JacobiParams, p: Precision) -> RecurrenceCoeffs:
-    """First ``count`` recurrence coefficients: alpha_0..alpha_{count-1}, beta_1..beta_{count-1}."""
-    with p.workdps():
-        alphas, betas = jacobi_recurrence_table(count, jp)
-    return RecurrenceCoeffs(tuple(alphas), tuple(betas[1:]))
 
 
 def jacobi_moment_ratios(count: int, jp: JacobiParams) -> list:
@@ -252,6 +227,23 @@ def _log_gamma_g_ratio(s, p: Precision) -> BigReal:
             - log_barnes_g(2 * eps + 1, p) - mpmath.log(2))
 
 
+def require_asymptotic(jp: JacobiParams) -> None:
+    """Raise ValidityError unless alpha, beta >= -1/2, where the large-n asymptotic holds."""
+    if not jp.asymptotic_valid:
+        raise ValidityError(
+            f"asymptotic requires alpha, beta >= -1/2, got "
+            f"alpha = {jp.alpha}, beta = {jp.beta}")
+
+
+def jacobi_log_leading(n: int, jp: JacobiParams) -> BigReal:
+    """-n(n+s) ln 2 + ((a^2+b^2)/2 - 1/4) ln n + n ln 2pi, the n-dependent part of the
+    large-n asymptotic of ln D_n, at the current working precision."""
+    a, b = jp.ab_mpf()
+    return (-n * (n + (a + b)) * mpmath.log(2)
+            + ((a * a + b * b) / 2 - mpf(1) / 4) * mpmath.log(n)
+            + n * mpmath.log(2 * mpmath.pi))
+
+
 def jacobi_logdet_exact(n: int, jp: JacobiParams, p: Precision) -> BigReal:
     """ln D_n of the unperturbed weight from its Gamma/Barnes-G closed form.
 
@@ -308,20 +300,12 @@ def jacobi_asym_constant(jp: JacobiParams, p: Precision) -> BigReal:
 def jacobi_logdet_asym(n: int, jp: JacobiParams, p: Precision) -> BigReal:
     """Large-n asymptotic of ln D_n for the unperturbed weight.
 
-    ln D_n ~ -n(n+s) ln 2 + ((a^2+b^2)/2 - 1/4) ln n + n ln 2pi + constant,
-    valid for alpha >= -1/2 and beta >= -1/2.
+    ln D_n ~ :func:`jacobi_log_leading` + :func:`jacobi_asym_constant`,
+    valid for alpha >= -1/2 and beta >= -1/2 (:func:`require_asymptotic`).
     """
     if n < 1:
         raise DomainError(f"determinant order must be >= 1, got {n}")
-    if not jp.asymptotic_valid:
-        raise ValidityError(
-            f"asymptotic form requires alpha >= -1/2 and beta >= -1/2, "
-            f"got alpha={jp.alpha}, beta={jp.beta} (outside stated validity)")
+    require_asymptotic(jp)
     with p.workdps(2 * GUARD_DIGITS):
-        a, b = jp.ab_mpf()
-        s = a + b
-        value = (-n * (n + s) * mpmath.log(2)
-                 + ((a * a + b * b) / 2 - mpf(1) / 4) * mpmath.log(n)
-                 + n * mpmath.log(2 * mpmath.pi)
-                 + jacobi_asym_constant(jp, p))
+        value = jacobi_log_leading(n, jp) + jacobi_asym_constant(jp, p)
         return ensure_finite(value, f"asymptotic ln D_{n}")

@@ -19,6 +19,8 @@ so the full prediction for ln D_n(h) splits into
     pv_part       = (1/8) sum_{k>=1} k c_k^2
     pure_constant = the h-independent constant of the bare weight.
 
+log_leading and pure_constant are the bare weight's own asymptotic, from ``jacobi``.
+
 The variance half, ``pv_part``, equals the principal-value double integral
 
     (1/4 pi^2) PV int int  ln h(x) (d/dy ln h(y)) sqrt(1-y^2)
@@ -33,7 +35,7 @@ value of ln h are both nonzero.
 
 Validity requires alpha >= -1/2 and beta >= -1/2; outside that region the
 n-exponent of the leading term is no longer correct and assembly refuses
-with ValidityError.
+with ValidityError (``jacobi.require_asymptotic``).
 """
 from __future__ import annotations
 
@@ -42,9 +44,10 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpf
 
-from .errors import DomainError, ValidityError
+from .errors import DomainError
 from .fluid import band_integral, support_endpoints
-from .jacobi import JacobiParams, jacobi_asym_constant
+from .jacobi import (JacobiParams, jacobi_asym_constant, jacobi_log_leading,
+                     require_asymptotic)
 from .precision import BigReal, Precision, ensure_finite, to_mpf
 from .quadrature import ChebExpansion, cheb_expand, cheb_expand_auto
 
@@ -143,22 +146,18 @@ def linstat_terms(h, n: int, jp: JacobiParams, p: Precision,
                   form: str = "limit") -> LinStatTerms:
     """Cumulant data of the log-perturbation statistic.
 
-    The limit variance is sum k c_k^2 / 4 with the global Chebyshev data of
-    ln h; the finite form re-expands ln h over the size-n band (t -> center +
-    halfwidth * t) and applies the same formula there.
+    The variance is twice :func:`pv_double_integral`, sum k c_k^2 / 4: the
+    limit form reads the global Chebyshev data of ln h, the finite form
+    re-expands ln h over the size-n band (t -> center + halfwidth * t).
     """
     with p.workdps():
         ce = cheb_log_expand(h, p)
         mean = mean_term(ce, n, jp, form)
-        if form == "limit":
-            cv = ce
-        elif form == "finite":
+        cv = ce
+        if form == "finite":  # mean_term has refused any other form
             si = support_endpoints(n, jp)
             cv = cheb_log_expand(lambda t: h(si.center + si.halfwidth * t), p)
-        else:
-            raise DomainError(f"unknown form {form!r}, expected 'limit' or 'finite'")
-        variance = mpmath.fsum(
-            k * c * c for k, c in enumerate(cv.coeffs) if k >= 1) / 4
+        variance = 2 * pv_double_integral(cv)
     return LinStatTerms(mean, variance, n, form)
 
 
@@ -191,14 +190,6 @@ class AsymptoticPrediction:
         return self.log_leading + self.log_mean + self.log_constant
 
 
-def require_asymptotic(jp: JacobiParams) -> None:
-    """Raise ValidityError unless alpha, beta >= -1/2, where the prediction holds."""
-    if not jp.asymptotic_valid:
-        raise ValidityError(
-            f"asymptotic requires alpha, beta >= -1/2, got "
-            f"alpha = {jp.alpha}, beta = {jp.beta}")
-
-
 def assemble_prediction(n: int, jp: JacobiParams, h, p: Precision,
                         expansion: ChebExpansion = None) -> AsymptoticPrediction:
     """Predicted ln D_n for the perturbed weight, split into named parts.
@@ -229,9 +220,7 @@ def assemble_prediction(n: int, jp: JacobiParams, h, p: Precision,
         s = a + b
         ce = expansion if expansion is not None else cheb_log_expand(h, p)
         m = ce.coeffs[0] / 2
-        log_leading = (-n * (n + s) * mpmath.log(2)
-                       + ((a * a + b * b) / 2 - mpf(1) / 4) * mpmath.log(n)
-                       + n * mpmath.log(2 * mpmath.pi))
+        log_leading = jacobi_log_leading(n, jp)
         log_mean = n * m
         boundary = s / 2 * m
         h_right = to_mpf(h(mpf(1)))

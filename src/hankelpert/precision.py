@@ -44,23 +44,17 @@ class Precision:
 def to_mpf(value) -> BigReal:
     """Convert ``value`` to mpf at the current working precision.
 
-    Fractions and rational strings are converted by one correctly rounded
-    division so no decimal-representation error sneaks in. Plain floats are
-    exact binary values already and pass through unchanged.
+    Values with an exact rational form (:func:`exact_fraction`) are converted
+    by one division of numerator by denominator, so no decimal-representation
+    error sneaks in; other strings go to mpmath's parser.
     """
     if isinstance(value, mpf):
         return value
-    if isinstance(value, Fraction):
-        return mpf(value.numerator) / mpf(value.denominator)
-    if isinstance(value, numbers.Integral):
-        return mpf(int(value))
-    if isinstance(value, float):
-        return mpf(value)
+    q = exact_fraction(value)
+    if q is not None:
+        return mpf(q.numerator) / mpf(q.denominator)
     if isinstance(value, str):
-        try:
-            return to_mpf(Fraction(value))
-        except (ValueError, ZeroDivisionError):
-            return mpf(value)
+        return mpf(value)
     raise DomainError(f"cannot convert {type(value).__name__} to mpf")
 
 

@@ -311,6 +311,14 @@ def test_exit_2_on_bad_parameters(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("sizes", ["a:5", "1:5:x", "1:3:"])
+def test_exit_2_on_malformed_size_range(capsys, sizes):
+    code, out, err = run(["exact", "--n", sizes], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_exit_4_on_sign_changing_perturbation(capsys):
     code, _, err = run(["compare", "--n", "4", "--h", "x"], capsys)
     assert code == 4

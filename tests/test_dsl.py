@@ -147,6 +147,20 @@ def test_evaluation_domain_guards():
         evaluate(parse_h("sqrt(x)").ast, Fraction(-1))
 
 
+@pytest.mark.parametrize("name", ["exp", "log", "sqrt", "cosh", "sinh"])
+def test_each_function_evaluates_to_its_mpmath_counterpart(name):
+    with mpmath.workdps(50):
+        x = mpmath.mpf("0.375")
+        want = getattr(mpmath, name)(x + 2)
+        assert abs(parse_h(f"{name}(x + 2)")(x) - want) < abs(want) * mpmath.mpf(10) ** -48
+
+
+def test_function_domain_boundaries():
+    with pytest.raises(EvalDomainError):
+        evaluate(parse_h("log(x)").ast, Fraction(0))
+    assert evaluate(parse_h("sqrt(x)").ast, Fraction(0)) == 0
+
+
 def test_validate_accepts_positive_functions():
     cert = validate_positive(parse_h("exp(x)"), samples=257, p=Precision(64))
     with mpmath.workdps(40):

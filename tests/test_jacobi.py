@@ -11,7 +11,7 @@ from hankelpert.jacobi import (JacobiParams, jacobi_alpha_n, jacobi_alpha_n_exac
                                jacobi_beta_n_exact, jacobi_hn, jacobi_log_hn,
                                jacobi_logdet_asym, jacobi_logdet_exact,
                                jacobi_moment, jacobi_moment_exact,
-                               jacobi_recurrence)
+                               jacobi_recurrence_table)
 from hankelpert.precision import Precision
 from hankelpert.specfun import log_barnes_g, log_gamma
 
@@ -135,10 +135,11 @@ def test_legendre_recurrence_values():
 
 
 def test_recurrence_coeffs_shape():
-    rc = jacobi_recurrence(6, JacobiParams(1, HALF), P64)
-    assert len(rc.alpha_seq) == 6
-    assert len(rc.beta_seq) == 5
-    assert all(b > 0 for b in rc.beta_seq)
+    with P64.workdps():
+        alphas, betas = jacobi_recurrence_table(6, JacobiParams(1, HALF))
+    assert len(alphas) == 6
+    assert len(betas[1:]) == 5
+    assert all(b > 0 for b in betas[1:])
 
 
 def test_norm_links_to_beta_product():

@@ -1,12 +1,16 @@
-"""The benchmark tracer wraps package functions by name; each must still exist."""
+"""Names that code outside a module reaches by name must still resolve: the
+functions the benchmark tracer wraps, the benchmark's argv, and the package exports."""
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
+import hankelpert
 from hankelpert.dsl import PerturbationFn
 
-LAYERS_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                           "perfbench", "layers.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LAYERS_PATH = os.path.join(ROOT, "perfbench", "layers.py")
 
 
 def test_every_traced_layer_exists():
@@ -20,3 +24,15 @@ def test_every_traced_layer_exists():
     assert missing == []
     # counted, not wrapped
     assert "__call__" in vars(PerturbationFn)
+
+
+def test_benchmark_self_test_passes():
+    # parses every argv the workloads can generate and checks BENCHMARK.json
+    result = subprocess.run([sys.executable, os.path.join("perfbench", "run.py"), "--self-test"],
+                            cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.rstrip().endswith(", 0 problems")
+
+
+def test_every_export_resolves():
+    assert [name for name in hankelpert.__all__ if not hasattr(hankelpert, name)] == []
