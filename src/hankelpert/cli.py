@@ -16,10 +16,11 @@ lines produce identical reports except for the timing fields.
 Each printed difference is paired with its printed bound in ``BOUNDS``;
 the row runner checks every pair and makes a row over its bound an error row.
 
-Exit codes: 0 success; 2 usage or parameter error (including expression
-syntax errors); 3 numeric or precision failure, including a printed
-difference above its printed bound; 4 perturbation validation failure
-(nonpositive value or evaluation fault).
+Exit codes: 0 success; 1 stdout closed before the report was written;
+2 usage or parameter error (including expression syntax errors); 3
+numeric or precision failure, including a printed difference above its
+printed bound; 4 perturbation validation failure (a nonpositive value of
+h at any point the run samples, or an evaluation fault).
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import shlex
 import sys
 import time
@@ -115,15 +117,13 @@ def _warn_if_below_policy(args, ns) -> None:
 
 
 def _fmt(value, digits: int):
-    """JSON-safe form: mpf -> decimal string, Fraction -> ratio string."""
-    if value is None or isinstance(value, (bool, int, str)):
+    """JSON-safe form: mpf -> decimal string, Fraction -> ratio string; floats pass."""
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, mpf):
         return mpmath.nstr(value, digits)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -234,7 +234,7 @@ def cmd_compare(args) -> tuple:
     require_asymptotic(jp)
     moments = _once_at_largest(
         args, ns, lambda top, p: perturbed_moment_sequence(jp, h, top, p, m=args.quad_order))
-    expansion = _once_at_largest(args, ns, lambda top, p: cheb_log_expand(h, p, args.cheb_m))
+    expansion = _once_at_largest(args, ns, lambda top, p: cheb_log_expand(h, p))
 
     def row(n, p):
         ms = moments()
@@ -276,7 +276,7 @@ def cmd_compare(args) -> tuple:
     return _parameters(
         jp, ns, h=h.source, h_min_sampled=_fmt(h.positivity_certificate.min_value, 16),
         asymptotic_valid=jp.asymptotic_valid, digits=_digits_param(args),
-        quad_order=args.quad_order, cheb_m=args.cheb_m), rows, code
+        quad_order=args.quad_order), rows, code
 
 
 def cmd_fluid(args) -> tuple:
@@ -437,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="direct perturbed ln det vs prediction")
     common(sp, with_h=True, with_quad=True)
-    sp.add_argument("--cheb-m", type=int, default=None,
-                    help="Chebyshev degree for ln h (default: auto)")
     sp.add_argument("--heine", action="store_true",
                     help="add ensemble-average columns for sizes <= 3")
     sp.set_defaults(run=cmd_compare)
@@ -508,7 +506,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head -1``): send the unwritten
+        # rest, and the interpreter's final flush, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ constant-fold to a rational; 'x^x' is rejected at parse time. Parse errors
 carry the byte offset and the token kinds that would have been accepted.
 
 One table, ``BINARY_OPS``, drives the binary operators in the parser, the
-printer and both evaluators; the ``h_*`` constructors write source text and
-parse it, so the parser is the only code that builds trees.
+printer and the evaluator, which also folds constant exponents; the ``h_*``
+constructors write source text and parse it, so the parser is the only code
+that builds trees.
 
 Evaluation is exact-rational-in, arbitrary-precision-out: numeric leaves are
 Fractions, arithmetic on them stays exact until a transcendental call or an
@@ -24,9 +25,10 @@ mpf argument forces the current mpmath working precision. Domain faults
 negative base to a fractional power) raise EvalDomainError with the point.
 
 ``to_source`` prints an expression with minimal parentheses such that
-reparsing reproduces the identical tree; ``validate_positive`` samples a
-Chebyshev point set (endpoints included) and certifies h > 0 there or
-raises PositivityError with the witnessing point.
+reparsing reproduces the identical tree. ``positive_sample`` is the one
+positivity rule, applied to every value of h the package reads;
+``validate_positive`` applies it on a Chebyshev point set (endpoints
+included) before any computation.
 """
 from __future__ import annotations
 
@@ -356,29 +358,13 @@ class _Parser:
 
 
 def _fold_rational(node):
-    """Fraction value of a constant subtree, or None if it involves x or a call."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Neg):
-        v = _fold_rational(node.operand)
-        return None if v is None else -v
-    if isinstance(node, Binary):
-        lv = _fold_rational(node.left)
-        rv = _fold_rational(node.right)
-        if lv is None or rv is None:
-            return None
-        try:
-            return BINARY_OPS[type(node)][2](lv, rv)
-        except ZeroDivisionError:
-            return None
-    if isinstance(node, Pow):
-        bv = _fold_rational(node.base)
-        if bv is None or (bv == 0 and node.exponent < 0):
-            return None
-        if node.exponent.denominator == 1:
-            return bv ** node.exponent.numerator
+    """Fraction value of a constant subtree, or None: evaluated with x unbound,
+    any use of x raises, and a call or a fractional power yields an mpf."""
+    try:
+        value = evaluate(node, None)
+    except (TypeError, DomainError):
         return None
-    return None
+    return value if isinstance(value, Fraction) else None
 
 
 # --- public surface ---
@@ -421,6 +407,16 @@ def parse_h(source: str) -> PerturbationFn:
     return PerturbationFn(to_source(ast), ast)
 
 
+def positive_sample(h, x) -> BigReal:
+    """h(x) as an mpf, or PositivityError with the witness x if it is not positive."""
+    v = to_mpf(h(x))
+    if not v > 0:
+        raise PositivityError(
+            f"h({mpmath.nstr(x, 8)}) = {mpmath.nstr(v, 6)} is not positive",
+            witness=x, value=v)
+    return v
+
+
 def validate_positive(h: PerturbationFn, samples: int = 257,
                       p: Precision = None) -> PositivityCertificate:
     """Certify h > 0 on a Chebyshev point set including both endpoints.
@@ -443,11 +439,7 @@ def validate_positive(h: PerturbationFn, samples: int = 257,
                 x = mpf(-1)
             else:
                 x = mpmath.cos(mpmath.pi * j / (samples - 1))
-            v = h(x)
-            if not v > 0:
-                raise PositivityError(
-                    f"h({mpmath.nstr(x, 8)}) = {mpmath.nstr(v, 6)} is not positive",
-                    witness=x, value=v)
+            v = positive_sample(h, x)
             if best_v is None or v < best_v:
                 best_v, best_x = v, x
     return PositivityCertificate(samples, best_v, best_x)

@@ -45,6 +45,7 @@ from itertools import accumulate
 import mpmath
 from mpmath import mp, mpf
 
+from .dsl import positive_sample
 from .errors import DomainError, PrecisionError
 from .jacobi import (JacobiParams, jacobi_moment, jacobi_moment_exact,
                      jacobi_moment_ratios, jacobi_recurrence_table)
@@ -155,7 +156,7 @@ def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
         mus = [mpf(0)] * count
         nus = [mpf(0)] * (count + 1)
         for x, w in zip(rule.nodes, rule.weights):
-            wh = w * h(x)
+            wh = w * positive_sample(h, x)
             xp = wh
             for k in range(count):
                 mus[k] += xp
@@ -344,7 +345,7 @@ def heine_average_small_n(n: int, jp: JacobiParams, h, p: Precision) -> BigReal:
         rule = gauss_jacobi_rule(order, jp, Precision(max(32, mp.dps)))
         xs = rule.nodes
         ws = rule.weights
-        hx = [h(x) for x in xs]
+        hx = [positive_sample(h, x) for x in xs]
         q = len(xs)
         # pairwise squared differences, shared by both integrals
         d2 = [[(xs[i] - xs[j]) ** 2 for j in range(q)] for i in range(q)]

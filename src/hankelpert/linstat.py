@@ -44,31 +44,22 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpf
 
+from .dsl import positive_sample
 from .errors import DomainError
 from .fluid import band_integral, support_endpoints
 from .jacobi import (JacobiParams, jacobi_asym_constant, jacobi_log_leading,
                      require_asymptotic)
-from .precision import BigReal, Precision, ensure_finite, to_mpf
-from .quadrature import ChebExpansion, cheb_expand, cheb_expand_auto
+from .precision import BigReal, Precision, ensure_finite
+from .quadrature import ChebExpansion, cheb_expand_auto
 
 
-def cheb_log_expand(h, p: Precision, M: int = None) -> ChebExpansion:
-    """Chebyshev expansion of x -> ln h(x); degree auto-selected unless given.
+def cheb_log_expand(h, p: Precision) -> ChebExpansion:
+    """Chebyshev expansion of x -> ln h(x), at the degree ``cheb_expand_auto`` measures.
 
-    h must be strictly positive on [-1, 1]; a nonpositive sample aborts the
-    expansion rather than poisoning it with complex logarithms.
+    Every sample of h passes :func:`dsl.positive_sample`, so a nonpositive
+    value aborts the expansion rather than poisoning it with complex logarithms.
     """
-    def log_h(x):
-        v = h(x)
-        if not v > 0:
-            raise DomainError(
-                f"perturbation is not positive at x = {mpmath.nstr(x, 8)}: "
-                f"h(x) = {mpmath.nstr(v, 6)}")
-        return mpmath.log(v)
-
-    if M is None:
-        return cheb_expand_auto(log_h, p)
-    return cheb_expand(log_h, M, p)
+    return cheb_expand_auto(lambda x: mpmath.log(positive_sample(h, x)), p)
 
 
 def hilbert_transform_cheb(ce: ChebExpansion) -> ChebExpansion:
@@ -223,10 +214,7 @@ def assemble_prediction(n: int, jp: JacobiParams, h, p: Precision,
         log_leading = jacobi_log_leading(n, jp)
         log_mean = n * m
         boundary = s / 2 * m
-        h_right = to_mpf(h(mpf(1)))
-        h_left = to_mpf(h(mpf(-1)))
-        if not (h_right > 0 and h_left > 0):
-            raise DomainError("perturbation must be positive at the endpoints")
+        h_right, h_left = positive_sample(h, mpf(1)), positive_sample(h, mpf(-1))
         edge = -(a / 2) * mpmath.log(h_right) - (b / 2) * mpmath.log(h_left)
         pv = pv_double_integral(ce)
         pure = jacobi_asym_constant(jp, p)

@@ -30,6 +30,7 @@ which is positive at every root and needs one extra norm constant h_{m-1}.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -154,8 +155,9 @@ def _bisect_root(lo: int, hi: int, two_alpha, four_beta, bits: int, tol: int):
     return (lo + hi) // 2
 
 
+@functools.lru_cache
 def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
-    """Order-m Gauss rule for the weight (1-x)^alpha (1+x)^beta."""
+    """Order-m Gauss rule for the weight (1-x)^alpha (1+x)^beta, built once per (m, jp, p)."""
     if m < 1:
         raise DomainError(f"rule order must be >= 1, got {m}")
     with p.workdps(2 * GUARD_DIGITS):
@@ -247,24 +249,14 @@ class ChebExpansion:
 
 
 def _dft(re: list, im: list, cos_t: list, sin_t: list, stride: int, bits: int) -> tuple:
-    """X_k = sum_j x_j e^(-2 pi i j k / L), L = len(re), on fixed-point integers.
+    """X_k = sum_j x_j e^(-2 pi i j k / L), L = len(re) a power of two, on fixed-point integers.
 
     ``cos_t[t]`` and ``sin_t[t]`` hold cos and sin of 2 pi t / (L * stride)
-    scaled by 2^bits. Even lengths split into even and odd samples (radix 2);
-    odd lengths are summed directly.
+    scaled by 2^bits. Each level splits into even and odd samples (radix 2).
     """
     L = len(re)
-    if L % 2:
-        out_re, out_im = [], []
-        for k in range(L):
-            acc_re = acc_im = 0
-            for j in range(L):
-                c, s = cos_t[j * k % L * stride], sin_t[j * k % L * stride]
-                acc_re += re[j] * c + im[j] * s
-                acc_im += im[j] * c - re[j] * s
-            out_re.append(acc_re >> bits)
-            out_im.append(acc_im >> bits)
-        return out_re, out_im
+    if L == 1:
+        return re, im
     even_re, even_im = _dft(re[0::2], im[0::2], cos_t, sin_t, 2 * stride, bits)
     odd_re, odd_im = _dft(re[1::2], im[1::2], cos_t, sin_t, 2 * stride, bits)
     half = L // 2
@@ -287,14 +279,13 @@ def cheb_expand(f, M: int, p: Precision) -> ChebExpansion:
 
     where '' halves the first and last terms of the sum. The sum is 1/M
     times the length-2M DFT of the even extension f_0..f_M, f_{M-1}..f_1,
-    run by :func:`_dft` in O(M log M) for M a power of two times a small
-    odd factor. Its fixed-point integers carry the working bits plus
-    ``KERNEL_GUARD_BITS`` below the largest |f(x_j)|, so each coefficient
-    is off by a few working ulps of that largest value, as a cosine sum in
-    mpf would be.
+    run by :func:`_dft` in O(M log M), so M must be a power of two. Its
+    fixed-point integers carry the working bits plus ``KERNEL_GUARD_BITS``
+    below the largest |f(x_j)|, so each coefficient is off by a few working
+    ulps of that largest value, as a cosine sum in mpf would be.
     """
-    if M < 1:
-        raise DomainError(f"expansion degree must be >= 1, got {M}")
+    if M < 1 or M & (M - 1):
+        raise DomainError(f"expansion degree must be a power of two, got {M}")
     with p.workdps(2 * GUARD_DIGITS):
         # cos and sin of pi t / M for t < 2M; the nodes are cos_t[:M + 1]
         angles = [mpmath.cos_sin(mpmath.pi * t / M) for t in range(M)]

@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 
 from hankelpert.dsl import (h_const, h_exp_cheb2, h_exp_linear, h_one,
-                            h_one_plus_square, parse_h)
+                            h_one_plus_square)
 from hankelpert.fluid import EquilibriumDensity, fluid_recurrence, support_endpoints
 from hankelpert.hankel import (auto_precision, cross_validation_tol,
                                hankel_logdet_ldl, hankel_logdet_recurrence,

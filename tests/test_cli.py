@@ -12,7 +12,7 @@ import mpmath
 import pytest
 
 import hankelpert.cli as cli
-from hankelpert import hankel, jacobi, linstat
+from hankelpert import hankel, jacobi, linstat, quadrature
 from hankelpert.errors import PrecisionError
 
 LN2 = math.log(2)
@@ -45,6 +45,7 @@ def test_exact_smallest_case(capsys):
     assert rep["subcommand"] == "exact"
     assert rep["command"].startswith("hankelpert exact")
     row = rep["rows"][0]
+    assert isinstance(row["elapsed_s"], float)
     for key in ("log_det_closed", "log_det_norm_product", "log_det_ldl"):
         assert abs(float(row[key]) - LN2) < 1e-15, key
     for key in ("diff_closed_norm", "diff_closed_ldl", "diff_norm_ldl"):
@@ -159,16 +160,13 @@ def test_compare_refuses_exponents_below_half_before_moments(capsys, monkeypatch
     assert rules == []
 
 
-def test_compare_cheb_degree_override(capsys):
-    argv = ["compare", "--n", "10", "--alpha", "1/2", "--h", "1+0.5*x^2"]
-    code, auto, _ = run_json(argv, capsys)
+def test_compare_ln_h_degree_is_always_measured(capsys):
+    code, out, _ = run(["compare", "--n", "10", "--h", "exp(x)", "--cheb-m", "8"], capsys)
+    assert code == 2
+    assert out == ""
+    code, rep, _ = run_json(["compare", "--n", "10", "--h", "exp(x)"], capsys)
     assert code == 0
-    code, fixed, _ = run_json(argv + ["--cheb-m", "100"], capsys)
-    assert code == 0
-    assert fixed["parameters"]["cheb_m"] == 100
-    digits = auto["rows"][0]["digits"]
-    gap = abs(mpmath.mpf(auto["rows"][0]["pv_part"]) - mpmath.mpf(fixed["rows"][0]["pv_part"]))
-    assert gap < mpmath.mpf(10) ** -(digits - 8)
+    assert "cheb_m" not in rep["parameters"]
 
 
 def test_compare_quad_order_too_small_for_largest_size(capsys):
@@ -317,6 +315,38 @@ def test_exit_2_on_malformed_size_range(capsys, sizes):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_exit_4_when_h_dips_between_screening_points(capsys):
+    """The 257-point screen passes; node 511 of the degree-1024 ln h expansion does not."""
+    code, out, err = run(["compare", "--n", "10", "--h", "(x-0.0015)^2-0.0000001"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == ("error: perturbation rejected: "
+                   "h(0.0015339802) = -9.88453e-8 is not positive\n")
+
+
+def test_heine_builds_each_gauss_rule_once(capsys, monkeypatch):
+    """Rows of one order and precision share a rule: one build per order."""
+    quadrature.gauss_jacobi_rule.cache_clear()
+    builds = _counting(monkeypatch, quadrature, "_seed_nodes")
+    code, _, _ = run_json(["heine", "--n", "1,2,3", "--alpha", "1/2", "--h", "exp(x)"], capsys)
+    assert code == 0
+    assert [len(two_alpha) for two_alpha, _ in builds] == [35, 72]
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hankelpert", "exact", "--n", "3"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_exit_4_on_sign_changing_perturbation(capsys):

@@ -46,6 +46,24 @@ def test_parse_rejects_symbolic_exponent():
         parse_h("x^x")
 
 
+@pytest.mark.parametrize("source, printed", [
+    ("x^(2^-1)", "x^0.5"), ("x^(-(3/2))", "x^(-1.5)"), ("2-x^(4/2)", "2 - x^2"),
+    ("x^((1/2)^2)", "x^0.25"), ("x^2^3+1", "x^8 + 1")])
+def test_constant_exponents_fold_to_rationals(source, printed):
+    assert parse_h(source).source == printed
+
+
+@pytest.mark.parametrize("source", [
+    "x^x", "x^(1/0)", "x^(0^-1)", "x^(exp(0))", "x^(4^(1/2))", "x^(-x)",
+    "x^(sqrt(4))", "x^(2*x)"])
+def test_exponents_that_do_not_fold_are_rejected(source):
+    """x, a domain fault, a call or a fractional power anywhere in the exponent."""
+    with pytest.raises(ParseError) as err:
+        parse_h(source)
+    assert str(err.value) == "exponent must be a rational constant"
+    assert (err.value.position, err.value.expected) == (1, ("number",))
+
+
 def test_parse_rejects_unknown_names():
     with pytest.raises(ParseError, match="unknown name"):
         parse_h("foo(x)")

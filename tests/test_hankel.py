@@ -6,15 +6,14 @@ import mpmath
 import pytest
 
 from hankelpert.dsl import h_exp_cheb2, h_exp_linear, parse_h
-from hankelpert.errors import DomainError, PrecisionError
+from hankelpert.errors import DomainError, PositivityError, PrecisionError
 from hankelpert.hankel import (MomentSequence, auto_digits, auto_precision,
                                cross_validation_tol, hankel_logdet_ldl,
                                hankel_logdet_rational, hankel_logdet_recurrence,
                                heine_average_small_n, modified_chebyshev,
                                perturbed_moment_sequence, pure_moment_sequence,
                                rational_hankel_minors)
-from hankelpert.jacobi import (JacobiParams, jacobi_beta_n, jacobi_logdet_exact,
-                               jacobi_moment_exact)
+from hankelpert.jacobi import JacobiParams, jacobi_logdet_exact
 from hankelpert.precision import Precision
 
 P40 = Precision(40)
@@ -259,6 +258,16 @@ def test_heine_average_equals_determinant_ratio():
             ratio = mpmath.exp(num - den)
             avg = heine_average_small_n(n, LEG, h_exp_linear(1), P40)
             assert float(abs(ratio - avg)) < 1e-25, f"n={n}"
+
+
+def test_moment_pass_and_ensemble_average_refuse_nonpositive_h():
+    """Both read h only through the positivity rule: h(x) = x + 1/2 fails at a node."""
+    h = parse_h("x + 1/2")
+    with pytest.raises(PositivityError) as err:
+        perturbed_moment_sequence(LEG, h, 4, P64)
+    assert err.value.value <= 0 and err.value.witness < -0.5
+    with pytest.raises(PositivityError):
+        heine_average_small_n(2, LEG, h, P40)
 
 
 def test_moment_sequence_validation():
