@@ -2,11 +2,12 @@
 
 The package computes ln det of Hankel moment matrices for weights
 (1-x)^alpha (1+x)^beta h(x) on [-1, 1] along independent routes -- a
-Gamma/Barnes-G closed form for the bare weight, direct arbitrary-precision
-factorizations and recurrences for the perturbed one, an exact rational
-path for integer data -- and assembles the large-n asymptotic prediction
-with its explicit constant, so every number can be cross-validated against
-an independently computed twin.
+Gamma/Barnes-G closed form for the bare weight, a direct arbitrary-precision
+factorization and a modified-moment recurrence for the perturbed one, exact
+rational minors for integer data -- and assembles the large-n asymptotic
+prediction with its explicit constant, read from the Chebyshev data of ln h,
+so every number can be cross-validated against an independently computed
+twin.
 
 Modules: ``specfun`` (log-Gamma/Barnes-G), ``jacobi`` (bare-weight closed
 forms), ``quadrature`` (Gauss rules, Chebyshev expansions), ``hankel``
@@ -20,7 +21,7 @@ from .errors import (DomainError, EvalDomainError, HankelpertError,
                      ParseError, PositivityError, PrecisionError,
                      ResolutionError, RootFindError, ValidityError)
 from .precision import BigReal, Precision, ensure_finite, exact_fraction, to_mpf
-from .specfun import constant_K, log_barnes_g, log_barnes_g_asym, log_gamma
+from .specfun import log_barnes_g, log_gamma
 from .jacobi import (JacobiParams, jacobi_alpha_n, jacobi_alpha_n_exact,
                      jacobi_asym_constant, jacobi_beta_n, jacobi_beta_n_exact,
                      jacobi_hn, jacobi_log_hn, jacobi_logdet_asym,
@@ -30,16 +31,16 @@ from .quadrature import (ChebExpansion, QuadratureRule, cheb_expand,
                          cheb_expand_auto, gauss_jacobi_rule)
 from .hankel import (HankelResult, MomentSequence, auto_digits,
                      auto_precision, cross_validation_tol,
-                     hankel_logdet_ldl, hankel_logdet_rational,
-                     hankel_logdet_recurrence, heine_average_small_n,
-                     modified_chebyshev, perturbed_moment_sequence,
-                     pure_moment_sequence, rational_hankel_minors)
+                     hankel_logdet_ldl, hankel_logdet_recurrence,
+                     heine_average_small_n, modified_chebyshev,
+                     perturbed_moment_sequence, pure_moment_sequence,
+                     rational_hankel_minors)
 from .fluid import (EquilibriumDensity, SupportInterval, band_kernel,
                     equilibrium_density, fluid_recurrence,
-                    support_endpoints, support_endpoints_shifted, v_prime)
+                    support_endpoints, support_endpoints_shifted)
 from .linstat import (AsymptoticPrediction, LinStatTerms, assemble_prediction,
-                      cheb_log_expand, hilbert_transform_cheb, linstat_terms,
-                      mean_term, pv_double_integral)
+                      cheb_log_expand, linstat_terms, mean_term,
+                      pv_double_integral)
 from .dsl import (PerturbationFn, PositivityCertificate, h_const,
                   h_exp_cheb2, h_exp_linear, h_one, h_one_plus_square,
                   parse_h, to_source, validate_positive)
@@ -53,7 +54,7 @@ __all__ = [
     # precision
     "BigReal", "Precision", "to_mpf", "exact_fraction", "ensure_finite",
     # special functions
-    "log_gamma", "log_barnes_g", "log_barnes_g_asym", "constant_K",
+    "log_gamma", "log_barnes_g",
     # bare weight
     "JacobiParams", "jacobi_alpha_n", "jacobi_beta_n", "jacobi_alpha_n_exact",
     "jacobi_beta_n_exact", "jacobi_recurrence_table",
@@ -66,14 +67,14 @@ __all__ = [
     "MomentSequence", "HankelResult", "auto_digits", "auto_precision",
     "cross_validation_tol", "pure_moment_sequence",
     "perturbed_moment_sequence", "hankel_logdet_ldl",
-    "hankel_logdet_recurrence", "hankel_logdet_rational",
-    "rational_hankel_minors", "modified_chebyshev", "heine_average_small_n",
+    "hankel_logdet_recurrence", "rational_hankel_minors",
+    "modified_chebyshev", "heine_average_small_n",
     # continuum approximation
     "SupportInterval", "support_endpoints", "support_endpoints_shifted",
-    "v_prime", "equilibrium_density", "EquilibriumDensity",
+    "equilibrium_density", "EquilibriumDensity",
     "fluid_recurrence", "band_kernel",
     # asymptotic assembly
-    "cheb_log_expand", "hilbert_transform_cheb", "pv_double_integral",
+    "cheb_log_expand", "pv_double_integral",
     "mean_term", "LinStatTerms", "linstat_terms", "AsymptoticPrediction",
     "assemble_prediction",
     # perturbation expressions

@@ -243,7 +243,7 @@ def cmd_compare(args) -> tuple:
         pred = assemble_prediction(n, jp, h, p, expansion())
         pure = jacobi_logdet_exact(n, jp, p)
         with p.workdps():
-            mean_limit = mean_term(pred.expansion, n, jp, "limit")
+            mean_limit = mean_term(pred.expansion, n, jp)
             log_ratio = direct.log_det - pure
             pv_estimate = log_ratio - mean_limit
             out = {
@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_quad:
             sp.add_argument("--quad-order", type=int, default=None,
                             help="Gauss rule order for perturbed moments "
-                                 "(default: largest n + 32, shared by every row)")
+                                 "(default and minimum: largest n + 32, shared by every row)")
 
     sp = sub.add_parser("exact", help="bare-weight ln det by three routes")
     common(sp)

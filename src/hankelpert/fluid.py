@@ -65,15 +65,6 @@ class SupportInterval:
         return (self.b_n - self.a_n) / 2
 
 
-def v_prime(x, jp: JacobiParams) -> BigReal:
-    """Derivative of the external potential, alpha/(1-x) - beta/(1+x)."""
-    x = to_mpf(x)
-    if not -1 < x < 1:
-        raise DomainError(f"potential derivative defined on (-1,1), got {mpmath.nstr(x, 8)}")
-    a, b = jp.ab_mpf()
-    return a / (1 - x) - b / (1 + x)
-
-
 def _endpoints_with_denominator(n: int, jp: JacobiParams, bump: int):
     a, b = jp.ab_mpf()
     s = a + b

@@ -1,19 +1,18 @@
 """Direct computation of Hankel log-determinants from moments.
 
-Three independent routes are implemented:
+Two routes are implemented at working precision:
 
 * ``hankel_logdet_ldl``        LDL pivots h_j = beta_0 ... beta_j of the raw
                                moments (monomial basis); ln det = sum of ln h_j;
 * ``hankel_logdet_recurrence`` beta_j of the (possibly perturbed) weight from
                                its modified moments in the unperturbed Jacobi
-                               basis; ln det = sum over j < n of (n-j) ln beta_j;
-* ``hankel_logdet_rational``   exact fraction-free (Bareiss) elimination over
-                               the rationals, available for integer weight
-                               exponents and polynomial perturbations.
+                               basis; ln det = sum over j < n of (n-j) ln beta_j.
 
-The first two run one algorithm, :func:`modified_chebyshev` (Gautschi,
-*Orthogonal Polynomials: Computation and Approximation*, 2004); only the
-basis and the failure message differ.
+Both run one algorithm, :func:`modified_chebyshev` (Gautschi, *Orthogonal
+Polynomials: Computation and Approximation*, 2004); only the basis and the
+failure message differ. The exact oracle ``rational_hankel_minors`` gives
+D_1..D_n over the rationals by fraction-free (Bareiss) elimination, for
+integer weight exponents and polynomial perturbations.
 
 Hankel matrices of smooth positive weights are notoriously ill-conditioned:
 the pivots decay geometrically (like 4^-j here), so a linear-in-n digit
@@ -54,6 +53,8 @@ from .quadrature import gauss_jacobi_rule
 
 #: Extra decimal digits per matrix row consumed by pivot decay during factorization.
 CONDITIONING_GUARD_PER_ROW = 0.7
+#: Gauss rule order above the size for perturbed moments: the default and the minimum.
+QUAD_ORDER_MARGIN = 32
 
 
 def auto_digits(n: int) -> int:
@@ -136,7 +137,7 @@ def pure_moment_sequence(jp: JacobiParams, n: int, p: Precision) -> MomentSequen
 
 def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
                               m: int = None) -> MomentSequence:
-    """Moments of the perturbed weight w*h by one order-m Gauss rule (default m = n+32).
+    """Moments of the perturbed weight w*h by one order-m Gauss rule, m >= n + 32 (the default).
 
     One pass over the nodes yields both the raw power moments mu_0..mu_{2n-2}
     and the modified moments nu_0..nu_{2n-1} against the monic orthogonal
@@ -145,9 +146,10 @@ def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     if m is None:
-        m = n + 32
-    if m < n:
-        raise DomainError(f"rule order {m} cannot resolve moments for size {n}")
+        m = n + QUAD_ORDER_MARGIN
+    if m < n + QUAD_ORDER_MARGIN:
+        raise DomainError(f"rule order {m} cannot resolve moments for size {n}: "
+                          f"the minimum is {n + QUAD_ORDER_MARGIN}")
     with p.workdps(_conditioning_guard(n)):
         boosted = Precision(max(32, mp.dps))
         rule = gauss_jacobi_rule(m, jp, boosted)
@@ -318,17 +320,6 @@ def rational_hankel_minors(jp: JacobiParams, n: int, h_coeffs=None):
                for k in range(2 * n - 1)]
     H = [[mus[j + k] for k in range(n)] for j in range(n)]
     return _bareiss_leading_minors(H)
-
-
-def hankel_logdet_rational(jp: JacobiParams, n: int, p: Precision,
-                           h_coeffs=None) -> HankelResult:
-    """ln det from the exact rational determinant (bit-exact ground truth route)."""
-    det = rational_hankel_minors(jp, n, h_coeffs)[-1]
-    if det <= 0:
-        raise PrecisionError(f"exact determinant of size {n} is not positive: {det}")
-    with p.workdps(2 * GUARD_DIGITS):
-        log_det = mpmath.log(mpf(det.numerator)) - mpmath.log(mpf(det.denominator))
-    return HankelResult(n, log_det, "rational", p)
 
 
 def heine_average_small_n(n: int, jp: JacobiParams, h, p: Precision) -> BigReal:

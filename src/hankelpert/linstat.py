@@ -26,12 +26,10 @@ The variance half, ``pv_part``, equals the principal-value double integral
     (1/4 pi^2) PV int int  ln h(x) (d/dy ln h(y)) sqrt(1-y^2)
                            / (sqrt(1-x^2) (x - y))  dy dx,
 
-evaluated here either from the coefficient sum (closed) or by pairing the
-expansion with its finite Hilbert transform under Chebyshev-Gauss quadrature
-(an independent discretization, used for cross-checking). edge_part vanishes
-when h(+-1) = 1 and cancels between symmetric data; dropping it leaves an
-O(1) error in the constant whenever an exponent and the matching boundary
-value of ln h are both nonzero.
+evaluated here as the coefficient sum above. edge_part vanishes when
+h(+-1) = 1 and cancels between symmetric data; dropping it leaves an O(1)
+error in the constant whenever an exponent and the matching boundary value
+of ln h are both nonzero.
 
 Validity requires alpha >= -1/2 and beta >= -1/2; outside that region the
 n-exponent of the leading term is no longer correct and assembly refuses
@@ -46,7 +44,6 @@ from mpmath import mpf
 
 from .dsl import positive_sample
 from .errors import DomainError
-from .fluid import band_integral, support_endpoints
 from .jacobi import (JacobiParams, jacobi_asym_constant, jacobi_log_leading,
                      require_asymptotic)
 from .precision import BigReal, Precision, ensure_finite
@@ -62,94 +59,48 @@ def cheb_log_expand(h, p: Precision) -> ChebExpansion:
     return cheb_expand_auto(lambda x: mpmath.log(positive_sample(h, x)), p)
 
 
-def hilbert_transform_cheb(ce: ChebExpansion) -> ChebExpansion:
-    """Finite Hilbert transform of the derivative, against the kernel 1/(x - y).
-
-    For f with Chebyshev data c_k, the principal-value integral
-
-        H(x) = PV int_{-1}^{1} f'(y) sqrt(1 - y^2) / (x - y) dy
-
-    is again a Chebyshev series with coefficients pi k c_k (constant term 0):
-    differentiation maps the degree-k term to k U_{k-1}, and the transform
-    sends sqrt(1-y^2) U_{k-1}(y) to pi T_k(x).
-    """
-    out = [mpf(0)]
-    for k in range(1, len(ce.coeffs)):
-        out.append(mpmath.pi * k * ce.coeffs[k])
-    if len(out) == 1:
-        out.append(mpf(0))
-    tail = max(abs(out[-1]), abs(out[-2]))
-    return ChebExpansion(tuple(out), tail)
-
-
-def pv_double_integral(ce: ChebExpansion, method: str = "closed") -> BigReal:
+def pv_double_integral(ce: ChebExpansion) -> BigReal:
     """The double principal-value functional of ln h, i.e. half its fluctuation variance.
 
-    ``closed`` sums (1/8) k c_k^2 directly. ``quadrature`` re-derives the
-    value by integrating ce against its Hilbert transform with a
-    Chebyshev-Gauss rule and dividing by 4 pi^2; the two must agree to the
-    expansion's truncation error.
+    The closed sum (1/8) sum_{k>=1} k c_k^2 over the Chebyshev data of ``ce``.
     """
-    if method == "closed":
-        return ensure_finite(
-            mpmath.fsum(k * c * c for k, c in enumerate(ce.coeffs) if k >= 1) / 8,
-            "pv part")
-    if method == "quadrature":
-        ht = hilbert_transform_cheb(ce)
-        M = ce.degree + 16
-        total = mpf(0)
-        for j in range(1, M + 1):
-            x = mpmath.cos((2 * j - 1) * mpmath.pi / (2 * M))
-            total += ce(x) * ht(x)
-        return ensure_finite(total * mpmath.pi / M / (4 * mpmath.pi ** 2), "pv part")
-    raise DomainError(f"unknown method {method!r}, expected 'closed' or 'quadrature'")
+    return ensure_finite(
+        mpmath.fsum(k * c * c for k, c in enumerate(ce.coeffs) if k >= 1) / 8,
+        "pv part")
 
 
-def mean_term(ce: ChebExpansion, n: int, jp: JacobiParams, form: str = "limit") -> BigReal:
-    """Mean of the linear statistic sum_j ln h(x_j) at size n.
+def mean_term(ce: ChebExpansion, n: int, jp: JacobiParams) -> BigReal:
+    """Mean of the linear statistic sum_j ln h(x_j) at size n, to its large-n form.
 
-    ``limit`` uses the large-n coefficient (n + s/2) c_0/2 (plus nothing:
-    the edge correction is accounted separately in assembly). ``finite``
-    integrates ce against the size-n continuum density on its band, which
-    already contains the edge effect up to o(1).
+    The coefficient is (n + s/2) c_0/2; the edge correction is accounted
+    separately in assembly.
     """
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
-    if form == "limit":
-        a, b = jp.ab_mpf()
-        return (n + (a + b) / 2) * ce.coeffs[0] / 2
-    if form == "finite":
-        return ensure_finite(band_integral(support_endpoints(n, jp), ce), "mean term")
-    raise DomainError(f"unknown form {form!r}, expected 'limit' or 'finite'")
+    a, b = jp.ab_mpf()
+    return (n + (a + b) / 2) * ce.coeffs[0] / 2
 
 
 @dataclass(frozen=True)
 class LinStatTerms:
-    """Mean and variance of sum_j ln h(x_j) at size n, in the chosen form."""
+    """Mean and variance of sum_j ln h(x_j) at size n."""
 
     mean: object
     variance: object
     n: int
-    form: str
 
 
-def linstat_terms(h, n: int, jp: JacobiParams, p: Precision,
-                  form: str = "limit") -> LinStatTerms:
+def linstat_terms(h, n: int, jp: JacobiParams, p: Precision) -> LinStatTerms:
     """Cumulant data of the log-perturbation statistic.
 
-    The variance is twice :func:`pv_double_integral`, sum k c_k^2 / 4: the
-    limit form reads the global Chebyshev data of ln h, the finite form
-    re-expands ln h over the size-n band (t -> center + halfwidth * t).
+    Mean and variance read the global Chebyshev data of ln h; the variance
+    is twice :func:`pv_double_integral`, sum k c_k^2 / 4.
     """
     with p.workdps():
         ce = cheb_log_expand(h, p)
-        mean = mean_term(ce, n, jp, form)
-        cv = ce
-        if form == "finite":  # mean_term has refused any other form
-            si = support_endpoints(n, jp)
-            cv = cheb_log_expand(lambda t: h(si.center + si.halfwidth * t), p)
-        variance = 2 * pv_double_integral(cv)
-    return LinStatTerms(mean, variance, n, form)
+        mean = mean_term(ce, n, jp)
+        variance = 2 * pv_double_integral(ce)
+    return LinStatTerms(mean, variance, n)
 
 
 @dataclass(frozen=True)

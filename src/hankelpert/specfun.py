@@ -1,4 +1,4 @@
-"""Log-Gamma, log-Barnes-G, their large-argument asymptotics, and the constant K.
+"""Log-Gamma and log-Barnes-G.
 
 The Barnes G-function is the entire function satisfying
 
@@ -9,21 +9,13 @@ every result honours the precision contract (8 guard digits) and is checked
 finite. The wrappers are the single point through which the rest of the
 package touches these special functions, so the difference-equation and
 doubling invariants in the test suite certify every downstream consumer.
-
-The large-argument asymptotic implemented by :func:`log_barnes_g_asym` is
-
-    ln G(n+a+1) ~ ((n+a)^2/2 - 1/12) ln n - 3n^2/4 - a n + ((n+a)/2) ln 2pi + ln K
-
-with K = G(1/2)^(2/3) * pi^(1/6) * 2^(-1/36). The error of this form decays
-like O(1/n) at fixed a (measured empirically; see tests).
 """
 from __future__ import annotations
 
 import mpmath
-from mpmath import mp, mpf
 
 from .errors import DomainError
-from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite, to_mpf
+from .precision import BigReal, Precision, ensure_finite, to_mpf
 
 
 def log_gamma(z, p: Precision) -> BigReal:
@@ -44,33 +36,3 @@ def log_barnes_g(z, p: Precision) -> BigReal:
         # G(z) > 0 on z > 0, so the log of mpmath's direct evaluation is safe;
         # mpf exponents are unbounded, huge G values do not overflow.
         return ensure_finite(mpmath.log(mpmath.barnesg(zv)), "log_barnes_g")
-
-
-def constant_K(p: Precision) -> BigReal:
-    """ln K where K = G(1/2)^(2/3) * pi^(1/6) * 2^(-1/36).
-
-    K is the constant entering the large-argument asymptotic of ln G.
-    """
-    with p.workdps(GUARD_DIGITS + 4):
-        ln_g_half = log_barnes_g(mpf(1) / 2, Precision(mp.dps))
-        return ensure_finite(
-            mpf(2) / 3 * ln_g_half + mpmath.log(mpmath.pi) / 6 - mpmath.log(2) / 36,
-            "constant_K")
-
-
-def log_barnes_g_asym(n, a, p: Precision) -> BigReal:
-    """Logarithm of the large-argument asymptotic form of G(n+a+1).
-
-    Valid for n >= 1; the omitted corrections are O(1/n) at fixed a.
-    """
-    with p.workdps():
-        nv = to_mpf(n)
-        av = to_mpf(a)
-        if not nv >= 1:
-            raise DomainError(f"log_barnes_g_asym requires n >= 1, got {nv}")
-        ln2pi = mpmath.log(2 * mpmath.pi)
-        value = (((nv + av) ** 2 / 2 - mpf(1) / 12) * mpmath.log(nv)
-                 - 3 * nv ** 2 / 4 - av * nv
-                 + (nv + av) / 2 * ln2pi
-                 + constant_K(p))
-        return ensure_finite(value, "log_barnes_g_asym")

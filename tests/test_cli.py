@@ -177,6 +177,21 @@ def test_compare_quad_order_too_small_for_largest_size(capsys):
     assert "rule order 15 cannot resolve moments for size 30" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--n", "10", "--h", "exp(x)", "--quad-order", "12"],
+     "rule order 12 cannot resolve moments for size 10: the minimum is 42"),
+    (["heine", "--n", "3", "--h", "exp(x)", "--quad-order", "20"],
+     "rule order 20 cannot resolve moments for size 3: the minimum is 35"),
+], ids=["compare", "heine"])
+def test_quad_order_below_default_exits_2(capsys, argv, message):
+    # order 12 leaves exp(x) at n = 10 off by 2.1e-5, which method_diff cannot
+    # see: both routes read the same moments
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_compare_heine_columns_for_small_sizes(capsys):
     code, rep, _ = run_json(
         ["compare", "--n", "2", "--alpha", "1/2", "--h", "1 + x^2/2", "--heine"],

@@ -7,37 +7,13 @@ import pytest
 from hankelpert.errors import DomainError
 from hankelpert.fluid import (EquilibriumDensity, band_kernel,
                               equilibrium_density, fluid_recurrence,
-                              support_endpoints, support_endpoints_shifted,
-                              v_prime)
+                              support_endpoints, support_endpoints_shifted)
 from hankelpert.jacobi import (JacobiParams, jacobi_alpha_n_exact,
                                jacobi_beta_n_exact)
 from hankelpert.precision import Precision
 
 P64 = Precision(64)
 LEG = JacobiParams(0, 0)
-
-
-def test_potential_derivative_values():
-    with mpmath.workdps(40):
-        assert float(abs(v_prime(mpmath.mpf(0), JacobiParams(1, 0)) - 1)) < 1e-30
-        assert float(abs(v_prime(mpmath.mpf(0), JacobiParams("3/2", "3/2")))) < 1e-30
-
-
-def test_potential_derivative_antisymmetry():
-    with mpmath.workdps(40):
-        jp = JacobiParams(1, Fraction(1, 2))
-        flipped = JacobiParams(Fraction(1, 2), 1)
-        for xs in ("0.3", "-0.82", "0.999"):
-            x = mpmath.mpf(xs)
-            lhs = v_prime(-x, jp)
-            rhs = -v_prime(x, flipped)
-            assert float(abs(lhs - rhs)) < 1e-28, xs
-
-
-def test_potential_derivative_poles():
-    for x in (1, -1, mpmath.mpf("1.5")):
-        with pytest.raises(DomainError):
-            v_prime(x, JacobiParams(1, 0))
 
 
 def test_flat_weight_band_is_whole_interval():

@@ -1,16 +1,36 @@
-"""Every module reads every name it imports."""
+"""Every module reads every name it imports, and every definition has a reader that runs."""
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "hankelpert").glob("*.py"))
 # the package's __init__ re-exports what it imports, so it is not checked
-MODULES = sorted(p for p in (ROOT / "src" / "hankelpert").glob("*.py") if p.name != "__init__.py")
-MODULES += sorted((ROOT / "tests").glob("*.py"))
+DEFINING = [p for p in PACKAGE if p.name != "__init__.py"]
+MODULES = DEFINING + sorted((ROOT / "tests").glob("*.py"))
+# code that runs: the package itself, the benchmark harness and the acceptance gate;
+# a definition that only its own unit tests read is reached by no run
+RUN_READERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py")) + [
+    ROOT / "tests" / "test_acceptance.py"]
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), str(path))
+
+
+def _reads(node):
+    """Names ``node`` reads, as a variable or as an attribute."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names.add(n.attr)
+    return names
 
 
 def _unused_imports(path):
     """(line, name) of each name ``path`` imports but never reads."""
-    tree = ast.parse(path.read_text(), str(path))
+    tree = _parse(path)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -28,3 +48,20 @@ def test_every_imported_name_is_read():
     unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
               for path in MODULES for line, name in _unused_imports(path)]
     assert unused == []
+
+
+def test_every_definition_is_read_by_code_that_runs():
+    """A top-level function or class of the package that nothing outside its own
+    body reads, in the package, the benchmark harness or the acceptance gate."""
+    trees = {path: _parse(path) for path in RUN_READERS}
+    read_in = {path: _reads(tree) for path, tree in trees.items()}
+    unread = []
+    for path in DEFINING:
+        body = trees[path].body
+        # one entry per top-level statement of this module, then one per other file
+        reads = [_reads(stmt) for stmt in body] + [r for p, r in read_in.items() if p != path]
+        for i, node in enumerate(body):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not any(node.name in r for j, r in enumerate(reads) if j != i)):
+                unread.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
+    assert not unread, "read by no run: " + ", ".join(unread)

@@ -10,77 +10,34 @@ from hankelpert.hankel import (auto_precision, hankel_logdet_ldl,
                                perturbed_moment_sequence)
 from hankelpert.jacobi import JacobiParams, jacobi_logdet_asym, jacobi_logdet_exact
 from hankelpert.linstat import (assemble_prediction, cheb_log_expand,
-                                hilbert_transform_cheb, linstat_terms,
-                                mean_term, pv_double_integral)
+                                linstat_terms, mean_term, pv_double_integral)
 from hankelpert.precision import Precision
-from hankelpert.quadrature import cheb_expand
 
 P64 = Precision(64)
 LEG = JacobiParams(0, 0)
 
 
-def pv_oracle(g, x):
-    """P-integral of g(y)/(x-y) over [-1,1] by symmetric window exclusion.
-
-    The window error is linear in eps, so one Richardson step removes it.
-    Entirely independent of the Chebyshev closed form under test.
-    """
-    def windowed(eps):
-        left = mpmath.quad(lambda y: g(y) / (x - y), [-1, x - eps])
-        right = mpmath.quad(lambda y: g(y) / (x - y), [x + eps, 1])
-        return left + right
-
-    eps = mpmath.mpf("1e-5")
-    return 2 * windowed(eps / 2) - windowed(eps)
-
-
-def test_hilbert_transform_coefficient_map():
-    # input c_k over T_k goes out as pi k c_k; the constant never contributes
-    with mpmath.workdps(70):
-        ce = cheb_expand(lambda x: 3 + 2 * x, 8, P64)
-        out = hilbert_transform_cheb(ce)
-        assert float(abs(out.coeffs[0])) < 1e-55
-        assert float(abs(out.coeffs[1] - 2 * mpmath.pi)) < 1e-55
-        assert all(float(abs(c)) < 1e-55 for c in out.coeffs[2:])
-
-
-def test_hilbert_transform_against_windowed_quadrature():
-    """Closed form vs direct PV integration, kernel oriented as 1/(x-y).
-
-    For f = T_k the derivative is k U_{k-1}, and the classical transform
-    P-int sqrt(1-y^2) U_{k-1}(y)/(x-y) dy = pi T_k(x) gives pi k T_k(x).
-    """
-    with mpmath.workdps(40):
-        for k in (1, 2, 3):
-            ce = cheb_expand(lambda x, k=k: mpmath.chebyt(k, x), 16, P64)
-            out = hilbert_transform_cheb(ce)
-            for xs in ("-0.7", "0.3", "0.6"):
-                x = mpmath.mpf(xs)
-
-                def g(y, k=k):
-                    return mpmath.sqrt(1 - y * y) * k * mpmath.chebyu(k - 1, y)
-
-                want = pv_oracle(g, x)
-                assert float(abs(out(x) - want)) < 1e-10, f"k={k} x={xs}"
-                assert float(abs(out(x) - mpmath.pi * k * mpmath.chebyt(k, x))) < 1e-30
-
-
 def test_pv_closed_values_for_builtin_families():
+    """Exact values, from factored perturbations for the last two.
+
+    1 + x^2/2 = (1 + r^2 + 2r cos 2t) / (8r) with x = cos t, r = 5 - 2 sqrt 6,
+    so c_2k = 2 (-1)^(k+1) r^k / k and the PV part is -ln(1 - r^2). For c > 1,
+    c - x = (1 + rho^2 - 2 rho cos t) / (2 rho) with rho = c - sqrt(c^2 - 1),
+    so 1/(c - x) has c_k = 2 rho^k / k and the PV part is -ln(1 - rho^2) / 2.
+    """
     with mpmath.workdps(70):
         ce = cheb_log_expand(h_exp_linear(1), P64)
         assert float(abs(pv_double_integral(ce) - mpmath.mpf(1) / 8)) < 1e-50
         ce = cheb_log_expand(h_exp_cheb2(1), P64)
         assert float(abs(pv_double_integral(ce) - mpmath.mpf(1) / 4)) < 1e-50
         assert float(abs(pv_double_integral(cheb_log_expand(parse_h("1"), P64)))) < 1e-60
-
-
-def test_pv_quadrature_path_agrees_with_closed_form():
-    with mpmath.workdps(70):
-        for h in (h_exp_linear(1), parse_h("1 + x^2/2"), parse_h("exp(x) / (2 + x)")):
-            ce = cheb_log_expand(h, P64)
-            closed = pv_double_integral(ce, method="closed")
-            quad = pv_double_integral(ce, method="quadrature")
-            assert float(abs(closed - quad)) < 1e-50, h.source
+        r = 5 - 2 * mpmath.sqrt(6)
+        ce = cheb_log_expand(parse_h("1 + x^2/2"), P64)
+        assert float(abs(pv_double_integral(ce) + mpmath.log(1 - r * r))) < 1e-52
+        for c in ("2", "1.05"):
+            rho = mpmath.mpf(c) - mpmath.sqrt(mpmath.mpf(c) ** 2 - 1)
+            ce = cheb_log_expand(parse_h(f"1/({c} - x)"), P64)
+            assert float(abs(pv_double_integral(ce) + mpmath.log(1 - rho * rho) / 2)) < 1e-52, c
 
 
 def test_pv_is_nonnegative():
@@ -104,28 +61,6 @@ def test_mean_term_constant_perturbation():
         assert float(abs(mean_term(ce, 10, jp) - want)) < 1e-50
 
 
-def test_mean_term_forms_agree_for_symmetric_weight():
-    # flat weight: the size-n band density is exactly the arcsine law,
-    # so the finite and limit forms coincide
-    with mpmath.workdps(64):
-        ce = cheb_log_expand(parse_h("1 + x^2/2"), P64)
-        lim = mean_term(ce, 50, LEG, form="limit")
-        fin = mean_term(ce, 50, LEG, form="finite")
-        assert float(abs(fin - lim)) < 1e-2
-
-
-def test_mean_term_forms_gap_matches_edge_correction():
-    """One-sided exponent: the finite-band mean approaches the limit form
-    offset by the endpoint factor -(alpha/2) ln h(1)."""
-    with mpmath.workdps(64):
-        jp = JacobiParams(Fraction(1, 2), 0)
-        h = parse_h("1 + x^2/2")
-        ce = cheb_log_expand(h, P64)
-        gap = mean_term(ce, 50, jp, form="finite") - mean_term(ce, 50, jp, form="limit")
-        edge = -mpmath.mpf(1) / 4 * mpmath.log(mpmath.mpf(3) / 2)
-        assert float(abs(gap - edge)) < 1e-2
-
-
 def test_scaling_covariance():
     """c*h shifts the mean by (n+s/2) ln c and leaves the variance alone."""
     with mpmath.workdps(64):
@@ -136,14 +71,6 @@ def test_scaling_covariance():
         assert float(abs((t2.mean - t1.mean) - want)) < 1e-50
         assert float(abs(t2.variance - t1.variance)) < 1e-50
         assert t1.variance >= 0
-
-
-def test_finite_form_terms_available():
-    with mpmath.workdps(64):
-        t = linstat_terms(parse_h("1 + x^2/2"), 20, JacobiParams(1, 0), P64,
-                          form="finite")
-        assert t.form == "finite"
-        assert t.variance >= 0
 
 
 def test_trivial_perturbation_reduces_to_pure_asymptotic():

@@ -1,4 +1,4 @@
-"""Log-Gamma, log-Barnes-G, the constant K, and the large-argument expansion."""
+"""Log-Gamma and log-Barnes-G."""
 from fractions import Fraction
 
 import mpmath
@@ -6,15 +6,10 @@ import pytest
 
 from hankelpert.errors import DomainError
 from hankelpert.precision import Precision
-from hankelpert.specfun import (constant_K, log_barnes_g, log_barnes_g_asym,
-                                log_gamma)
+from hankelpert.specfun import log_barnes_g, log_gamma
 
 P64 = Precision(64)
 P80 = Precision(80)
-
-# ln K to 62 digits, frozen from an independent evaluation of zeta'(-1)
-LOG_K_62 = "-0.16542114370045092921391966024278064276403638033520178366652231"
-
 
 def test_log_gamma_anchor_values():
     # Gamma(1) = Gamma(2) = 1, Gamma(1/2) = sqrt(pi)
@@ -65,42 +60,6 @@ def test_barnes_g_recurrence_ladder():
         assert float(abs(acc - log_barnes_g(z + 20, P80))) < 1e-70
 
 
-def test_constant_k_frozen_and_zeta_link():
-    got = constant_K(P64)
-    with mpmath.workdps(70):
-        frozen = mpmath.mpf(LOG_K_62)
-        assert float(abs(got - frozen)) < 1e-61
-        # same number as zeta'(-1), computed by a different route entirely
-        zp = mpmath.zeta(-1, 1, 1)
-        assert float(abs(got - zp)) < 1e-61
-
-
-def test_asym_error_shrinks_like_one_over_n():
-    with mpmath.workdps(80):
-        for a in (0, Fraction(1, 2), 1):
-            errs = []
-            for n in (10, 20, 40, 80):
-                direct = log_barnes_g(n + a + 1, P64)
-                errs.append(abs(direct - log_barnes_g_asym(n, a, P64)))
-            assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:])), f"a = {a}: {errs}"
-            # first-order error for a shifted argument, second-order when a = 0
-            for e1, e2 in zip(errs, errs[1:]):
-                ratio = float(e1 / e2)
-                assert 1.5 < ratio < 4.6, f"a = {a}: halving ratio {ratio}"
-
-
-def test_asym_a_dependence_identity():
-    """asym(n,a) - asym(n,0) = (a n + a^2/2) ln n - a n + (a/2) ln 2pi exactly."""
-    with mpmath.workdps(70):
-        n = mpmath.mpf(17)
-        ln2pi = mpmath.log(2 * mpmath.pi)
-        for a_s in ("0.5", "1", "2.25"):
-            a = mpmath.mpf(a_s)
-            lhs = log_barnes_g_asym(17, a, P64) - log_barnes_g_asym(17, 0, P64)
-            rhs = (a * n + a * a / 2) * mpmath.log(n) - a * n + a / 2 * ln2pi
-            assert float(abs(lhs - rhs)) < 1e-55, f"a = {a_s}"
-
-
 def test_rejects_nonpositive_arguments():
     with pytest.raises(DomainError):
         log_gamma(0, P64)
@@ -108,5 +67,3 @@ def test_rejects_nonpositive_arguments():
         log_gamma(-3, P64)
     with pytest.raises(DomainError):
         log_barnes_g(Fraction(-1, 2), P64)
-    with pytest.raises(DomainError):
-        log_barnes_g_asym(0, 1, P64)
