@@ -12,7 +12,7 @@ import mpmath
 import pytest
 
 import hankelpert.cli as cli
-from hankelpert import hankel, jacobi, linstat, quadrature
+from hankelpert import hankel, jacobi, linstat, quadrature, specfun
 from hankelpert.errors import PrecisionError
 
 LN2 = math.log(2)
@@ -149,6 +149,34 @@ def test_exact_row_evaluates_barnes_g_head_once(capsys, monkeypatch):
     assert rep["rows"][0]["log_det_asym"] is not None
     # 6 n-dependent terms, plus the 5 of the head, once
     assert len(calls) == 11
+
+
+class _Forbidden:
+    """Stands in for an mpmath value or function that no run may read."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError(f"{self.name} was called")
+
+    @property
+    def _mpf_(self):
+        raise AssertionError(f"{self.name} was read")
+
+
+def test_runs_use_neither_mpmath_barnesg_nor_glaisher(capsys, monkeypatch):
+    """ln G comes from the package's kernel: mpmath's barnesg lifts with one Gamma call per
+    step, and its Glaisher constant alone takes tens of ms in a fresh process."""
+    for target in (mpmath, mpmath.mp):
+        monkeypatch.setattr(target, "barnesg", _Forbidden("mpmath.barnesg"))
+        monkeypatch.setattr(target, "glaisher", _Forbidden("mpmath.glaisher"))
+    jacobi.jacobi_asym_constant.cache_clear()
+    specfun._zeta_prime_minus_one.cache_clear()
+    for argv in (["exact", "--n", "10", "--alpha", "1/2", "--beta", "3/2"],
+                 ["compare", "--n", "10", "--h", "exp(x)"]):
+        code, _, err = run(argv, capsys)
+        assert code == 0, (argv, err)
 
 
 def test_compare_refuses_exponents_below_half_before_moments(capsys, monkeypatch):

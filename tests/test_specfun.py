@@ -1,11 +1,12 @@
 """Log-Gamma and log-Barnes-G."""
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from hankelpert.errors import DomainError
-from hankelpert.precision import Precision
+from hankelpert.precision import GUARD_DIGITS, Precision
 from hankelpert.specfun import log_barnes_g, log_gamma
 
 P64 = Precision(64)
@@ -58,6 +59,31 @@ def test_barnes_g_recurrence_ladder():
         for j in range(20):
             acc += log_gamma(z + j, P80)
         assert float(abs(acc - log_barnes_g(z + 20, P80))) < 1e-70
+
+
+ORACLE_Z = (Fraction(1, 100), Fraction(1, 3), Fraction(1, 2), Fraction(7, 6), Fraction(5, 3),
+            Fraction(5, 2), Fraction(37, 3), Fraction(101, 2), Fraction(1001, 3))
+
+
+@pytest.mark.parametrize("digits", (32, 111, 320))
+def test_barnes_g_against_independent_references(digits):
+    """The kernel against mpmath's barnesg at digits + 60 (lifted by Gamma steps, constant
+    from Glaisher's A), G(1/2) = 2^(1/24) e^(1/8) pi^(-1/4) A^(-3/2) and
+    G(101) = prod_{k<100} k!. The bound is 10^6 below the contract bound 10^(8 - digits):
+    the kernel's own guard digits keep the result within 100 units of its working
+    precision, digits + GUARD_DIGITS, and dropping them fails here."""
+    p = Precision(digits)
+    bound = mpmath.mpf(10) ** (2 - digits - GUARD_DIGITS)
+    with mpmath.workdps(digits + 60):
+        args = [mpmath.mpf(z.numerator) / z.denominator for z in ORACLE_Z]
+        args.append(mpmath.sqrt(2) * mpmath.e)  # irrational, lifted across a non-integer range
+        cases = [(z, mpmath.log(mpmath.barnesg(z))) for z in args]
+        cases.append((Fraction(1, 2), mpmath.log(2) / 24 + mpmath.mpf(1) / 8
+                      - mpmath.log(mpmath.pi) / 4 - 3 * mpmath.log(mpmath.glaisher) / 2))
+        cases.append((101, mpmath.log(math.prod(math.factorial(k) for k in range(100)))))
+        for z, want in cases:
+            got = log_barnes_g(z, p)
+            assert abs(got - want) <= bound * abs(want), f"z = {z}"
 
 
 def test_rejects_nonpositive_arguments():
