@@ -24,9 +24,8 @@ from .precision import BigReal, Precision, ensure_finite, exact_fraction, to_mpf
 from .specfun import log_barnes_g, log_gamma
 from .jacobi import (JacobiParams, jacobi_alpha_n, jacobi_alpha_n_exact,
                      jacobi_asym_constant, jacobi_beta_n, jacobi_beta_n_exact,
-                     jacobi_hn, jacobi_log_hn, jacobi_logdet_asym,
-                     jacobi_logdet_exact, jacobi_moment, jacobi_moment_exact,
-                     jacobi_recurrence_table)
+                     jacobi_log_hn, jacobi_logdet_asym, jacobi_logdet_exact,
+                     jacobi_moment, jacobi_moment_exact, jacobi_recurrence_table)
 from .quadrature import (ChebExpansion, QuadratureRule, cheb_expand,
                          cheb_expand_auto, gauss_jacobi_rule)
 from .hankel import (HankelResult, MomentSequence, auto_digits,
@@ -41,9 +40,8 @@ from .fluid import (EquilibriumDensity, SupportInterval, band_kernel,
 from .linstat import (AsymptoticPrediction, LinStatTerms, assemble_prediction,
                       cheb_log_expand, linstat_terms, mean_term,
                       pv_double_integral)
-from .dsl import (PerturbationFn, PositivityCertificate, h_const,
-                  h_exp_cheb2, h_exp_linear, h_one, h_one_plus_square,
-                  parse_h, to_source, validate_positive)
+from .dsl import (PerturbationFn, h_const, h_exp_cheb2, h_exp_linear, h_one,
+                  h_one_plus_square, parse_h, to_source, validate_positive)
 
 __all__ = [
     "__version__",
@@ -58,7 +56,7 @@ __all__ = [
     # bare weight
     "JacobiParams", "jacobi_alpha_n", "jacobi_beta_n", "jacobi_alpha_n_exact",
     "jacobi_beta_n_exact", "jacobi_recurrence_table",
-    "jacobi_moment", "jacobi_moment_exact", "jacobi_log_hn", "jacobi_hn",
+    "jacobi_moment", "jacobi_moment_exact", "jacobi_log_hn",
     "jacobi_logdet_exact", "jacobi_logdet_asym", "jacobi_asym_constant",
     # quadrature and expansions
     "QuadratureRule", "gauss_jacobi_rule", "ChebExpansion", "cheb_expand",
@@ -78,7 +76,7 @@ __all__ = [
     "mean_term", "LinStatTerms", "linstat_terms", "AsymptoticPrediction",
     "assemble_prediction",
     # perturbation expressions
-    "PerturbationFn", "PositivityCertificate", "parse_h", "to_source",
+    "PerturbationFn", "parse_h", "to_source",
     "validate_positive", "h_one", "h_const", "h_exp_linear", "h_exp_cheb2",
     "h_one_plus_square",
 ]

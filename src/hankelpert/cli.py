@@ -40,7 +40,7 @@ from mpmath import mpf
 from . import __version__
 from .errors import (DomainError, EvalDomainError, ParseError,
                      PositivityError, PrecisionError)
-from .precision import Precision, to_mpf
+from .precision import Precision
 from .jacobi import (JacobiParams, jacobi_alpha_n, jacobi_beta_n,
                      jacobi_log_hn, jacobi_logdet_asym, jacobi_logdet_exact,
                      require_asymptotic)
@@ -137,10 +137,10 @@ def _ensemble_check(n: int, jp: JacobiParams, h, p: Precision, ratio) -> tuple:
     return average, abs(ratio - average), mpf(10) ** (HEINE_GUARD - p.decimal_digits)
 
 
-def _validated_h(args):
+def _validated_h(args) -> tuple:
+    """The parsed --h and the smallest value its positivity screen sampled."""
     h = parse_h(args.h)
-    cert = validate_positive(h, 257, Precision(64))
-    return h.with_certificate(cert)
+    return h, validate_positive(h, 257, Precision(64))
 
 
 def _parameters(jp: JacobiParams, n, **extra) -> dict:
@@ -230,7 +230,7 @@ def cmd_compare(args) -> tuple:
     jp = JacobiParams(args.alpha, args.beta)
     ns = _parse_n_list(args.n)
     _warn_if_below_policy(args, ns)
-    h = _validated_h(args)
+    h, h_min = _validated_h(args)
     require_asymptotic(jp)
     moments = _once_at_largest(
         args, ns, lambda top, p: perturbed_moment_sequence(jp, h, top, p, m=args.quad_order))
@@ -274,7 +274,7 @@ def cmd_compare(args) -> tuple:
 
     rows, code = _run_rows(ns, lambda n: _row_digits(args, n), row)
     return _parameters(
-        jp, ns, h=h.source, h_min_sampled=_fmt(h.positivity_certificate.min_value, 16),
+        jp, ns, h=h.source, h_min_sampled=_fmt(h_min, 16),
         asymptotic_valid=jp.asymptotic_valid, digits=_digits_param(args),
         quad_order=args.quad_order), rows, code
 
@@ -290,8 +290,8 @@ def cmd_fluid(args) -> tuple:
             si = support_endpoints(n, jp)
             shifted = support_endpoints_shifted(n, jp)
             alpha_tilde, beta_tilde = fluid_recurrence(n, jp)
-            alpha_true = to_mpf(jacobi_alpha_n(n, jp))
-            beta_true = to_mpf(jacobi_beta_n(n, jp))
+            alpha_true = jacobi_alpha_n(n, jp)
+            beta_true = jacobi_beta_n(n, jp)
             return {
                 "a_n": si.a_n,
                 "b_n": si.b_n,
@@ -352,7 +352,7 @@ def cmd_heine(args) -> tuple:
         if n > 3:
             raise DomainError(f"ensemble averages are evaluated for n <= 3, got {n}")
     _warn_if_below_policy(args, ns)
-    h = _validated_h(args)
+    h, _ = _validated_h(args)
     moments = _once_at_largest(
         args, ns, lambda top, p: perturbed_moment_sequence(jp, h, top, p, m=args.quad_order))
 

@@ -28,13 +28,13 @@ negative base to a fractional power) raise EvalDomainError with the point.
 reparsing reproduces the identical tree. ``positive_sample`` is the one
 positivity rule, applied to every value of h the package reads;
 ``validate_positive`` applies it on a Chebyshev point set (endpoints
-included) before any computation.
+included) before any computation and returns the smallest value it saw.
 """
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -370,35 +370,15 @@ def _fold_rational(node):
 # --- public surface ---
 
 @dataclass(frozen=True)
-class PositivityCertificate:
-    """Record that h was sampled positive: point count, minimum, and its location."""
-
-    samples: int
-    min_value: object
-    argmin: object
-
-
-@dataclass(frozen=True)
 class PerturbationFn:
     """A positive perturbation factor: callable tree plus its normalized source."""
 
     source: str
     ast: object
-    positivity_certificate: PositivityCertificate = None
 
     def __call__(self, x) -> BigReal:
         v = evaluate(self.ast, x)
         return v if isinstance(v, mpf) else to_mpf(v)
-
-    def exact(self, x) -> Fraction:
-        """Evaluate without rounding; only trees free of transcendental calls qualify."""
-        v = evaluate(self.ast, Fraction(x))
-        if isinstance(v, Fraction):
-            return v
-        raise DomainError("expression does not evaluate exactly")
-
-    def with_certificate(self, cert: PositivityCertificate) -> "PerturbationFn":
-        return replace(self, positivity_certificate=cert)
 
 
 def parse_h(source: str) -> PerturbationFn:
@@ -417,9 +397,8 @@ def positive_sample(h, x) -> BigReal:
     return v
 
 
-def validate_positive(h: PerturbationFn, samples: int = 257,
-                      p: Precision = None) -> PositivityCertificate:
-    """Certify h > 0 on a Chebyshev point set including both endpoints.
+def validate_positive(h: PerturbationFn, samples: int = 257, p: Precision = None) -> BigReal:
+    """Screen h > 0 on a Chebyshev point set including both endpoints; return the smallest value.
 
     Samples cos(pi j / (samples-1)) for j = 0..samples-1; the clustering near
     +-1 targets where admissible perturbations degenerate first. Raises
@@ -430,19 +409,8 @@ def validate_positive(h: PerturbationFn, samples: int = 257,
         raise DomainError(f"need at least 3 sample points, got {samples}")
     ctx = p.workdps() if p is not None else mpmath.workdps(mpmath.mp.dps)
     with ctx:
-        best_v = None
-        best_x = None
-        for j in range(samples):
-            if j == 0:
-                x = mpf(1)
-            elif j == samples - 1:
-                x = mpf(-1)
-            else:
-                x = mpmath.cos(mpmath.pi * j / (samples - 1))
-            v = positive_sample(h, x)
-            if best_v is None or v < best_v:
-                best_v, best_x = v, x
-    return PositivityCertificate(samples, best_v, best_x)
+        inner = (mpmath.cos(mpmath.pi * j / (samples - 1)) for j in range(1, samples - 1))
+        return min(positive_sample(h, x) for x in (mpf(1), *inner, mpf(-1)))
 
 
 # --- ready-made perturbations ---

@@ -83,9 +83,9 @@ class MomentSequence:
     multiplicative perturbation. ``modified`` carries the moments against the
     monic orthogonal basis of the unperturbed weight ``basis`` (one extra
     entry, indices 0..2n-1); these are well conditioned, unlike the raw power
-    moments, and the recurrence route reads nothing else. Both sequence
-    constructors attach them; a hand-built sequence without them serves the
-    ldl route only.
+    moments, and the recurrence route reads nothing else.
+    :func:`perturbed_moment_sequence` attaches them; a sequence without them,
+    such as the pure one, serves the ldl route only.
     """
 
     mu: tuple
@@ -104,35 +104,30 @@ class MomentSequence:
 
 @dataclass(frozen=True)
 class HankelResult:
-    """Log-determinant of one n x n Hankel matrix, with method and precision used.
+    """Log-determinant of one n x n Hankel matrix.
 
     ``cross_tolerance`` is the absolute bound within which the ldl and
-    recurrence routes must agree at this size and precision; ``min_pivot``
-    (ldl route only) is the smallest pivot seen, a direct conditioning probe.
+    recurrence routes must agree at this size and precision.
     """
 
     n: int
     log_det: object
-    method: str
-    precision_used: Precision
-    cross_tolerance: object = None
-    min_pivot: object = None
+    cross_tolerance: object
 
 
 def pure_moment_sequence(jp: JacobiParams, n: int, p: Precision) -> MomentSequence:
     """Moments of the unperturbed weight, for determinants up to size n.
 
-    mu_0 comes from :func:`jacobi_moment`, the rest from the moment ratios.
-    The modified moments against the weight's own orthogonal basis are
-    (h_0, 0, 0, ...) by orthogonality, so they are attached analytically.
+    mu_0 comes from :func:`jacobi_moment`, the rest from the exact moment
+    ratios. The sequence carries no modified moments, so it feeds the ldl
+    route only.
     """
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     with p.workdps(_conditioning_guard(n)):
         mu0 = jacobi_moment(0, jp, Precision(max(32, mp.dps)))
         mus = tuple(mu0 * to_mpf(r) for r in jacobi_moment_ratios(2 * n - 1, jp))
-        modified = (mus[0],) + tuple(mpf(0) for _ in range(2 * n - 1))
-    return MomentSequence(mus, "pure", modified, jp)
+    return MomentSequence(mus, "pure")
 
 
 def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
@@ -198,15 +193,14 @@ def hankel_logdet_ldl(ms: MomentSequence, n: int, p: Precision) -> HankelResult:
     with p.workdps(_conditioning_guard(n)):
         zeros = [mpf(0)] * (2 * n)
         _, betas = modified_chebyshev([*ms.mu[:2 * n - 1], mpf(0)], zeros, zeros, n)
-        pivots = list(accumulate(betas, operator.mul))
-        for i, piv in enumerate(pivots):
+        for i, piv in enumerate(accumulate(betas, operator.mul)):
             if not piv > 0:
                 raise PrecisionError(
                     f"matrix not positive definite at requested precision: "
                     f"pivot {i} = {mpmath.nstr(piv, 6)} at {p.decimal_digits} digits")
         log_det = _log_det_from_betas(betas)
         tol = cross_validation_tol(n, p)
-    return HankelResult(n, log_det, "ldl", p, tol, min(pivots))
+    return HankelResult(n, log_det, tol)
 
 
 def modified_chebyshev(nu, aux_alpha, aux_beta, count: int):
@@ -268,7 +262,7 @@ def hankel_logdet_recurrence(ms: MomentSequence, n: int, jp: JacobiParams,
                     f"at {p.decimal_digits} digits")
         log_det = _log_det_from_betas((ms.mu[0],) + tuple(betas[1:]))
         tol = cross_validation_tol(n, p)
-    return HankelResult(n, log_det, "recurrence", p, tol)
+    return HankelResult(n, log_det, tol)
 
 
 def _bareiss_leading_minors(rows):

@@ -13,10 +13,12 @@ its large-n asymptotic. Determinants underflow like 2^(-n^2), so every
 product of Gammas is assembled in log space; exponentiation happens only at
 the API boundary.
 
-When both parameters are exact rationals the recurrence coefficients and the
-moment ratios mu_k/mu_0 (and, for nonnegative integer parameters, the moments)
-are also available as exact ``Fraction`` values; these form the bit-exact
-ground truth used by the tests.
+The exponents are exact rationals (``JacobiParams`` refuses any other
+value), so the recurrence coefficients and the moment ratios mu_k/mu_0 (and,
+for nonnegative integer parameters, the moments) are exact ``Fraction``
+values, rounded once where a working-precision value is asked for; they are
+also the bit-exact ground truth of the tests. An irrational exponent is
+passed as a decimal string carrying the digits it needs.
 """
 from __future__ import annotations
 
@@ -36,38 +38,32 @@ from .specfun import log_barnes_g, log_gamma
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """Weight exponents alpha, beta with alpha, beta > -1.
+    """Weight exponents alpha, beta > -1, held as exact ``Fraction`` values.
 
-    Inputs that carry an exact rational value (ints, Fractions, floats,
-    decimal or ratio strings) are normalized to ``Fraction`` so closed-form
-    coefficient formulas can be evaluated exactly; anything else is kept as
-    an mpf. ``asymptotic_valid`` flags the parameter region alpha >= -1/2,
-    beta >= -1/2 in which the large-n determinant asymptotic holds.
+    Ints, Fractions, floats and decimal or ratio strings all have an exact
+    rational value (:func:`exact_fraction`); anything else, an mpf included,
+    raises DomainError naming the parameter. ``asymptotic_valid`` flags the
+    parameter region alpha >= -1/2, beta >= -1/2 in which the large-n
+    determinant asymptotic holds.
     """
 
-    alpha: object
-    beta: object
+    alpha: Fraction
+    beta: Fraction
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
             raw = getattr(self, name)
             q = exact_fraction(raw)
-            if q is not None:
-                object.__setattr__(self, name, q)
-            elif not isinstance(raw, mpf):
-                raise DomainError(f"{name} must be a real number, got {raw!r}")
-            v = getattr(self, name)
-            if not v > -1:
-                raise DomainError(f"{name} must exceed -1 for integrable moments, got {v}")
-
-    @property
-    def is_rational(self) -> bool:
-        return isinstance(self.alpha, Fraction) and isinstance(self.beta, Fraction)
+            if q is None:
+                raise DomainError(f"{name} must be a rational number (a decimal string "
+                                  f"for an irrational value), got {raw!r}")
+            if not q > -1:
+                raise DomainError(f"{name} must exceed -1 for integrable moments, got {q}")
+            object.__setattr__(self, name, q)
 
     @property
     def is_nonneg_integer(self) -> bool:
-        return (self.is_rational
-                and self.alpha.denominator == 1 and self.alpha >= 0
+        return (self.alpha.denominator == 1 and self.alpha >= 0
                 and self.beta.denominator == 1 and self.beta >= 0)
 
     @property
@@ -79,14 +75,10 @@ class JacobiParams:
         """(alpha, beta) as mpf at the current working precision."""
         return to_mpf(self.alpha), to_mpf(self.beta)
 
-    def ab_exact(self) -> tuple[Fraction, Fraction]:
-        if not self.is_rational:
-            raise DomainError("parameters are not exact rationals")
-        return self.alpha, self.beta
 
-
-def _alpha_n(n: int, a, b):
-    """alpha_n over the field of a and b: Fractions stay exact, mpfs run at working precision."""
+def jacobi_alpha_n_exact(n: int, jp: JacobiParams) -> Fraction:
+    """Exact diagonal recurrence coefficient alpha_n."""
+    a, b = jp.alpha, jp.beta
     s = a + b
     if n == 0:
         # the generic formula is 0/0 at n=0 when alpha+beta=0; the
@@ -96,10 +88,11 @@ def _alpha_n(n: int, a, b):
     return (b * b - a * a) / ((2 * n + s) * (2 * n + s + 2))
 
 
-def _beta_n(n: int, a, b):
-    """beta_n (n >= 1) over the field of a and b, like :func:`_alpha_n`."""
+def jacobi_beta_n_exact(n: int, jp: JacobiParams) -> Fraction:
+    """Exact off-diagonal recurrence coefficient beta_n (n >= 1), always positive."""
     if n < 1:
         raise DomainError(f"beta_n is defined for n >= 1, got {n}")
+    a, b = jp.alpha, jp.beta
     s = a + b
     if n == 1:
         # at n=1 the factors (n+s) and (2n+s-1) coincide; cancelling them
@@ -109,28 +102,14 @@ def _beta_n(n: int, a, b):
             / ((2 * n + s) ** 2 * (2 * n + s + 1) * (2 * n + s - 1)))
 
 
-def jacobi_alpha_n_exact(n: int, jp: JacobiParams) -> Fraction:
-    """Exact diagonal recurrence coefficient alpha_n for rational parameters."""
-    return _alpha_n(n, *jp.ab_exact())
-
-
-def jacobi_beta_n_exact(n: int, jp: JacobiParams) -> Fraction:
-    """Exact off-diagonal recurrence coefficient beta_n (n >= 1) for rational parameters."""
-    return _beta_n(n, *jp.ab_exact())
-
-
 def jacobi_alpha_n(n: int, jp: JacobiParams) -> BigReal:
-    """Diagonal recurrence coefficient alpha_n at the current working precision."""
-    if jp.is_rational:
-        return to_mpf(jacobi_alpha_n_exact(n, jp))
-    return _alpha_n(n, *jp.ab_mpf())
+    """alpha_n rounded to the current working precision."""
+    return to_mpf(jacobi_alpha_n_exact(n, jp))
 
 
 def jacobi_beta_n(n: int, jp: JacobiParams) -> BigReal:
-    """Off-diagonal recurrence coefficient beta_n (n >= 1), always positive."""
-    if jp.is_rational:
-        return to_mpf(jacobi_beta_n_exact(n, jp))
-    return _beta_n(n, *jp.ab_mpf())
+    """beta_n (n >= 1) rounded to the current working precision."""
+    return to_mpf(jacobi_beta_n_exact(n, jp))
 
 
 def jacobi_recurrence_table(count: int, jp: JacobiParams) -> tuple:
@@ -149,10 +128,10 @@ def jacobi_moment_ratios(count: int, jp: JacobiParams) -> list:
 
     The recurrence integrates d/dx[(1-x)^(a+1) (1+x)^(b+1) x^k] over [-1, 1];
     both of its solutions decay like powers of k, so the forward run is
-    stable. Exact Fractions for rational parameters, else mpfs at working precision.
+    stable. The ratios are exact Fractions.
     """
-    a, b = (jp.alpha, jp.beta) if jp.is_rational else jp.ab_mpf()
-    ratios = [a * 0 + 1, (b - a) / (a + b + 2)]
+    a, b = jp.alpha, jp.beta
+    ratios = [Fraction(1), (b - a) / (a + b + 2)]
     for k in range(1, count - 1):
         ratios.append(((b - a) * ratios[k] + k * ratios[k - 1]) / (a + b + k + 2))
     return ratios[:count]
@@ -177,7 +156,7 @@ def jacobi_moment(k: int, jp: JacobiParams, p: Precision) -> BigReal:
         raise DomainError(f"moment order must be nonnegative, got {k}")
     with p.workdps():
         ratio = to_mpf(jacobi_moment_ratios(k + 1, jp)[k])
-        return ensure_finite(jacobi_hn(0, jp, p) * ratio, f"mu_{k}")
+        return ensure_finite(mpmath.exp(jacobi_log_hn(0, jp, p)) * ratio, f"mu_{k}")
 
 
 def jacobi_log_hn(n: int, jp: JacobiParams, p: Precision) -> BigReal:
@@ -204,12 +183,6 @@ def jacobi_log_hn(n: int, jp: JacobiParams, p: Precision) -> BigReal:
                  + log_gamma(n + b + 1, inner) + log_gamma(n + s + 1, inner)
                  - mpmath.log(2 * n + s + 1) - 2 * log_gamma(2 * n + s + 1, inner))
         return ensure_finite(value, f"ln h_{n}")
-
-
-def jacobi_hn(n: int, jp: JacobiParams, p: Precision) -> BigReal:
-    """Square norm h_n, computed in log space and exponentiated at the boundary."""
-    with p.workdps():
-        return ensure_finite(mpmath.exp(jacobi_log_hn(n, jp, p)), f"h_{n}")
 
 
 def _log_gamma_g_ratio(s, p: Precision) -> BigReal:

@@ -83,24 +83,17 @@ def mean_term(ce: ChebExpansion, n: int, jp: JacobiParams) -> BigReal:
 
 @dataclass(frozen=True)
 class LinStatTerms:
-    """Mean and variance of sum_j ln h(x_j) at size n."""
+    """Mean of sum_j ln h(x_j) at size n; its variance half is :func:`pv_double_integral`."""
 
     mean: object
-    variance: object
     n: int
 
 
 def linstat_terms(h, n: int, jp: JacobiParams, p: Precision) -> LinStatTerms:
-    """Cumulant data of the log-perturbation statistic.
-
-    Mean and variance read the global Chebyshev data of ln h; the variance
-    is twice :func:`pv_double_integral`, sum k c_k^2 / 4.
-    """
+    """Mean of the log-perturbation statistic, read from the global Chebyshev data of ln h."""
     with p.workdps():
-        ce = cheb_log_expand(h, p)
-        mean = mean_term(ce, n, jp)
-        variance = 2 * pv_double_integral(ce)
-    return LinStatTerms(mean, variance, n)
+        mean = mean_term(cheb_log_expand(h, p), n, jp)
+    return LinStatTerms(mean, n)
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,6 @@ class AsymptoticPrediction:
     boundary_part: object
     edge_part: object
     pure_constant_part: object
-    precision: Precision
     expansion: ChebExpansion
 
     @property
@@ -173,4 +165,4 @@ def assemble_prediction(n: int, jp: JacobiParams, h, p: Precision,
                         ("boundary", boundary), ("edge", edge), ("pv", pv),
                         ("constant", pure)):
             ensure_finite(v, f"{name} part")
-    return AsymptoticPrediction(n, log_leading, log_mean, pv, boundary, edge, pure, p, ce)
+    return AsymptoticPrediction(n, log_leading, log_mean, pv, boundary, edge, pure, ce)

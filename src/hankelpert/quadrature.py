@@ -53,19 +53,13 @@ SEED_ITERATIONS = 200
 class QuadratureRule:
     """Gauss rule of order m: strictly increasing nodes in (-1,1), positive weights.
 
-    Exact (to working precision) for polynomial integrands of degree up to
-    2m-1 against the weight described by ``jp``; the weight total equals the
-    zeroth moment mu_0.
+    The sum of w_i f(x_i) is exact (to working precision) for polynomial f
+    of degree up to 2m-1 against the weight the rule was built for; the
+    weight total equals the zeroth moment mu_0.
     """
 
     nodes: tuple
     weights: tuple
-    order: int
-    jp: JacobiParams
-
-    def integrate(self, f) -> BigReal:
-        """Sum of w_i * f(x_i) at the current working precision."""
-        return mpmath.fsum(w * f(x) for x, w in zip(self.nodes, self.weights))
 
 
 def _eval_float(x: float, two_alpha, four_beta) -> tuple:
@@ -219,7 +213,7 @@ def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
                     f"Q_(m-1) Q'_m = {mpmath.ldexp(qm1 * dq, -2 * bits)}")
             weights.append(ensure_finite(scale / (qm1 * dq), f"weight {i}"))
         return QuadratureRule(tuple(mpmath.ldexp(x, -bits) for x in nodes),
-                              tuple(weights), m, jp)
+                              tuple(weights))
 
 
 @dataclass(frozen=True)

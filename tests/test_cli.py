@@ -1,10 +1,13 @@
 """End-to-end command-line behavior: report schema, values, and exit codes."""
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -321,6 +324,50 @@ def test_reports_are_deterministic(capsys):
     assert strip_timing(rep1) == strip_timing(rep2)
 
 
+#: Reports pinned in data/reports.json. A change that moves a printed digit
+#: regenerates the file with ``PYTHONPATH=src python tests/test_cli.py`` and
+#: lists the fields that moved.
+PINNED_REPORTS = pathlib.Path(__file__).resolve().parent / "data" / "reports.json"
+PINNED_ARGV = (
+    ["exact", "--n", "1,12", "--alpha", "1/2", "--beta", "3/2"],
+    ["exact", "--n", "5", "--alpha=-2/3", "--beta", "1/2"],
+    ["compare", "--n", "10:20:10", "--alpha=-1/2", "--beta=-1/2", "--h", "exp(x)"],
+    ["compare", "--n", "2,3", "--alpha", "1/3", "--beta", "2", "--h", "1 + x^2/2", "--heine"],
+    ["heine", "--n", "1,2", "--alpha", "1/2", "--h", "cosh(x)"],
+    ["fluid", "--n", "5,50", "--alpha", "1", "--beta", "2"],
+    ["density", "--n", "20", "--alpha", "1/2", "--beta", "1", "--points", "9"],
+)
+
+
+def pinned_report(argv) -> dict:
+    """Exit code and report of one run, without its timing fields."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    report = strip_timing(json.loads(out.getvalue()))
+    report["parameters"].pop("elapsed_s", None)
+    return {"argv": argv, "exit": code, "report": report}
+
+
+def _differences(expected, got, where=""):
+    """Paths of the fields in which two JSON values differ."""
+    if isinstance(expected, dict) and isinstance(got, dict):
+        return [d for key in {**expected, **got}
+                for d in _differences(expected.get(key), got.get(key), f"{where}.{key}")]
+    if isinstance(expected, list) and isinstance(got, list) and len(expected) == len(got):
+        return [d for i, (e, g) in enumerate(zip(expected, got))
+                for d in _differences(e, g, f"{where}[{i}]")]
+    return [] if expected == got else [f"{where}: {expected!r} -> {got!r}"]
+
+
+def test_reports_match_pinned_reports():
+    pinned = json.loads(PINNED_REPORTS.read_text())
+    assert [entry["argv"] for entry in pinned] == list(PINNED_ARGV)
+    moved = [f"{shlex.join(entry['argv'])}: {d}" for entry in pinned
+             for d in _differences(entry, pinned_report(entry["argv"]))]
+    assert not moved, "reports moved from data/reports.json:\n" + "\n".join(moved)
+
+
 def test_low_digit_override_warns(capsys):
     code, out, err = run(["exact", "--n", "40", "--digits", "32"], capsys)
     assert code == 0
@@ -457,3 +504,9 @@ def test_usage_error_exits_2(capsys):
     code = cli.main(["nonsense"])
     capsys.readouterr()
     assert code == 2
+
+
+if __name__ == "__main__":
+    PINNED_REPORTS.parent.mkdir(exist_ok=True)
+    PINNED_REPORTS.write_text(
+        json.dumps([pinned_report(argv) for argv in PINNED_ARGV], indent=2) + "\n")

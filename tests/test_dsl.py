@@ -79,13 +79,13 @@ def test_parse_rejects_truncated_input():
 
 def test_precedence_and_associativity():
     h = parse_h("1 + 2*x^2")
-    assert h.exact(Fraction(3)) == 19
+    assert evaluate(h.ast, Fraction(3)) == 19
     # unary minus binds looser than the power
     assert evaluate(parse_h("2 - x^2").ast, Fraction(3)) == -7
     # left-assoc chain: 8/4/2 = 1
     assert evaluate(parse_h("8/4/2 + x").ast, Fraction(0)) == 1
     # power tower folds right-assoc: x^2^3 = x^8
-    assert parse_h("x^2^3 + 1").exact(Fraction(2)) == 257
+    assert evaluate(parse_h("x^2^3 + 1").ast, Fraction(2)) == 257
 
 
 def test_round_trip_preserves_tree():
@@ -131,9 +131,10 @@ def test_builtin_sources_are_pinned():
 
 
 def test_exact_evaluation_stays_rational():
-    h = parse_h("1 + x^2/2")
-    assert h.exact(Fraction(1, 3)) == Fraction(19, 18)
-    assert parse_h("(1 + x)^(-2)").exact(Fraction(1)) == Fraction(1, 4)
+    for source, x, want in (("1 + x^2/2", Fraction(1, 3), Fraction(19, 18)),
+                            ("(1 + x)^(-2)", Fraction(1), Fraction(1, 4))):
+        got = evaluate(parse_h(source).ast, x)
+        assert isinstance(got, Fraction) and got == want, source
 
 
 def test_mpf_evaluation_values():
@@ -180,16 +181,14 @@ def test_function_domain_boundaries():
 
 
 def test_validate_accepts_positive_functions():
-    cert = validate_positive(parse_h("exp(x)"), samples=257, p=Precision(64))
+    smallest = validate_positive(parse_h("exp(x)"), samples=257, p=Precision(64))
     with mpmath.workdps(40):
-        assert float(abs(cert.min_value - mpmath.exp(-1))) < 1e-30
-        assert float(abs(cert.argmin + 1)) < 1e-30
-    assert cert.samples >= 257
+        # the minimum is h(-1), an endpoint of the point set
+        assert float(abs(smallest - mpmath.exp(-1))) < 1e-30
 
 
 def test_validate_thin_positive_margin():
-    cert = validate_positive(parse_h("1 - 0.999*x^2"))
-    assert 0 < float(cert.min_value) < 0.0011
+    assert 0 < float(validate_positive(parse_h("1 - 0.999*x^2"))) < 0.0011
 
 
 def test_validate_rejects_sign_changes():
@@ -204,15 +203,6 @@ def test_validate_rejects_sign_changes():
 def test_validate_propagates_evaluation_failures():
     with pytest.raises(EvalDomainError):
         validate_positive(parse_h("log(x - 2)"))
-
-
-def test_certificate_attachment():
-    h = parse_h("2 + x")
-    assert h.positivity_certificate is None
-    cert = validate_positive(h)
-    h2 = h.with_certificate(cert)
-    assert h2.positivity_certificate is cert
-    assert h2.ast == h.ast
 
 
 def test_builtin_constructor_guards():

@@ -65,3 +65,36 @@ def test_every_definition_is_read_by_code_that_runs():
                     and not any(node.name in r for j, r in enumerate(reads) if j != i)):
                 unread.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
     assert not unread, "read by no run: " + ", ".join(unread)
+
+
+def _attribute_reads(tree):
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _class_members(cls):
+    """(line, name) of each field, method and property a class body defines."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.lineno, node.target.id
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield node.lineno, target.id
+
+
+def test_every_class_member_is_read_by_code_that_runs():
+    """A field, method or property of a package class that code that runs never
+    reads as an attribute; dunders are called by the language and are exempt."""
+    read = set().union(*(_attribute_reads(_parse(path)) for path in RUN_READERS))
+    unread = []
+    for path in DEFINING:
+        for cls in ast.walk(_parse(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for line, name in _class_members(cls):
+                if not (name.startswith("__") and name.endswith("__")) and name not in read:
+                    unread.append(f"{path.relative_to(ROOT)}:{line}: {cls.name}.{name}")
+    assert not unread, "read by no run: " + ", ".join(unread)

@@ -5,10 +5,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import hankelpert.cli as cli
 from hankelpert.errors import DomainError, ValidityError
-from hankelpert.jacobi import (JacobiParams, jacobi_alpha_n, jacobi_alpha_n_exact,
+from hankelpert.jacobi import (JacobiParams, jacobi_alpha_n_exact,
                                jacobi_asym_constant, jacobi_beta_n,
-                               jacobi_beta_n_exact, jacobi_hn, jacobi_log_hn,
+                               jacobi_beta_n_exact, jacobi_log_hn,
                                jacobi_logdet_asym, jacobi_logdet_exact,
                                jacobi_moment, jacobi_moment_exact,
                                jacobi_recurrence_table)
@@ -23,7 +24,7 @@ def test_params_normalize_to_fractions():
     jp = JacobiParams("1/2", 0.25)
     assert jp.alpha == HALF and isinstance(jp.alpha, Fraction)
     assert jp.beta == Fraction(1, 4)
-    assert jp.is_rational and not jp.is_nonneg_integer
+    assert not jp.is_nonneg_integer
     assert JacobiParams(2, 0).is_nonneg_integer
 
 
@@ -112,18 +113,14 @@ def test_recurrence_against_rational_gram_schmidt():
             assert betas[k] == jacobi_beta_n_exact(k, jp), f"{pair} beta_{k}"
 
 
-def test_recurrence_mpf_path_matches_exact_path():
-    # irrational-parameter code path, pinned at a rational point passed as mpf
-    with mpmath.workdps(64):
-        jp_f = JacobiParams(mpmath.mpf(1) / 2, mpmath.mpf("0.75"))
-        jp_q = JacobiParams(HALF, Fraction(3, 4))
-        assert not jp_f.is_rational and jp_q.is_rational
-        for n in (0, 1, 2, 7, 30):
-            da = abs(jacobi_alpha_n(n, jp_f) - jacobi_alpha_n(n, jp_q))
-            assert float(da) < 1e-58
-            if n >= 1:
-                db = abs(jacobi_beta_n(n, jp_f) - jacobi_beta_n(n, jp_q))
-                assert float(db) < 1e-58
+def test_exponents_without_exact_value_are_refused(capsys):
+    """Exponents are exact rationals; an irrational one arrives as a decimal string."""
+    with pytest.raises(DomainError, match="alpha"):
+        JacobiParams(mpmath.sqrt(2), 0)
+    with pytest.raises(DomainError, match="beta"):
+        JacobiParams(0, "pi")
+    assert cli.main(["exact", "--n", "10", "--alpha", "0.70710678118654752440"]) == 0
+    capsys.readouterr()
 
 
 def test_legendre_recurrence_values():
@@ -181,7 +178,7 @@ def test_logdet_equals_norm_product():
 def test_hn_is_positive_and_shrinks():
     with mpmath.workdps(64):
         jp = JacobiParams(1, 0)
-        vals = [jacobi_hn(n, jp, P64) for n in range(10)]
+        vals = [mpmath.exp(jacobi_log_hn(n, jp, P64)) for n in range(10)]
         assert all(v > 0 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -250,7 +247,7 @@ def test_beta_1_cancelled_form_matches_generic_formula():
     # uncancelled expression
     for ab in ((0, 0), (HALF, 1), (2, Fraction(3, 2)), ("1/3", "-1/4")):
         jp = JacobiParams(*ab)
-        a, b = jp.ab_exact()
+        a, b = jp.alpha, jp.beta
         s = a + b
         generic = (4 * (1 + a) * (1 + b) * (1 + s)
                    / ((2 + s) ** 2 * (3 + s) * (1 + s)))
