@@ -30,8 +30,8 @@ from .quadrature import (ChebExpansion, QuadratureRule, cheb_expand,
                          cheb_expand_auto, gauss_jacobi_rule)
 from .hankel import (HankelResult, MomentSequence, auto_digits,
                      auto_precision, cross_validation_tol,
-                     hankel_logdet_ldl, hankel_logdet_recurrence,
-                     heine_average_small_n, modified_chebyshev,
+                     hankel_logdet_ldl, hankel_logdet_leading,
+                     hankel_logdet_recurrence, heine_average_small_n, modified_chebyshev,
                      perturbed_moment_sequence, pure_moment_sequence,
                      rational_hankel_minors)
 from .fluid import (EquilibriumDensity, SupportInterval, band_kernel,
@@ -64,7 +64,7 @@ __all__ = [
     # determinant routes
     "MomentSequence", "HankelResult", "auto_digits", "auto_precision",
     "cross_validation_tol", "pure_moment_sequence",
-    "perturbed_moment_sequence", "hankel_logdet_ldl",
+    "perturbed_moment_sequence", "hankel_logdet_ldl", "hankel_logdet_leading",
     "hankel_logdet_recurrence", "rational_hankel_minors",
     "modified_chebyshev", "heine_average_small_n",
     # continuum approximation

@@ -40,13 +40,13 @@ from mpmath import mpf
 from . import __version__
 from .errors import (DomainError, EvalDomainError, ParseError,
                      PositivityError, PrecisionError)
-from .precision import Precision
+from .precision import GUARD_DIGITS, Precision
 from .jacobi import (JacobiParams, jacobi_alpha_n, jacobi_beta_n,
                      jacobi_log_hn, jacobi_logdet_asym, jacobi_logdet_exact,
                      require_asymptotic)
-from .hankel import (auto_digits, hankel_logdet_ldl, hankel_logdet_recurrence,
-                     heine_average_small_n, perturbed_moment_sequence,
-                     pure_moment_sequence)
+from .hankel import (auto_digits, hankel_logdet_ldl, hankel_logdet_leading,
+                     hankel_logdet_recurrence, heine_average_small_n,
+                     perturbed_moment_sequence, pure_moment_sequence)
 from .fluid import (EquilibriumDensity, fluid_recurrence, support_endpoints,
                     support_endpoints_shifted)
 from .linstat import assemble_prediction, cheb_log_expand, mean_term
@@ -68,6 +68,9 @@ BOUNDS = (
 #: digits; these fields print that many significant digits, not ``digits``.
 DIFF_FIELDS = frozenset(diff for diff, _, _ in BOUNDS)
 DIFF_DIGITS = 3
+#: A field far smaller than the printed value it is the difference of: it
+#: prints no digit finer than that value's last printed digit.
+RESOLVED_BY = {"prediction_gap": "log_det_ldl"}
 
 
 def _parse_n_list(text: str) -> list:
@@ -127,8 +130,21 @@ def _fmt(value, digits: int):
     return str(value)
 
 
+def _fmt_resolved(value, reference, digits: int) -> str:
+    """``value`` rounded to the last digit that ``reference`` prints at ``digits`` significant digits."""
+    with mpmath.workdps(digits + GUARD_DIGITS):
+        order = int(mpmath.floor(mpmath.log10(abs(reference)))) if reference else 0
+        unit = mpf(10) ** (order - digits + 1)
+        q = int(mpmath.nint(value / unit))
+        return mpmath.nstr(q * unit, len(str(abs(q)))) if q else "0.0"
+
+
 def _fmt_row(row: dict, digits: int) -> dict:
-    return {k: _fmt(v, DIFF_DIGITS if k in DIFF_FIELDS else digits) for k, v in row.items()}
+    out = {k: _fmt(v, DIFF_DIGITS if k in DIFF_FIELDS else digits) for k, v in row.items()}
+    for field, reference in RESOLVED_BY.items():
+        if field in row:
+            out[field] = _fmt_resolved(row[field], row[reference], digits)
+    return out
 
 
 def _ensemble_check(n: int, jp: JacobiParams, h, p: Precision, ratio) -> tuple:
@@ -155,12 +171,42 @@ def _digits_param(args):
 def _once_at_largest(args, ns, build):
     """``build(N, p)`` for the largest size N at its row precision p, run on first call.
 
-    The result is cached for the other rows; each row reads the prefix it
-    needs. The rows call it inside ``_run_rows``, so a PrecisionError from
-    it becomes error rows.
+    The result, or the PrecisionError the build raised, is kept for the
+    other rows: each row reads the prefix it needs, or raises the same
+    failure again. The rows call it inside ``_run_rows``, so a failure
+    becomes error rows without building again.
     """
     top = max(ns)
-    return functools.cache(lambda: build(top, Precision(_row_digits(args, top))))
+
+    @functools.cache
+    def outcome():
+        try:
+            return build(top, Precision(_row_digits(args, top))), None
+        except PrecisionError as exc:
+            return None, exc
+
+    def shared():
+        result, failure = outcome()
+        if failure is not None:
+            raise failure
+        return result
+
+    return shared
+
+
+def _leading(route, n: int, p: Precision):
+    """Row n of a route factorized once at the largest size: that result itself
+    for the largest row, else ln D_n from the first n of its coefficients.
+
+    A breakdown at index k fails the rows n > k only.
+    """
+    try:
+        top = route()
+    except PrecisionError as exc:
+        if len(exc.leading) < n:
+            raise
+        return hankel_logdet_leading(exc.leading, n, p)
+    return top if top.n == n else hankel_logdet_leading(top.betas, n, p)
 
 
 def _run_rows(ns, digits_of, compute) -> tuple:
@@ -234,12 +280,14 @@ def cmd_compare(args) -> tuple:
     require_asymptotic(jp)
     moments = _once_at_largest(
         args, ns, lambda top, p: perturbed_moment_sequence(jp, h, top, p, m=args.quad_order))
+    ldl = _once_at_largest(args, ns, lambda top, p: hankel_logdet_ldl(moments(), top, p))
+    recurrence = _once_at_largest(
+        args, ns, lambda top, p: hankel_logdet_recurrence(moments(), top, jp, p))
     expansion = _once_at_largest(args, ns, lambda top, p: cheb_log_expand(h, p))
 
     def row(n, p):
-        ms = moments()
-        direct = hankel_logdet_ldl(ms, n, p)
-        second = hankel_logdet_recurrence(ms, n, jp, p)
+        direct = _leading(ldl, n, p)
+        second = _leading(recurrence, n, p)
         pred = assemble_prediction(n, jp, h, p, expansion())
         pure = jacobi_logdet_exact(n, jp, p)
         with p.workdps():

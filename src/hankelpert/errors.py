@@ -17,8 +17,14 @@ class PrecisionError(HankelpertError, ArithmeticError):
     """A computation failed in a way that signals insufficient working precision.
 
     Raised instead of returning silently wrong values: nonpositive pivots,
-    recurrence breakdowns, non-finite intermediate results.
+    recurrence breakdowns, non-finite intermediate results. A factorization
+    that breaks down at index k passes ``leading``, the coefficients it
+    found before k, which still serve every size up to k.
     """
+
+    def __init__(self, message, leading=()):
+        super().__init__(message)
+        self.leading = tuple(leading)
 
 
 class RootFindError(PrecisionError):

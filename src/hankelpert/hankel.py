@@ -36,10 +36,8 @@ independent oracle for the moment-based routes.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 import mpmath
 from mpmath import mp, mpf
@@ -49,7 +47,7 @@ from .errors import DomainError, PrecisionError
 from .jacobi import (JacobiParams, jacobi_moment, jacobi_moment_exact,
                      jacobi_moment_ratios, jacobi_recurrence_table)
 from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite, to_mpf
-from .quadrature import gauss_jacobi_rule
+from .quadrature import gauss_jacobi_rule, scaled_recurrence
 
 #: Extra decimal digits per matrix row consumed by pivot decay during factorization.
 CONDITIONING_GUARD_PER_ROW = 0.7
@@ -106,13 +104,17 @@ class MomentSequence:
 class HankelResult:
     """Log-determinant of one n x n Hankel matrix.
 
-    ``cross_tolerance`` is the absolute bound within which the ldl and
-    recurrence routes must agree at this size and precision.
+    ``betas`` are the recurrence coefficients beta_0..beta_{n-1} whose
+    weighted logarithms it sums, ln D_n = sum_{j<n} (n-j) ln beta_j; their
+    first k give D_k (:func:`hankel_logdet_leading`). ``cross_tolerance`` is
+    the absolute bound within which the ldl and recurrence routes must agree
+    at this size and precision.
     """
 
     n: int
     log_det: object
     cross_tolerance: object
+    betas: tuple
 
 
 def pure_moment_sequence(jp: JacobiParams, n: int, p: Precision) -> MomentSequence:
@@ -136,7 +138,14 @@ def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
 
     One pass over the nodes yields both the raw power moments mu_0..mu_{2n-2}
     and the modified moments nu_0..nu_{2n-1} against the monic orthogonal
-    basis of the unperturbed weight, evaluated by its three-term recurrence.
+    basis of the unperturbed weight. The pass runs on F-bit fixed-point
+    integers, F from :func:`scaled_recurrence` with one spare bit per bit of
+    m: each node's w h becomes an integer W, scaled so that the largest sits
+    at 2^F, the powers step as x^(k+1) W = (x^k W * X) >> F with X = 2^F x,
+    and the basis is evaluated by the scaled
+    recurrence Q_{k+1} = (2x - 2 alpha_k) Q_k - 4 beta_k Q_{k-1}, Q_k = 2^k P_k,
+    so nu_k = 2^-k sum W Q_k. Every product rounds by one unit of 2^-F of
+    the largest w h, as an mpf loop rounds by one unit of each value.
     """
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
@@ -149,25 +158,28 @@ def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
         boosted = Precision(max(32, mp.dps))
         rule = gauss_jacobi_rule(m, jp, boosted)
         count = 2 * n - 1
-        ca, cb = jacobi_recurrence_table(count, jp)
-        mus = [mpf(0)] * count
-        nus = [mpf(0)] * (count + 1)
-        for x, w in zip(rule.nodes, rule.weights):
-            wh = w * positive_sample(h, x)
-            xp = wh
-            for k in range(count):
+        bits, two_alpha, four_beta = scaled_recurrence(
+            *jacobi_recurrence_table(count, jp), m.bit_length())
+        whs = [ensure_finite(w * positive_sample(h, x), f"w h at node {i}")
+               for i, (x, w) in enumerate(zip(rule.nodes, rule.weights))]
+        shift = bits - mpmath.mag(max(whs))
+        mus = [0] * count
+        nus = [0] * (count + 1)
+        for node, wh in zip(rule.nodes, whs):
+            x = int(mpmath.ldexp(node, bits))
+            two_x = 2 * x
+            xp = q = int(mpmath.ldexp(wh, shift))
+            qm1 = 0
+            nus[0] += q
+            for k, (a, b) in enumerate(zip(two_alpha, four_beta)):
                 mus[k] += xp
-                xp *= x
-            pkm1, pk = mpf(0), mpf(1)
-            nus[0] += wh
-            for k in range(count):
-                pkp1 = (x - ca[k]) * pk - cb[k] * pkm1
-                pkm1, pk = pk, pkp1
-                nus[k + 1] += wh * pkp1
-        for k, v in enumerate(mus):
-            ensure_finite(v, f"mu_{k}")
+                xp = (xp * x) >> bits
+                qm1, q = q, ((two_x - a) * q - b * qm1) >> bits
+                nus[k + 1] += q
+        mus = tuple(mpmath.ldexp(v, -shift) for v in mus)
+        nus = tuple(mpmath.ldexp(v, -shift - k) for k, v in enumerate(nus))
     label = getattr(h, "source", None) or getattr(h, "__name__", "h")
-    return MomentSequence(tuple(mus), f"perturbed({label})", tuple(nus), jp)
+    return MomentSequence(mus, f"perturbed({label})", nus, jp)
 
 
 def _log_det_from_betas(betas) -> BigReal:
@@ -175,6 +187,39 @@ def _log_det_from_betas(betas) -> BigReal:
     n = len(betas)
     log_det = mpmath.fsum((n - j) * mpmath.log(b) for j, b in enumerate(betas))
     return ensure_finite(log_det, f"ln det (size {n})")
+
+
+def hankel_logdet_leading(betas, n: int, p: Precision) -> HankelResult:
+    """ln D_n from the first n positive recurrence coefficients of a factorization of size >= n.
+
+    The beta_0..beta_{n-1} of an N x N factorization are those of its
+    leading n x n block, whatever the moments past mu_{2n-2}, so a sweep
+    factorizes once at its largest size and reads every row from there.
+    """
+    betas = tuple(betas[:n])
+    with p.workdps(_conditioning_guard(n)):
+        return HankelResult(n, _log_det_from_betas(betas), cross_validation_tol(n, p), betas)
+
+
+def _factorization(nu, aux_alpha, aux_beta, n: int, p: Precision, mu0, breakdown) -> HankelResult:
+    """The size-n result of :func:`modified_chebyshev` on ``nu``, with beta_0 = ``mu0``.
+
+    A breakdown at index k, a nonpositive beta_k (``breakdown(k, betas)``
+    words it) or a zero denominator at step k, raises PrecisionError
+    carrying beta_0..beta_{k-1}: positive, so they still give D_1..D_k.
+    """
+    try:
+        _, betas = modified_chebyshev(nu, aux_alpha, aux_beta, n)
+        stopped = None
+    except PrecisionError as exc:
+        betas, stopped = exc.leading, exc
+    betas = (mu0, *betas[1:])
+    for k, b in enumerate(betas):
+        if not b > 0:
+            raise PrecisionError(breakdown(k, betas), betas[:k])
+    if stopped is not None:
+        raise PrecisionError(str(stopped), betas) from stopped
+    return hankel_logdet_leading(betas, n, p)
 
 
 def hankel_logdet_ldl(ms: MomentSequence, n: int, p: Precision) -> HankelResult:
@@ -192,15 +237,11 @@ def hankel_logdet_ldl(ms: MomentSequence, n: int, p: Precision) -> HankelResult:
         raise DomainError(f"moment sequence covers size {ms.max_order()}, need {n}")
     with p.workdps(_conditioning_guard(n)):
         zeros = [mpf(0)] * (2 * n)
-        _, betas = modified_chebyshev([*ms.mu[:2 * n - 1], mpf(0)], zeros, zeros, n)
-        for i, piv in enumerate(accumulate(betas, operator.mul)):
-            if not piv > 0:
-                raise PrecisionError(
-                    f"matrix not positive definite at requested precision: "
-                    f"pivot {i} = {mpmath.nstr(piv, 6)} at {p.decimal_digits} digits")
-        log_det = _log_det_from_betas(betas)
-        tol = cross_validation_tol(n, p)
-    return HankelResult(n, log_det, tol)
+        return _factorization(
+            [*ms.mu[:2 * n - 1], mpf(0)], zeros, zeros, n, p, ms.mu[0],
+            lambda i, betas: f"matrix not positive definite at requested precision: "
+                             f"pivot {i} = {mpmath.nstr(math.prod(betas[:i + 1]), 6)} "
+                             f"at {p.decimal_digits} digits")
 
 
 def modified_chebyshev(nu, aux_alpha, aux_beta, count: int):
@@ -209,7 +250,8 @@ def modified_chebyshev(nu, aux_alpha, aux_beta, count: int):
     ``nu[l]`` are the modified moments of the target weight against monic
     auxiliary polynomials with recurrence coefficients ``aux_alpha[l]``,
     ``aux_beta[l]`` (aux_beta[0] unused); 2*count moment entries produce
-    ``count`` coefficient pairs (alpha_k, beta_k), beta_0 = nu_0.
+    ``count`` coefficient pairs (alpha_k, beta_k), beta_0 = nu_0. A zero
+    denominator at step k raises PrecisionError carrying beta_0..beta_{k-1}.
 
     The arithmetic is generic: mpf inputs run at the current working
     precision, Fractions (with Fraction auxiliaries, e.g. all zeros for the
@@ -228,7 +270,7 @@ def modified_chebyshev(nu, aux_alpha, aux_beta, count: int):
             fresh[l] = (sig[l + 1] - (alphas[k - 1] - aux_alpha[l]) * sig[l]
                         - betas[k - 1] * sig_prev[l] + aux_beta[l] * sig[l - 1])
         if fresh[k] == 0 or sig[k - 1] == 0:
-            raise PrecisionError(f"moment map breakdown at step {k}: zero denominator")
+            raise PrecisionError(f"moment map breakdown at step {k}: zero denominator", betas)
         alphas.append(aux_alpha[k] + fresh[k + 1] / fresh[k] - sig[k] / sig[k - 1])
         betas.append(fresh[k] / sig[k - 1])
         sig_prev, sig = sig, fresh
@@ -254,15 +296,10 @@ def hankel_logdet_recurrence(ms: MomentSequence, n: int, jp: JacobiParams,
             f"alpha={jp.alpha}, beta={jp.beta}; sequence {ms.source!r} does not carry them")
     with p.workdps(_conditioning_guard(n)):
         aux_a, aux_b = jacobi_recurrence_table(2 * n, jp)
-        _, betas = modified_chebyshev(ms.modified[:2 * n], aux_a, aux_b, n)
-        for k in range(1, n):
-            if not betas[k] > 0:
-                raise PrecisionError(
-                    f"recurrence breakdown: beta_{k} = {mpmath.nstr(betas[k], 6)} "
-                    f"at {p.decimal_digits} digits")
-        log_det = _log_det_from_betas((ms.mu[0],) + tuple(betas[1:]))
-        tol = cross_validation_tol(n, p)
-    return HankelResult(n, log_det, tol)
+        return _factorization(
+            ms.modified[:2 * n], aux_a, aux_b, n, p, ms.mu[0],
+            lambda k, betas: f"recurrence breakdown: beta_{k} = {mpmath.nstr(betas[k], 6)} "
+                             f"at {p.decimal_digits} digits")
 
 
 def _bareiss_leading_minors(rows):

@@ -43,7 +43,9 @@ from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite, to_mpf
 
 #: Fixed-point guard bits on top of the working precision: in the Gauss rule
 #: plus 3 per bit of the rule order and the bits of :func:`_small_value_bits`,
-#: in the Chebyshev transform below the largest sample.
+#: in the perturbed moment pass (``hankel``) plus 1 per bit of the rule order
+#: and the same small-value bits, in the Chebyshev transform below the
+#: largest sample.
 KERNEL_GUARD_BITS = 16
 #: Float Newton steps allowed per seed.
 SEED_ITERATIONS = 200
@@ -116,6 +118,19 @@ def _small_value_bits(two_alpha, four_beta) -> int:
     return 1 - math.frexp(smallest)[1]
 
 
+def scaled_recurrence(ca, cb, spare_bits: int) -> tuple:
+    """(F, 2 alpha_k, 4 beta_k) of the scaled recurrence on fixed-point integers scaled by 2^F.
+
+    F is the working bits plus ``KERNEL_GUARD_BITS``, ``spare_bits`` for the
+    caller's rounding count, and the bits of :func:`_small_value_bits` for
+    the Q_k of the coefficients ``ca``, ``cb``.
+    """
+    bits = (mp.prec + KERNEL_GUARD_BITS + spare_bits
+            + _small_value_bits([float(2 * a) for a in ca], [float(4 * b) for b in cb]))
+    return (bits, [int(mpmath.ldexp(2 * a, bits)) for a in ca],
+            [int(mpmath.ldexp(4 * b, bits)) for b in cb])
+
+
 def _eval_fixed(x: int, two_alpha, four_beta, bits: int) -> tuple:
     """(Q_m(x), Q'_m(x), Q_{m-1}(x)) on fixed-point integers scaled by 2^bits."""
     two_x = 2 * x
@@ -164,11 +179,8 @@ def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
                 raise RootFindError(
                     f"seed {i} of order-{m} rule for alpha={jp.alpha}, "
                     f"beta={jp.beta} is {s}, outside (-1, 1)")
-        bits = (mp.prec + KERNEL_GUARD_BITS + 3 * m.bit_length()
-                + _small_value_bits(two_alpha_f, four_beta_f))
+        bits, two_alpha, four_beta = scaled_recurrence(ca, cb, 3 * m.bit_length())
         one = 1 << bits
-        two_alpha = [int(mpmath.ldexp(2 * a, bits)) for a in ca]
-        four_beta = [int(mpmath.ldexp(4 * b, bits)) for b in cb]
         xs = [int(mpmath.ldexp(s, bits)) for s in seeds]
         # interlacing brackets between consecutive seeds (seeds are within
         # ~1e-15 of the true roots, midpoints separate them safely)

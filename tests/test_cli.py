@@ -124,13 +124,16 @@ SWEEP = ["compare", "--n", "10:30:10", "--alpha=1/3", "--beta=2", "--h", "1+0.5*
 
 
 def test_compare_sweep_rows_match_single_size_runs(capsys, monkeypatch):
-    """One moment pass and one ln h expansion serve every row, within each row's method_tol."""
+    """One moment pass, one factorization per route and one ln h expansion serve
+    every row, within each row's method_tol."""
     rules = _counting(monkeypatch, hankel, "gauss_jacobi_rule")
+    factorizations = _counting(monkeypatch, hankel, "modified_chebyshev")
     expansions = _counting(monkeypatch, cli, "cheb_log_expand")
     inner_expansions = _counting(monkeypatch, linstat, "cheb_log_expand")
     code, sweep, _ = run_json(SWEEP, capsys)
     assert code == 0
     assert (len(rules), len(expansions), len(inner_expansions)) == (1, 1, 0)
+    assert [call[3] for call in factorizations] == [30, 30]
     assert rules[0][0] == 30 + 32  # the largest size's default order
     for row in sweep["rows"]:
         argv = SWEEP[:2] + [str(row["n"])] + SWEEP[3:]
@@ -141,6 +144,56 @@ def test_compare_sweep_rows_match_single_size_runs(capsys, monkeypatch):
         assert alone["method_tol"] == row["method_tol"]
         for key in ("log_det_ldl", "log_det_recurrence"):
             assert abs(mpmath.mpf(row[key]) - mpmath.mpf(alone[key])) <= tol, (row["n"], key)
+
+
+@pytest.mark.parametrize("kind", ["nonpositive beta", "zero denominator"])
+def test_breakdown_at_k_fails_only_larger_rows(capsys, monkeypatch, kind):
+    """The sweep's one factorization breaks down at index 15: rows 10 keep their
+    values, rows 20 and 30 become error rows naming the breakdown."""
+    _, clean, _ = run_json(SWEEP, capsys)
+    original = hankel.modified_chebyshev
+
+    def broken(nu, aux_alpha, aux_beta, count):
+        alphas, betas = original(nu, aux_alpha, aux_beta, count)
+        if count <= 15:
+            return alphas, betas
+        if kind == "zero denominator":
+            raise PrecisionError("moment map breakdown at step 15: zero denominator", betas[:15])
+        return alphas, betas[:15] + [-betas[15]] + betas[16:]
+
+    monkeypatch.setattr(hankel, "modified_chebyshev", broken)
+    code, rep, _ = run_json(SWEEP, capsys)
+    assert code == 3
+    assert strip_timing(rep)["rows"][0] == strip_timing(clean)["rows"][0]
+    message = "pivot 15" if kind == "nonpositive beta" else "breakdown at step 15"
+    for row in rep["rows"][1:]:
+        assert row["error_type"] == "PrecisionError"
+        assert message in row["error"]
+
+
+def test_failed_shared_build_runs_once(capsys, monkeypatch):
+    """sqrt(1+x) is not analytic at -1: its ln h expansion fails at degree 8192
+    once, and every row reports that failure."""
+    builds = _counting(monkeypatch, linstat, "cheb_expand_auto")
+    code, rep, _ = run_json(["compare", "--n", "2,3,4", "--h", "1+sqrt(1+x)"], capsys)
+    assert code == 3
+    assert len(builds) == 1
+    assert [row["error_type"] for row in rep["rows"]] == ["ResolutionError"] * 3
+
+
+def test_prediction_gap_prints_no_digit_finer_than_log_det(capsys):
+    code, rep, _ = run_json(["compare", "--n", "10:30:10", "--alpha=-1/2", "--beta=-1/2",
+                             "--h", "exp(x)"], capsys)
+    assert code == 0
+    for row in rep["rows"]:
+        ldl = mpmath.mpf(row["log_det_ldl"])
+        last = math.floor(mpmath.log10(abs(ldl))) - row["digits"] + 1
+        gap = row["prediction_gap"]
+        if gap != "0.0":
+            mantissa, _, exponent = gap.partition("e")
+            places = len(mantissa.split(".")[1]) if "." in mantissa else 0
+            assert int(exponent or 0) - places >= last, (row["n"], gap)
+    assert [row["prediction_gap"] for row in rep["rows"]][1:] == ["1.1e-60", "0.0"]
 
 
 def test_exact_row_evaluates_barnes_g_head_once(capsys, monkeypatch):
@@ -507,6 +560,13 @@ def test_usage_error_exits_2(capsys):
 
 
 if __name__ == "__main__":
+    # print what moved, then pin the fresh reports
+    fresh = [pinned_report(argv) for argv in PINNED_ARGV]
+    pinned = json.loads(PINNED_REPORTS.read_text()) if PINNED_REPORTS.exists() else []
+    before = {shlex.join(entry["argv"]): entry for entry in pinned}
+    for entry in fresh:
+        command = shlex.join(entry["argv"])
+        for d in _differences(before.get(command), entry):
+            print(f"{command}: {d}")
     PINNED_REPORTS.parent.mkdir(exist_ok=True)
-    PINNED_REPORTS.write_text(
-        json.dumps([pinned_report(argv) for argv in PINNED_ARGV], indent=2) + "\n")
+    PINNED_REPORTS.write_text(json.dumps(fresh, indent=2) + "\n")

@@ -7,14 +7,15 @@ import pytest
 
 from hankelpert.dsl import h_exp_cheb2, h_exp_linear, parse_h
 from hankelpert.errors import DomainError, PositivityError, PrecisionError
-from hankelpert.hankel import (MomentSequence, auto_digits, auto_precision,
-                               cross_validation_tol, hankel_logdet_ldl,
-                               hankel_logdet_recurrence, heine_average_small_n,
-                               modified_chebyshev,
+from hankelpert.hankel import (MomentSequence, _conditioning_guard, auto_digits,
+                               auto_precision, cross_validation_tol, hankel_logdet_ldl,
+                               hankel_logdet_leading, hankel_logdet_recurrence,
+                               heine_average_small_n, modified_chebyshev,
                                perturbed_moment_sequence, pure_moment_sequence,
                                rational_hankel_minors)
-from hankelpert.jacobi import JacobiParams, jacobi_logdet_exact
+from hankelpert.jacobi import JacobiParams, jacobi_logdet_exact, jacobi_recurrence_table
 from hankelpert.precision import Precision
+from hankelpert.quadrature import gauss_jacobi_rule
 
 P40 = Precision(40)
 P64 = Precision(64)
@@ -164,8 +165,14 @@ def test_degraded_moments_are_detected_not_masked():
         ms = pure_moment_sequence(LEG, 40, P64)
         rounded = tuple(mpmath.mpf(mpmath.nstr(mu, 16)) if mu != 0 else mu
                         for mu in ms.mu)
-    with pytest.raises(PrecisionError, match="pivot 25"):
-        hankel_logdet_ldl(MomentSequence(rounded, "degraded"), 40, P64)
+    degraded = MomentSequence(rounded, "degraded")
+    with pytest.raises(PrecisionError, match="pivot 25") as err:
+        hankel_logdet_ldl(degraded, 40, P64)
+    # the 25 coefficients before the breakdown still give D_1..D_25
+    assert len(err.value.leading) == 25
+    for n in (1, 12, 25):
+        got = hankel_logdet_leading(err.value.leading, n, P64).log_det
+        assert abs(got - hankel_logdet_ldl(degraded, n, P64).log_det) < mpmath.mpf(10) ** -64
 
 
 def test_moment_map_breakdown_raises():
@@ -245,6 +252,47 @@ def test_heine_average_equals_determinant_ratio():
             ratio = mpmath.exp(num - den)
             avg = heine_average_small_n(n, LEG, h_exp_linear(1), P40)
             assert float(abs(ratio - avg)) < 1e-25, f"n={n}"
+
+
+def mpf_moment_pass(jp, h, n, p, m):
+    """The per-node mpf loop the fixed-point pass replaced: mu_0..mu_{2n-2} and
+    nu_0..nu_{2n-1}, each node's w h times x^k and times the monic recurrence."""
+    with p.workdps(_conditioning_guard(n)):
+        rule = gauss_jacobi_rule(m, jp, Precision(mpmath.mp.dps))
+        count = 2 * n - 1
+        ca, cb = jacobi_recurrence_table(count, jp)
+        mus = [mpmath.mpf(0)] * count
+        nus = [mpmath.mpf(0)] * (count + 1)
+        for x, w in zip(rule.nodes, rule.weights):
+            wh = w * h(x)
+            xp = wh
+            for k in range(count):
+                mus[k] += xp
+                xp *= x
+            pkm1, pk = mpmath.mpf(0), mpmath.mpf(1)
+            nus[0] += wh
+            for k in range(count):
+                pkm1, pk = pk, (x - ca[k]) * pk - cb[k] * pkm1
+                nus[k + 1] += wh * pk
+        return mus, nus
+
+
+@pytest.mark.parametrize("a, b, source, n", [
+    ("5", "-1/2", "exp(x)", 20),
+    ("9/2", "7", "cosh(x)", 20),
+    ("1/2", "1/2", "1/(1.05+x)", 20),
+    ("1/3", "2", "cosh(3*x)", 60),
+])
+def test_fixed_point_moment_pass_matches_mpf_loop(a, b, source, n):
+    """Raw moments and 2^k nu_k within a few working units of mu_0 of the mpf loop."""
+    jp, h, p = JacobiParams(a, b), parse_h(source), auto_precision(n)
+    ms = perturbed_moment_sequence(jp, h, n, p)
+    mus, nus = mpf_moment_pass(jp, h, n, p, n + 32)
+    with p.workdps(_conditioning_guard(n)):
+        tol = ms.mu[0] * mpmath.mpf(10) ** (3 - mpmath.mp.dps)
+        assert max(abs(u - v) for u, v in zip(ms.mu, mus)) < tol
+        assert max(abs(mpmath.ldexp(u - v, k))
+                   for k, (u, v) in enumerate(zip(ms.modified, nus))) < tol
 
 
 def test_moment_pass_and_ensemble_average_refuse_nonpositive_h():
