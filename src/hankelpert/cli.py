@@ -40,10 +40,10 @@ from mpmath import mpf
 from . import __version__
 from .errors import (DomainError, EvalDomainError, ParseError,
                      PositivityError, PrecisionError)
-from .precision import GUARD_DIGITS, Precision
+from .precision import GUARD_DIGITS, Precision, to_mpf
 from .jacobi import (JacobiParams, jacobi_alpha_n, jacobi_beta_n,
-                     jacobi_log_hn, jacobi_logdet_asym, jacobi_logdet_exact,
-                     require_asymptotic)
+                     jacobi_beta_n_exact, jacobi_log_hn, jacobi_logdet_asym,
+                     jacobi_logdet_exact, require_asymptotic)
 from .hankel import (auto_digits, hankel_logdet_ldl, hankel_logdet_leading,
                      hankel_logdet_recurrence, heine_average_small_n,
                      perturbed_moment_sequence, pure_moment_sequence)
@@ -68,9 +68,10 @@ BOUNDS = (
 #: digits; these fields print that many significant digits, not ``digits``.
 DIFF_FIELDS = frozenset(diff for diff, _, _ in BOUNDS)
 DIFF_DIGITS = 3
-#: A field far smaller than the printed value it is the difference of: it
-#: prints no digit finer than that value's last printed digit.
-RESOLVED_BY = {"prediction_gap": "log_det_ldl"}
+#: A field computed from a printed value by subtracting others printed no
+#: finer: it prints no digit finer than that value's last printed digit.
+RESOLVED_BY = {field: "log_det_ldl" for field in (
+    "prediction_gap", "log_ratio", "pv_estimate", "pv_estimate_edge_adjusted")}
 
 
 def _parse_n_list(text: str) -> list:
@@ -253,7 +254,10 @@ def cmd_exact(args) -> tuple:
         ldl = hankel_logdet_ldl(pure_moment_sequence(jp, n, p), n, p)
         asym = jacobi_logdet_asym(n, jp, p) if jp.asymptotic_valid else None
         with p.workdps():
-            norm_product = mpmath.fsum(jacobi_log_hn(j, jp, p) for j in range(n))
+            # ln D_n = n ln h_0 + sum_{0<j<n} (n-j) ln beta_j, the beta_j exact rationals
+            betas = [mpmath.exp(jacobi_log_hn(0, jp, p)),
+                     *(to_mpf(jacobi_beta_n_exact(j, jp)) for j in range(1, n))]
+            norm_product = hankel_logdet_leading(betas, n, p).log_det
             return {
                 "log_det_closed": closed,
                 "log_det_norm_product": norm_product,

@@ -8,11 +8,13 @@ Two routes are implemented at working precision:
                                its modified moments in the unperturbed Jacobi
                                basis; ln det = sum over j < n of (n-j) ln beta_j.
 
-Both run one algorithm, :func:`modified_chebyshev` (Gautschi, *Orthogonal
-Polynomials: Computation and Approximation*, 2004); only the basis and the
-failure message differ. The exact oracle ``rational_hankel_minors`` gives
-D_1..D_n over the rationals by fraction-free (Bareiss) elimination, for
-integer weight exponents and polynomial perturbations.
+Both run one kernel, :func:`modified_chebyshev` (Gautschi, *Orthogonal
+Polynomials: Computation and Approximation*, 2004), the modified Chebyshev
+algorithm on fixed-point Python integers with a scale per column and per
+row; only the basis and the failure message differ. The exact oracle
+``rational_hankel_minors`` gives D_1..D_n over the rationals by
+fraction-free (Bareiss) elimination, for integer weight exponents and
+polynomial perturbations.
 
 Hankel matrices of smooth positive weights are notoriously ill-conditioned:
 the pivots decay geometrically (like 4^-j here), so a linear-in-n digit
@@ -35,6 +37,7 @@ independent oracle for the moment-based routes.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +50,7 @@ from .errors import DomainError, PrecisionError
 from .jacobi import (JacobiParams, jacobi_moment, jacobi_moment_exact,
                      jacobi_moment_ratios, jacobi_recurrence_table)
 from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite, to_mpf
-from .quadrature import gauss_jacobi_rule, scaled_recurrence
+from .quadrature import KERNEL_GUARD_BITS, gauss_jacobi_rule, scaled_recurrence
 
 #: Extra decimal digits per matrix row consumed by pivot decay during factorization.
 CONDITIONING_GUARD_PER_ROW = 0.7
@@ -250,31 +253,62 @@ def modified_chebyshev(nu, aux_alpha, aux_beta, count: int):
     ``nu[l]`` are the modified moments of the target weight against monic
     auxiliary polynomials with recurrence coefficients ``aux_alpha[l]``,
     ``aux_beta[l]`` (aux_beta[0] unused); 2*count moment entries produce
-    ``count`` coefficient pairs (alpha_k, beta_k), beta_0 = nu_0. A zero
-    denominator at step k raises PrecisionError carrying beta_0..beta_{k-1}.
+    ``count`` coefficient pairs (alpha_k, beta_k), beta_0 = nu_0, as mpf
+    lists. A zero denominator at step k raises PrecisionError carrying
+    beta_0..beta_{k-1}.
 
-    The arithmetic is generic: mpf inputs run at the current working
-    precision, Fractions (with Fraction auxiliaries, e.g. all zeros for the
-    raw-moment map) run exactly.
+    The rows sigma_k of the algorithm (Gautschi, *Orthogonal Polynomials:
+    Computation and Approximation*, 2004, section 2.1.7) run on F-bit
+    fixed-point integers, F = working bits + ``KERNEL_GUARD_BITS`` +
+    3 count. Column l is scaled by 2^(d_1 + ... + d_l), d_j about
+    -log2(b_j)/2, so by about the inverse norm of the l-th auxiliary
+    polynomial: a modified moment nu_l is of that polynomial's norm times
+    a Fourier coefficient, so every column keeps its own precision however
+    fast the norms fall (zero auxiliaries, the raw-moment map, leave the
+    columns unscaled). The scaled inputs are placed so that the largest
+    sits at 2^F, alpha_{k-1} - a_l, beta_{k-1} and b_l 2^(d_l) are held
+    times 2^F, and each row of products is shifted back by F. After each
+    row the two live rows shift left until the diagonal sigma_{k,k}, the
+    denominator of beta_{k+1}, again carries F bits. The 3 count guard
+    bits are for raw moments, where an error in sigma_{k,l} reaches a later
+    diagonal amplified about 2^(l-k): 2 count bits plus a slowly growing
+    excess (about 9 digits at count = 100).
     """
-    if len(nu) < 2 * count:
-        raise DomainError(f"need {2 * count} modified moments, got {len(nu)}")
-    zero = nu[0] * 0
-    sig_prev = [zero] * (2 * count)
-    sig = list(nu)
-    alphas = [aux_alpha[0] + nu[1] / nu[0]]
+    length = 2 * count
+    if len(nu) < length:
+        raise DomainError(f"need {length} modified moments, got {len(nu)}")
+    bits = mp.prec + KERNEL_GUARD_BITS + 3 * count
+    aux_b = [to_mpf(v) for v in aux_beta[:length]]
+    steps = [0] + [max(0, (1 - mpmath.mag(b)) // 2) if b else 0 for b in aux_b[1:]]
+    nu = [mpmath.ldexp(to_mpf(v), e) for v, e in zip(nu, itertools.accumulate(steps))]
+    shift = bits - mpmath.mag(max(abs(v) for v in nu))
+    sig = [int(mpmath.ldexp(v, shift)) for v in nu]
+    aux_a = [int(mpmath.ldexp(to_mpf(v), bits)) for v in aux_alpha[:length]]
+    aux_b = [int(mpmath.ldexp(b, bits + d)) for b, d in zip(aux_b, steps)]
+    sig_prev = [0] * length
+    ratio = (sig[1] << (bits - steps[1])) // sig[0]
+    alphas = [aux_a[0] + ratio]
     betas = [nu[0]]
+    beta = 0
     for k in range(1, count):
-        fresh = [zero] * (2 * count)
-        for l in range(k, 2 * count - k):
-            fresh[l] = (sig[l + 1] - (alphas[k - 1] - aux_alpha[l]) * sig[l]
-                        - betas[k - 1] * sig_prev[l] + aux_beta[l] * sig[l - 1])
-        if fresh[k] == 0 or sig[k - 1] == 0:
+        alpha = alphas[-1]
+        fresh = [0] * length
+        for l in range(k, length - k):
+            fresh[l] = (sig[l + 1] >> steps[l + 1]) - (
+                ((alpha - aux_a[l]) * sig[l] + beta * sig_prev[l] - aux_b[l] * sig[l - 1]) >> bits)
+        diag = fresh[k]
+        if diag == 0:
             raise PrecisionError(f"moment map breakdown at step {k}: zero denominator", betas)
-        alphas.append(aux_alpha[k] + fresh[k + 1] / fresh[k] - sig[k] / sig[k - 1])
-        betas.append(fresh[k] / sig[k - 1])
+        betas.append(mpmath.ldexp(mpf(diag) / sig[k - 1], -steps[k]))
+        beta = (diag << (bits - steps[k])) // sig[k - 1]
+        previous, ratio = ratio, (fresh[k + 1] << (bits - steps[k + 1])) // diag
+        alphas.append(aux_a[k] + ratio - previous)
+        up = bits - diag.bit_length()
+        if up > 0:
+            sig = [v << up for v in sig]
+            fresh = [v << up for v in fresh]
         sig_prev, sig = sig, fresh
-    return alphas, betas
+    return [mpmath.ldexp(a, -bits) for a in alphas], betas
 
 
 def hankel_logdet_recurrence(ms: MomentSequence, n: int, jp: JacobiParams,

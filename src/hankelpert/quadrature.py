@@ -44,8 +44,9 @@ from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite, to_mpf
 #: Fixed-point guard bits on top of the working precision: in the Gauss rule
 #: plus 3 per bit of the rule order and the bits of :func:`_small_value_bits`,
 #: in the perturbed moment pass (``hankel``) plus 1 per bit of the rule order
-#: and the same small-value bits, in the Chebyshev transform below the
-#: largest sample.
+#: and the same small-value bits, in the modified Chebyshev kernel
+#: (``hankel``) plus 3 per coefficient pair, in the Chebyshev transform below
+#: the largest sample.
 KERNEL_GUARD_BITS = 16
 #: Float Newton steps allowed per seed.
 SEED_ITERATIONS = 200

@@ -55,6 +55,22 @@ def test_exact_smallest_case(capsys):
         assert abs(float(row[key])) < 1e-55, key
 
 
+@pytest.mark.parametrize("alpha, beta", [("1/2", "3/2"), ("-2/3", "1/2"), ("1/3", "2")])
+def test_exact_norm_product_matches_per_j_gamma_sum(capsys, alpha, beta):
+    """The norm product from h_0 and the exact beta_j against the sum of the
+    closed-form ln h_j, five ln Gamma terms each, kept here as its oracle."""
+    code, rep, _ = run_json(["exact", "--n", "1,12,60", f"--alpha={alpha}", f"--beta={beta}"],
+                            capsys)
+    assert code == 0
+    jp = jacobi.JacobiParams(alpha, beta)
+    for row in rep["rows"]:
+        p = cli.Precision(row["digits"])
+        with p.workdps():
+            oracle = mpmath.fsum(jacobi.jacobi_log_hn(j, jp, p) for j in range(row["n"]))
+            got = mpmath.mpf(row["log_det_norm_product"])
+            assert abs(got - oracle) < mpmath.mpf(10) ** (8 - row["digits"]) * abs(oracle), row["n"]
+
+
 def test_exact_sweep_and_asym_column(capsys):
     code, rep, _ = run_json(
         ["exact", "--n", "2,5,9", "--alpha", "1/2", "--beta", "3/2"], capsys)
@@ -182,17 +198,20 @@ def test_failed_shared_build_runs_once(capsys, monkeypatch):
 
 
 def test_prediction_gap_prints_no_digit_finer_than_log_det(capsys):
+    """prediction_gap, log_ratio and both pv estimates are log_det_ldl minus values
+    printed no finer: none prints a digit finer than log_det_ldl's last."""
     code, rep, _ = run_json(["compare", "--n", "10:30:10", "--alpha=-1/2", "--beta=-1/2",
                              "--h", "exp(x)"], capsys)
     assert code == 0
     for row in rep["rows"]:
         ldl = mpmath.mpf(row["log_det_ldl"])
         last = math.floor(mpmath.log10(abs(ldl))) - row["digits"] + 1
-        gap = row["prediction_gap"]
-        if gap != "0.0":
-            mantissa, _, exponent = gap.partition("e")
-            places = len(mantissa.split(".")[1]) if "." in mantissa else 0
-            assert int(exponent or 0) - places >= last, (row["n"], gap)
+        for field in ("prediction_gap", "log_ratio", "pv_estimate", "pv_estimate_edge_adjusted"):
+            value = row[field]
+            if value != "0.0":
+                mantissa, _, exponent = value.partition("e")
+                places = len(mantissa.split(".")[1]) if "." in mantissa else 0
+                assert int(exponent or 0) - places >= last, (row["n"], field, value)
     assert [row["prediction_gap"] for row in rep["rows"]][1:] == ["1.1e-60", "0.0"]
 
 

@@ -175,11 +175,71 @@ def test_degraded_moments_are_detected_not_masked():
         assert abs(got - hankel_logdet_ldl(degraded, n, P64).log_det) < mpmath.mpf(10) ** -64
 
 
+def generic_modified_chebyshev(nu, aux_alpha, aux_beta, count):
+    """The generic loop the fixed-point kernel replaced, kept as its oracle:
+    Fractions (with Fraction auxiliaries) run exactly, mpf at the working
+    precision. Same contract as :func:`modified_chebyshev`."""
+    zero = nu[0] * 0
+    sig_prev = [zero] * (2 * count)
+    sig = list(nu)
+    alphas = [aux_alpha[0] + nu[1] / nu[0]]
+    betas = [nu[0]]
+    for k in range(1, count):
+        fresh = [zero] * (2 * count)
+        for l in range(k, 2 * count - k):
+            fresh[l] = (sig[l + 1] - (alphas[k - 1] - aux_alpha[l]) * sig[l]
+                        - betas[k - 1] * sig_prev[l] + aux_beta[l] * sig[l - 1])
+        if fresh[k] == 0 or sig[k - 1] == 0:
+            raise PrecisionError(f"moment map breakdown at step {k}: zero denominator", betas)
+        alphas.append(aux_alpha[k] + fresh[k + 1] / fresh[k] - sig[k] / sig[k - 1])
+        betas.append(fresh[k] / sig[k - 1])
+        sig_prev, sig = sig, fresh
+    return alphas, betas
+
+
 def test_moment_map_breakdown_raises():
-    nu = tuple(Fraction(v) for v in (2, 0, 0, 0, 0, 0))
+    """A zero denominator at step k carries exactly beta_0..beta_{k-1}: the one-point
+    measure 2 delta_0 breaks at step 1, the two-point (delta_{-1/2} + delta_{1/2})/2
+    at step 2, exactly on both the kernel and its oracle."""
     zero = (Fraction(0),) * 6
-    with pytest.raises(PrecisionError):
-        modified_chebyshev(nu, zero, zero, 3)
+    for values, leading in (((2, 0, 0, 0, 0, 0), (2,)),
+                            ((1, 0, Fraction(1, 4), 0, Fraction(1, 16), 0), (1, Fraction(1, 4)))):
+        nu = tuple(Fraction(v) for v in values)
+        for factorize in (modified_chebyshev, generic_modified_chebyshev):
+            with pytest.raises(PrecisionError, match=f"step {len(leading)}") as err:
+                factorize(nu, zero, zero, 3)
+            assert err.value.leading == leading
+
+
+@pytest.mark.parametrize("a, b, source, n", [
+    ("1/2", "0", None, 62),
+    ("5", "-1/2", None, 60),
+    ("-1/2", "-1/2", None, 62),
+    ("1/3", "2", "exp(x)", 30),
+    ("1/2", "0", "exp(x)", 100),
+    ("60", "0", "exp(x)", 40),
+    ("100", "3", "cosh(2*x)", 40),
+])
+def test_fixed_point_kernel_matches_generic_loop(a, b, source, n):
+    """The kernel's betas within 10^(3 - working digits), relative, of the generic
+    loop run on the same inputs at three times the working precision: the raw
+    moments of the ldl route (source None) or the modified moments of w h. At
+    exponents 60 and 100 the modified moments fall some 150 orders below nu_0,
+    which only the kernel's per-column scale keeps at full precision."""
+    jp, p = JacobiParams(a, b), auto_precision(n)
+    with p.workdps(_conditioning_guard(n)):
+        if source is None:
+            nu = [*pure_moment_sequence(jp, n, p).mu, mpmath.mpf(0)]
+            aux_a = aux_b = [mpmath.mpf(0)] * (2 * n)
+        else:
+            nu = perturbed_moment_sequence(jp, parse_h(source), n, p).modified
+            aux_a, aux_b = jacobi_recurrence_table(2 * n, jp)
+        _, betas = modified_chebyshev(nu, aux_a, aux_b, n)
+        dps = mpmath.mp.dps
+    with mpmath.workdps(3 * dps):
+        _, oracle = generic_modified_chebyshev(nu, aux_a, aux_b, n)
+        assert len(betas) == n
+        assert max(abs(u / v - 1) for u, v in zip(betas, oracle)) < mpmath.mpf(10) ** (3 - dps)
 
 
 def test_indefinite_moments_raise_on_both_routes():
