@@ -76,30 +76,41 @@ class JacobiParams:
         return to_mpf(self.alpha), to_mpf(self.beta)
 
 
-def jacobi_alpha_n_exact(n: int, jp: JacobiParams) -> Fraction:
-    """Exact diagonal recurrence coefficient alpha_n."""
+def _over_common_denominator(jp: JacobiParams) -> tuple:
+    """(A, B, d) with alpha = A/d and beta = B/d, d the common denominator."""
     a, b = jp.alpha, jp.beta
-    s = a + b
+    d = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+
+
+def jacobi_alpha_n_exact(n: int, jp: JacobiParams) -> Fraction:
+    """Exact diagonal recurrence coefficient alpha_n, from one integer ratio."""
+    A, B, d = _over_common_denominator(jp)
     if n == 0:
         # the generic formula is 0/0 at n=0 when alpha+beta=0; the
         # Gram-Schmidt value mu_1/mu_0 = (beta-alpha)/(alpha+beta+2)
         # extends it continuously and agrees with the formula otherwise
-        return (b - a) / (s + 2)
-    return (b * b - a * a) / ((2 * n + s) * (2 * n + s + 2))
+        return Fraction(B - A, A + B + 2 * d)
+    # (b^2 - a^2) / ((2n+s)(2n+s+2)), times d^2 / d^2
+    m = 2 * n * d + A + B
+    return Fraction((B - A) * (B + A), m * (m + 2 * d))
 
 
 def jacobi_beta_n_exact(n: int, jp: JacobiParams) -> Fraction:
-    """Exact off-diagonal recurrence coefficient beta_n (n >= 1), always positive."""
+    """Exact off-diagonal recurrence coefficient beta_n (n >= 1), always positive,
+    from one integer ratio."""
     if n < 1:
         raise DomainError(f"beta_n is defined for n >= 1, got {n}")
-    a, b = jp.alpha, jp.beta
-    s = a + b
+    A, B, d = _over_common_denominator(jp)
+    S = A + B
     if n == 1:
         # at n=1 the factors (n+s) and (2n+s-1) coincide; cancelling them
         # keeps beta_1 finite at s=-1 (both exponents -1/2)
-        return 4 * (1 + a) * (1 + b) / ((s + 2) ** 2 * (s + 3))
-    return (4 * n * (n + a) * (n + b) * (n + s)
-            / ((2 * n + s) ** 2 * (2 * n + s + 1) * (2 * n + s - 1)))
+        return Fraction(4 * d * (d + A) * (d + B), (S + 2 * d) ** 2 * (S + 3 * d))
+    # 4n(n+a)(n+b)(n+s) / ((2n+s)^2 (2n+s+1)(2n+s-1)), times d^4 / d^4
+    m = 2 * n * d + S
+    return Fraction(4 * n * d * (n * d + A) * (n * d + B) * (n * d + S),
+                    m * m * (m + d) * (m - d))
 
 
 def jacobi_alpha_n(n: int, jp: JacobiParams) -> BigReal:

@@ -241,17 +241,24 @@ class _Forbidden:
 
 
 def test_runs_use_neither_mpmath_barnesg_nor_glaisher(capsys, monkeypatch):
-    """ln G comes from the package's kernel: mpmath's barnesg lifts with one Gamma call per
-    step, and its Glaisher constant alone takes tens of ms in a fresh process."""
+    """ln Gamma and ln G come from the package's kernel, with tables built from scratch
+    here: mpmath's loggamma and bernoulli rebuild a table at every new precision,
+    its barnesg lifts with one Gamma call per step, and its Glaisher constant alone
+    takes tens of ms in a fresh process."""
     for target in (mpmath, mpmath.mp):
-        monkeypatch.setattr(target, "barnesg", _Forbidden("mpmath.barnesg"))
-        monkeypatch.setattr(target, "glaisher", _Forbidden("mpmath.glaisher"))
-    jacobi.jacobi_asym_constant.cache_clear()
-    specfun._zeta_prime_minus_one.cache_clear()
+        for name in ("barnesg", "glaisher", "loggamma", "gamma", "bernoulli"):
+            monkeypatch.setattr(target, name, _Forbidden(f"mpmath.{name}"))
+    monkeypatch.setattr(specfun, "_TANGENT", [])
+    monkeypatch.setattr(specfun, "_PASSES", [])
+    for cached in (jacobi.jacobi_asym_constant, specfun._zeta_prime_minus_one,
+                   specfun._gamma_coefficients, specfun._tail_coefficients):
+        cached.cache_clear()
     for argv in (["exact", "--n", "10", "--alpha", "1/2", "--beta", "3/2"],
+                 ["exact", "--n", "12", "--alpha", "1/3", "--beta", "2"],
                  ["compare", "--n", "10", "--h", "exp(x)"]):
         code, _, err = run(argv, capsys)
         assert code == 0, (argv, err)
+    assert len(specfun._TANGENT) > 0
 
 
 def test_compare_refuses_exponents_below_half_before_moments(capsys, monkeypatch):

@@ -1,5 +1,8 @@
 """Log-Gamma and log-Barnes-G."""
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -7,6 +10,7 @@ import pytest
 
 from hankelpert.errors import DomainError
 from hankelpert.precision import GUARD_DIGITS, Precision
+from hankelpert import specfun
 from hankelpert.specfun import log_barnes_g, log_gamma
 
 P64 = Precision(64)
@@ -84,6 +88,70 @@ def test_barnes_g_against_independent_references(digits):
         for z, want in cases:
             got = log_barnes_g(z, p)
             assert abs(got - want) <= bound * abs(want), f"z = {z}"
+
+
+def _bernoulli_from_tangent(m):
+    """B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) from the kernel's tangent numbers."""
+    return Fraction((-1) ** (m - 1) * 2 * m * specfun._tangent_number(m), 4 ** m * (4 ** m - 1))
+
+
+def test_tangent_bernoulli_numbers_match_bernfrac(monkeypatch):
+    """Every B_2m that a 600-digit ln Gamma and ln G evaluation reads equals mpmath's
+    exact bernfrac, and each scaled coefficient is B_2m / divisor * 2^bits truncated."""
+    for cached in (specfun._gamma_coefficients, specfun._tail_coefficients,
+                   specfun._zeta_prime_minus_one):
+        cached.cache_clear()
+    read = []
+    scaled = specfun._scaled_bernoulli
+
+    def recording(m, divisor, bits):
+        read.append((m, divisor, bits))
+        return scaled(m, divisor, bits)
+
+    monkeypatch.setattr(specfun, "_scaled_bernoulli", recording)
+    p = Precision(600)
+    log_gamma(Fraction(1, 3), p)
+    log_barnes_g(Fraction(1, 3), p)
+    largest = max(m for m, _, _ in read)
+    assert largest > 300
+    for m in range(1, largest + 1):
+        assert _bernoulli_from_tangent(m) == Fraction(*mpmath.bernfrac(2 * m)), m
+    for m, divisor, bits in read[::17]:
+        exact = _bernoulli_from_tangent(m) * 2 ** bits / divisor
+        assert scaled(m, divisor, bits) == math.trunc(exact), (m, bits)
+
+
+@pytest.mark.parametrize("digits", (32, 111, 320, 600))
+def test_log_gamma_against_mpmath_loggamma(digits):
+    """The kernel against mpmath's loggamma at digits + 60, within the bound of the Barnes G
+    reference test; relative, or absolute where |ln Gamma| < 1 (it vanishes at 1 and 2)."""
+    p = Precision(digits)
+    bound = mpmath.mpf(10) ** (2 - digits - GUARD_DIGITS)
+    with mpmath.workdps(digits + 60):
+        args = [mpmath.mpf(z.numerator) / z.denominator for z in ORACLE_Z]
+        args.append(mpmath.sqrt(2) * mpmath.e)
+        args += [1, 2, 3, 10, 101, 1000]
+        for z in args:
+            want = mpmath.loggamma(z)
+            got = log_gamma(z, p)
+            assert abs(got - want) <= bound * max(abs(want), 1), f"z = {z}"
+
+
+def test_import_builds_no_table():
+    """Importing the CLI builds no tangent-number, coefficient or constant table:
+    each is built by the first evaluation that needs it."""
+    probe = ("import hankelpert.cli\n"
+             "from hankelpert import jacobi, specfun\n"
+             "print(len(specfun._TANGENT), *(f.cache_info().currsize for f in (\n"
+             "    specfun._gamma_coefficients, specfun._tail_coefficients,\n"
+             "    specfun._zeta_prime_minus_one, specfun._half_log_2pi,\n"
+             "    jacobi.jacobi_asym_constant)))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0"] * 6
 
 
 def test_rejects_nonpositive_arguments():
