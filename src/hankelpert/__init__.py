@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 from .errors import (DomainError, EvalDomainError, HankelpertError,
                      ParseError, PositivityError, PrecisionError,
-                     ResolutionError, RootFindError, ValidityError)
+                     ResolutionError, RootFindError)
 from .precision import BigReal, Precision, ensure_finite, exact_fraction, to_mpf
 from .specfun import log_barnes_g, log_gamma
 from .jacobi import (JacobiParams, jacobi_alpha_n, jacobi_alpha_n_exact,
@@ -46,7 +46,7 @@ from .dsl import (PerturbationFn, h_const, h_exp_cheb2, h_exp_linear, h_one,
 __all__ = [
     "__version__",
     # errors
-    "HankelpertError", "DomainError", "ValidityError", "PrecisionError",
+    "HankelpertError", "DomainError", "PrecisionError",
     "RootFindError", "ResolutionError", "ParseError", "EvalDomainError",
     "PositivityError",
     # precision

@@ -43,7 +43,7 @@ from .errors import (DomainError, EvalDomainError, ParseError,
 from .precision import GUARD_DIGITS, Precision, to_mpf
 from .jacobi import (JacobiParams, jacobi_alpha_n, jacobi_beta_n,
                      jacobi_beta_n_exact, jacobi_log_hn, jacobi_logdet_asym,
-                     jacobi_logdet_exact, require_asymptotic)
+                     jacobi_logdet_exact)
 from .hankel import (auto_digits, hankel_logdet_ldl, hankel_logdet_leading,
                      hankel_logdet_recurrence, heine_average_small_n,
                      perturbed_moment_sequence, pure_moment_sequence)
@@ -52,7 +52,7 @@ from .fluid import (EquilibriumDensity, fluid_recurrence, support_endpoints,
 from .linstat import assemble_prediction, cheb_log_expand, mean_term
 from .dsl import parse_h, validate_positive
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 HEINE_GUARD = 20
 #: Every printed (difference, bound, what differs) of a row. ``_run_rows``
 #: turns a row whose difference exceeds its bound into an error row (exit 3).
@@ -70,8 +70,9 @@ DIFF_FIELDS = frozenset(diff for diff, _, _ in BOUNDS)
 DIFF_DIGITS = 3
 #: A field computed from a printed value by subtracting others printed no
 #: finer: it prints no digit finer than that value's last printed digit.
-RESOLVED_BY = {field: "log_det_ldl" for field in (
-    "prediction_gap", "log_ratio", "pv_estimate", "pv_estimate_edge_adjusted")}
+RESOLVED_BY = {"asym_gap": "log_det_closed", "prediction_gap": "log_det_ldl",
+               "log_ratio": "log_det_ldl", "pv_estimate": "log_det_ldl",
+               "pv_estimate_edge_adjusted": "log_det_ldl"}
 
 
 def _parse_n_list(text: str) -> list:
@@ -252,7 +253,7 @@ def cmd_exact(args) -> tuple:
     def row(n, p):
         closed = jacobi_logdet_exact(n, jp, p)
         ldl = hankel_logdet_ldl(pure_moment_sequence(jp, n, p), n, p)
-        asym = jacobi_logdet_asym(n, jp, p) if jp.asymptotic_valid else None
+        asym = jacobi_logdet_asym(n, jp, p)
         with p.workdps():
             # ln D_n = n ln h_0 + sum_{0<j<n} (n-j) ln beta_j, the beta_j exact rationals
             betas = [mpmath.exp(jacobi_log_hn(0, jp, p)),
@@ -267,12 +268,11 @@ def cmd_exact(args) -> tuple:
                 "diff_norm_ldl": abs(norm_product - ldl.log_det),
                 "method_tol": ldl.cross_tolerance,
                 "log_det_asym": asym,
-                "asym_gap": None if asym is None else abs(closed - asym),
+                "asym_gap": abs(closed - asym),
             }
 
     rows, code = _run_rows(ns, lambda n: _row_digits(args, n), row)
-    return _parameters(jp, ns, asymptotic_valid=jp.asymptotic_valid,
-                       digits=_digits_param(args)), rows, code
+    return _parameters(jp, ns, digits=_digits_param(args)), rows, code
 
 
 def cmd_compare(args) -> tuple:
@@ -281,7 +281,6 @@ def cmd_compare(args) -> tuple:
     ns = _parse_n_list(args.n)
     _warn_if_below_policy(args, ns)
     h, h_min = _validated_h(args)
-    require_asymptotic(jp)
     moments = _once_at_largest(
         args, ns, lambda top, p: perturbed_moment_sequence(jp, h, top, p, m=args.quad_order))
     ldl = _once_at_largest(args, ns, lambda top, p: hankel_logdet_ldl(moments(), top, p))
@@ -326,8 +325,7 @@ def cmd_compare(args) -> tuple:
 
     rows, code = _run_rows(ns, lambda n: _row_digits(args, n), row)
     return _parameters(
-        jp, ns, h=h.source, h_min_sampled=_fmt(h_min, 16),
-        asymptotic_valid=jp.asymptotic_valid, digits=_digits_param(args),
+        jp, ns, h=h.source, h_min_sampled=_fmt(h_min, 16), digits=_digits_param(args),
         quad_order=args.quad_order), rows, code
 
 

@@ -9,10 +9,6 @@ class DomainError(HankelpertError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class ValidityError(DomainError):
-    """Parameters lie outside the stated validity range of an asymptotic formula."""
-
-
 class PrecisionError(HankelpertError, ArithmeticError):
     """A computation failed in a way that signals insufficient working precision.
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf
 
-from .errors import DomainError, ValidityError
+from .errors import DomainError
 from .precision import (GUARD_DIGITS, BigReal, Precision, ensure_finite,
                         exact_fraction, to_mpf)
 from .specfun import log_barnes_g, log_gamma
@@ -42,9 +42,8 @@ class JacobiParams:
 
     Ints, Fractions, floats and decimal or ratio strings all have an exact
     rational value (:func:`exact_fraction`); anything else, an mpf included,
-    raises DomainError naming the parameter. ``asymptotic_valid`` flags the
-    parameter region alpha >= -1/2, beta >= -1/2 in which the large-n
-    determinant asymptotic holds.
+    raises DomainError naming the parameter. Every route, the large-n
+    asymptotic included, takes this whole domain.
     """
 
     alpha: Fraction
@@ -65,11 +64,6 @@ class JacobiParams:
     def is_nonneg_integer(self) -> bool:
         return (self.alpha.denominator == 1 and self.alpha >= 0
                 and self.beta.denominator == 1 and self.beta >= 0)
-
-    @property
-    def asymptotic_valid(self) -> bool:
-        half = Fraction(-1, 2)
-        return self.alpha >= half and self.beta >= half
 
     def ab_mpf(self) -> tuple[BigReal, BigReal]:
         """(alpha, beta) as mpf at the current working precision."""
@@ -211,14 +205,6 @@ def _log_gamma_g_ratio(s, p: Precision) -> BigReal:
             - log_barnes_g(2 * eps + 1, p) - mpmath.log(2))
 
 
-def require_asymptotic(jp: JacobiParams) -> None:
-    """Raise ValidityError unless alpha, beta >= -1/2, where the large-n asymptotic holds."""
-    if not jp.asymptotic_valid:
-        raise ValidityError(
-            f"asymptotic requires alpha, beta >= -1/2, got "
-            f"alpha = {jp.alpha}, beta = {jp.beta}")
-
-
 def jacobi_log_leading(n: int, jp: JacobiParams) -> BigReal:
     """-n(n+s) ln 2 + ((a^2+b^2)/2 - 1/4) ln n + n ln 2pi, the n-dependent part of the
     large-n asymptotic of ln D_n, at the current working precision."""
@@ -285,11 +271,13 @@ def jacobi_logdet_asym(n: int, jp: JacobiParams, p: Precision) -> BigReal:
     """Large-n asymptotic of ln D_n for the unperturbed weight.
 
     ln D_n ~ :func:`jacobi_log_leading` + :func:`jacobi_asym_constant`,
-    valid for alpha >= -1/2 and beta >= -1/2 (:func:`require_asymptotic`).
+    with an O(1/n) error, for every alpha, beta > -1: the large-argument
+    expansion of each Barnes G term of :func:`jacobi_logdet_exact` holds at
+    any fixed shift. Deift, Its and Krasovsky (Ann. of Math. 174 (2011)
+    1243) state the same asymptotic on this domain.
     """
     if n < 1:
         raise DomainError(f"determinant order must be >= 1, got {n}")
-    require_asymptotic(jp)
     with p.workdps(2 * GUARD_DIGITS):
         value = jacobi_log_leading(n, jp) + jacobi_asym_constant(jp, p)
         return ensure_finite(value, f"asymptotic ln D_{n}")

@@ -31,9 +31,13 @@ h(+-1) = 1 and cancels between symmetric data; dropping it leaves an O(1)
 error in the constant whenever an exponent and the matching boundary value
 of ln h are both nonzero.
 
-Validity requires alpha >= -1/2 and beta >= -1/2; outside that region the
-n-exponent of the leading term is no longer correct and assembly refuses
-with ValidityError (``jacobi.require_asymptotic``).
+These are the terms of the asymptotic of Deift, Its and Krasovsky (Ann. of
+Math. 174 (2011) 1243) for the weight (1-x)^alpha (1+x)^beta e^V(x) on
+[-1, 1] with V = ln h. Writing V(cos t) = V_0 + 2 sum_{k>=1} V_k cos(k t),
+so V_0 = c_0/2 and V_k = c_k/2, their mean (n + s/2) V_0, variance half
+(1/2) sum k V_k^2 and edge terms -(alpha/2) V(1) - (beta/2) V(-1) are
+log_mean + boundary_part, pv_part and edge_part. Their theorem holds for
+every alpha, beta > -1, the domain ``JacobiParams`` enforces.
 """
 from __future__ import annotations
 
@@ -44,8 +48,7 @@ from mpmath import mpf
 
 from .dsl import positive_sample
 from .errors import DomainError
-from .jacobi import (JacobiParams, jacobi_asym_constant, jacobi_log_leading,
-                     require_asymptotic)
+from .jacobi import JacobiParams, jacobi_asym_constant, jacobi_log_leading
 from .precision import BigReal, Precision, ensure_finite
 from .quadrature import ChebExpansion, cheb_expand_auto
 
@@ -86,14 +89,13 @@ class LinStatTerms:
     """Mean of sum_j ln h(x_j) at size n; its variance half is :func:`pv_double_integral`."""
 
     mean: object
-    n: int
 
 
 def linstat_terms(h, n: int, jp: JacobiParams, p: Precision) -> LinStatTerms:
     """Mean of the log-perturbation statistic, read from the global Chebyshev data of ln h."""
     with p.workdps():
         mean = mean_term(cheb_log_expand(h, p), n, jp)
-    return LinStatTerms(mean, n)
+    return LinStatTerms(mean)
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,6 @@ class AsymptoticPrediction:
     ``expansion`` is the Chebyshev expansion of ln h the parts were read from.
     """
 
-    n: int
     log_leading: object
     log_mean: object
     pv_part: object
@@ -148,7 +149,6 @@ def assemble_prediction(n: int, jp: JacobiParams, h, p: Precision,
     """
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
-    require_asymptotic(jp)
     with p.workdps():
         a, b = jp.ab_mpf()
         s = a + b
@@ -165,4 +165,4 @@ def assemble_prediction(n: int, jp: JacobiParams, h, p: Precision,
                         ("boundary", boundary), ("edge", edge), ("pv", pv),
                         ("constant", pure)):
             ensure_finite(v, f"{name} part")
-    return AsymptoticPrediction(n, log_leading, log_mean, pv, boundary, edge, pure, ce)
+    return AsymptoticPrediction(log_leading, log_mean, pv, boundary, edge, pure, ce)

@@ -43,7 +43,7 @@ def strip_timing(report):
 def test_exact_smallest_case(capsys):
     code, rep, _ = run_json(["exact", "--n", "1"], capsys)
     assert code == 0
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
     assert rep["tool"]["name"] == "hankelpert"
     assert rep["subcommand"] == "exact"
     assert rep["command"].startswith("hankelpert exact")
@@ -78,7 +78,7 @@ def test_exact_sweep_and_asym_column(capsys):
     assert [row["n"] for row in rep["rows"]] == [2, 5, 9]
     gaps = [abs(float(row["asym_gap"])) for row in rep["rows"]]
     assert gaps[2] < gaps[0]
-    assert rep["parameters"]["asymptotic_valid"] is True
+    assert "asymptotic_valid" not in rep["parameters"]
     for row in rep["rows"]:
         # route differences print 3 significant digits, determinants all of them
         for key in ("diff_closed_norm", "diff_closed_ldl", "diff_norm_ldl"):
@@ -92,12 +92,14 @@ def test_exact_range_syntax(capsys):
     assert [row["n"] for row in rep["rows"]] == [2, 6, 10]
 
 
-def test_exact_outside_asym_validity_emits_nulls(capsys):
-    code, rep, _ = run_json(["exact", "--n", "3", "--alpha", "-0.9"], capsys)
+def test_exact_prints_asymptotic_below_half(capsys):
+    """Every exponent > -1 gets the asymptotic: at (-3/4, 0) n asym_gap is 0.011671
+    and 0.011695 at n = 50 and 100, the O(1/n) rate of exponents above -1/2."""
+    code, rep, _ = run_json(["exact", "--n", "50,100", "--alpha=-3/4"], capsys)
     assert code == 0
-    assert rep["parameters"]["asymptotic_valid"] is False
-    assert rep["rows"][0]["log_det_asym"] is None
-    assert rep["rows"][0]["asym_gap"] is None
+    for row in rep["rows"]:
+        assert row["log_det_asym"] is not None
+        assert abs(row["n"] * float(row["asym_gap"]) / 0.01170 - 1) < 0.01, row["n"]
 
 
 def test_compare_trivial_perturbation_closes_the_loop(capsys):
@@ -204,15 +206,28 @@ def test_prediction_gap_prints_no_digit_finer_than_log_det(capsys):
                              "--h", "exp(x)"], capsys)
     assert code == 0
     for row in rep["rows"]:
-        ldl = mpmath.mpf(row["log_det_ldl"])
-        last = math.floor(mpmath.log10(abs(ldl))) - row["digits"] + 1
-        for field in ("prediction_gap", "log_ratio", "pv_estimate", "pv_estimate_edge_adjusted"):
-            value = row[field]
-            if value != "0.0":
-                mantissa, _, exponent = value.partition("e")
-                places = len(mantissa.split(".")[1]) if "." in mantissa else 0
-                assert int(exponent or 0) - places >= last, (row["n"], field, value)
+        _assert_resolved_by(row, "log_det_ldl", ("prediction_gap", "log_ratio", "pv_estimate",
+                                                 "pv_estimate_edge_adjusted"))
     assert [row["prediction_gap"] for row in rep["rows"]][1:] == ["1.1e-60", "0.0"]
+    # asym_gap is log_det_closed minus the asymptotic, printed no finer
+    code, rep, _ = run_json(["exact", "--n", "1,12,50", "--alpha=1/2"], capsys)
+    assert code == 0
+    for row in rep["rows"]:
+        _assert_resolved_by(row, "log_det_closed", ("asym_gap",))
+    # log_det_closed = -1658.92... at 102 digits ends at 1e-98, and so does asym_gap
+    assert len(rep["rows"][2]["asym_gap"].split(".")[1]) == 98
+
+
+def _assert_resolved_by(row, reference, fields):
+    """No field of ``fields`` prints a digit finer than the last printed digit of ``reference``."""
+    ref = mpmath.mpf(row[reference])
+    last = math.floor(mpmath.log10(abs(ref))) - row["digits"] + 1
+    for field in fields:
+        value = row[field]
+        if value != "0.0":
+            mantissa, _, exponent = value.partition("e")
+            places = len(mantissa.split(".")[1]) if "." in mantissa else 0
+            assert int(exponent or 0) - places >= last, (row["n"], field, value)
 
 
 def test_exact_row_evaluates_barnes_g_head_once(capsys, monkeypatch):
@@ -261,13 +276,15 @@ def test_runs_use_neither_mpmath_barnesg_nor_glaisher(capsys, monkeypatch):
     assert len(specfun._TANGENT) > 0
 
 
-def test_compare_refuses_exponents_below_half_before_moments(capsys, monkeypatch):
-    rules = _counting(monkeypatch, hankel, "gauss_jacobi_rule")
-    code, _, err = run(["compare", "--n", "10:30:10", "--alpha=-2/3", "--beta=1/2",
-                        "--h", "exp(x)"], capsys)
-    assert code == 2
-    assert "asymptotic requires alpha, beta >= -1/2" in err
-    assert rules == []
+def test_compare_gap_falls_as_one_over_n_below_half(capsys):
+    """At (-3/4, 0) with h = e^x, n prediction_gap is 0.1315 and 0.1302 at n = 20 and 40:
+    the prediction holds below -1/2 at the O(1/n) rate it has above."""
+    code, rep, _ = run_json(["compare", "--n", "20,40", "--alpha=-3/4", "--h", "exp(x)",
+                             "--digits", "40", "--quad-order", "120"], capsys)
+    assert code == 0
+    gaps = [float(row["prediction_gap"]) for row in rep["rows"]]
+    assert 0.45 <= gaps[1] / gaps[0] <= 0.55
+    assert abs(40 * gaps[1] / (20 * gaps[0]) - 1) < 0.02
 
 
 def test_compare_ln_h_degree_is_always_measured(capsys):
@@ -472,7 +489,7 @@ def test_negative_fraction_exponent_as_separate_token(capsys):
 def test_exit_2_on_bad_parameters(capsys):
     code, _, err = run(["exact", "--n", "4", "--alpha", "-2"], capsys)
     assert code == 2
-    code, _, err = run(["compare", "--n", "4", "--alpha", "-0.75", "--h", "1"], capsys)
+    code, _, err = run(["compare", "--n", "4", "--alpha", "-1", "--h", "1"], capsys)
     assert code == 2
     code, _, err = run(["exact", "--n", "0"], capsys)
     assert code == 2

@@ -67,9 +67,12 @@ def test_every_definition_is_read_by_code_that_runs():
     assert not unread, "read by no run: " + ", ".join(unread)
 
 
-def _attribute_reads(tree):
-    return {n.attr for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+def _receivers(tree):
+    """(name, receiver) of each attribute read, the receiver as source text;
+    ``args``, the parsed command line, is no class of the package and is left out."""
+    return {(n.attr, ast.unparse(n.value)) for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and ast.unparse(n.value) != "args"}
 
 
 def _class_members(cls):
@@ -87,14 +90,23 @@ def _class_members(cls):
 
 def test_every_class_member_is_read_by_code_that_runs():
     """A field, method or property of a package class that code that runs never
-    reads as an attribute; dunders are called by the language and are exempt."""
-    read = set().union(*(_attribute_reads(_parse(path)) for path in RUN_READERS))
-    unread = []
+    reads as an attribute; dunders are called by the language and are exempt.
+
+    A name that k classes define needs k distinct receivers reading it, so the
+    reads of one class's member cannot hide an unread one of the same name."""
+    receivers = {}
+    for path in RUN_READERS:
+        for name, receiver in _receivers(_parse(path)):
+            receivers.setdefault(name, set()).add(receiver)
+    members = {}
     for path in DEFINING:
         for cls in ast.walk(_parse(path)):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for line, name in _class_members(cls):
-                if not (name.startswith("__") and name.endswith("__")) and name not in read:
-                    unread.append(f"{path.relative_to(ROOT)}:{line}: {cls.name}.{name}")
+                if not (name.startswith("__") and name.endswith("__")):
+                    members.setdefault(name, {})[f"{path.stem}.{cls.name}"] = (
+                        f"{path.relative_to(ROOT)}:{line}: {cls.name}.{name}")
+    unread = [where for name, defined in members.items()
+              if len(receivers.get(name, ())) < len(defined) for where in defined.values()]
     assert not unread, "read by no run: " + ", ".join(unread)

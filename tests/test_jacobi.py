@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 import hankelpert.cli as cli
-from hankelpert.errors import DomainError, ValidityError
+from hankelpert.errors import DomainError
 from hankelpert.jacobi import (JacobiParams, jacobi_alpha_n_exact,
                                jacobi_asym_constant, jacobi_beta_n,
                                jacobi_beta_n_exact, jacobi_log_hn,
@@ -33,12 +33,6 @@ def test_params_reject_nonintegrable():
         JacobiParams(-1, 0)
     with pytest.raises(DomainError):
         JacobiParams(0, "-3/2")
-
-
-def test_asymptotic_validity_flag():
-    assert JacobiParams(HALF, 0).asymptotic_valid
-    assert JacobiParams("-1/2", "-1/2").asymptotic_valid
-    assert not JacobiParams("-0.75", 0).asymptotic_valid
 
 
 def test_legendre_moments():
@@ -203,19 +197,15 @@ def test_asym_constant_at_flat_weight():
 
 
 def test_asym_closes_on_exact_value():
-    with mpmath.workdps(70):
-        jp = JacobiParams(HALF, 0)
-        gaps = []
-        for n in (25, 50, 100):
-            gaps.append(abs(jacobi_logdet_exact(n, jp, P64)
-                            - jacobi_logdet_asym(n, jp, P64)))
-        assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
-        assert float(gaps[-1]) < 1e-2
-
-
-def test_asym_outside_validity_raises():
-    with pytest.raises(ValidityError):
-        jacobi_logdet_asym(10, JacobiParams("-0.75", 0), P64)
+    # (-9/10, -9/10): below -1/2 the gap falls as 1/n too, n gap -> -0.505
+    for jp in (JacobiParams(HALF, 0), JacobiParams("-9/10", "-9/10")):
+        with mpmath.workdps(70):
+            gaps = []
+            for n in (25, 50, 100):
+                gaps.append(abs(jacobi_logdet_exact(n, jp, P64)
+                                - jacobi_logdet_asym(n, jp, P64)))
+            assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+            assert float(gaps[-1]) < 1e-2
 
 
 def test_logdet_requires_positive_size():

@@ -2,10 +2,8 @@
 from fractions import Fraction
 
 import mpmath
-import pytest
 
 from hankelpert.dsl import h_const, h_exp_cheb2, h_exp_linear, parse_h
-from hankelpert.errors import ValidityError
 from hankelpert.hankel import (auto_precision, hankel_logdet_ldl,
                                perturbed_moment_sequence)
 from hankelpert.jacobi import JacobiParams, jacobi_logdet_asym, jacobi_logdet_exact
@@ -124,8 +122,3 @@ def test_prediction_gap_shrinks():
     assert gaps[2] < 0.01
     for g1, g2 in zip(gaps, gaps[1:]):
         assert 1.6 < g1 / g2 < 2.4  # first-order decay
-
-
-def test_prediction_outside_validity_raises():
-    with pytest.raises(ValidityError):
-        assemble_prediction(10, JacobiParams("-0.75", 0), parse_h("1"), P64)
