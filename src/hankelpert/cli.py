@@ -7,7 +7,6 @@ Subcommands:
              prediction, with a running estimate of the oscillation constant
     fluid    continuum band endpoints and recurrence estimates vs exact values
     density  the continuum density on a grid, with its mass check
-    heine    determinant ratios vs the n-fold ensemble average (n <= 3)
 
 Reports go to stdout as JSON (default) or CSV; arbitrary-precision values
 are emitted as decimal strings, never as binary floats. Identical command
@@ -62,7 +61,6 @@ BOUNDS = (
     ("diff_norm_ldl", "method_tol", "norm product and ldl routes"),
     ("method_diff", "method_tol", "ldl and recurrence routes"),
     ("heine_diff", "heine_tol", "determinant ratio and ensemble average"),
-    ("diff", "tol", "ratio_direct and ratio_average"),
 )
 #: Differences of two working-precision values carry only a few meaningful
 #: digits; these fields print that many significant digits, not ``digits``.
@@ -147,18 +145,6 @@ def _fmt_row(row: dict, digits: int) -> dict:
         if field in row:
             out[field] = _fmt_resolved(row[field], row[reference], digits)
     return out
-
-
-def _ensemble_check(n: int, jp: JacobiParams, h, p: Precision, ratio) -> tuple:
-    """(ensemble average, |ratio - average|, bound) for ratio = D_n[w h]/D_n[w], n <= 3."""
-    average = heine_average_small_n(n, jp, h, p)
-    return average, abs(ratio - average), mpf(10) ** (HEINE_GUARD - p.decimal_digits)
-
-
-def _validated_h(args) -> tuple:
-    """The parsed --h and the smallest value its positivity screen sampled."""
-    h = parse_h(args.h)
-    return h, validate_positive(h, 257, Precision(64))
 
 
 def _parameters(jp: JacobiParams, n, **extra) -> dict:
@@ -280,7 +266,8 @@ def cmd_compare(args) -> tuple:
     jp = JacobiParams(args.alpha, args.beta)
     ns = _parse_n_list(args.n)
     _warn_if_below_policy(args, ns)
-    h, h_min = _validated_h(args)
+    h = parse_h(args.h)
+    h_min = validate_positive(h, Precision(64))
     moments = _once_at_largest(
         args, ns, lambda top, p: perturbed_moment_sequence(jp, h, top, p, m=args.quad_order))
     ldl = _once_at_largest(args, ns, lambda top, p: hankel_logdet_ldl(moments(), top, p))
@@ -317,9 +304,12 @@ def cmd_compare(args) -> tuple:
                 "pv_estimate_edge_adjusted": pv_estimate - pred.edge_part,
             }
             if args.heine:
+                # Heine's n-fold average of h equals D_n[w h]/D_n[w]
                 avg = diff = tol = None
                 if n <= 3:
-                    avg, diff, tol = _ensemble_check(n, jp, h, p, mpmath.exp(log_ratio))
+                    avg = heine_average_small_n(n, jp, h, p)
+                    diff = abs(mpmath.exp(log_ratio) - avg)
+                    tol = mpf(10) ** (HEINE_GUARD - p.decimal_digits)
                 out.update(heine_average=avg, heine_diff=diff, heine_tol=tol)
             return out
 
@@ -394,35 +384,6 @@ def cmd_density(args) -> tuple:
     return parameters, rows, 0
 
 
-def cmd_heine(args) -> tuple:
-    """Determinant ratio vs the n-fold ensemble average, for n up to 3."""
-    jp = JacobiParams(args.alpha, args.beta)
-    ns = _parse_n_list(args.n)
-    for n in ns:
-        if n > 3:
-            raise DomainError(f"ensemble averages are evaluated for n <= 3, got {n}")
-    _warn_if_below_policy(args, ns)
-    h, _ = _validated_h(args)
-    moments = _once_at_largest(
-        args, ns, lambda top, p: perturbed_moment_sequence(jp, h, top, p, m=args.quad_order))
-
-    def row(n, p):
-        perturbed = hankel_logdet_ldl(moments(), n, p)
-        pure = jacobi_logdet_exact(n, jp, p)
-        with p.workdps():
-            ratio_direct = mpmath.exp(perturbed.log_det - pure)
-            average, diff, tol = _ensemble_check(n, jp, h, p, ratio_direct)
-            return {
-                "ratio_direct": ratio_direct,
-                "ratio_average": average,
-                "diff": diff,
-                "tol": tol,
-            }
-
-    rows, code = _run_rows(ns, lambda n: _row_digits(args, n), row)
-    return _parameters(jp, ns, h=h.source, digits=_digits_param(args)), rows, code
-
-
 # --- report emission ---
 
 def _emit_json(report: dict, stream) -> None:
@@ -465,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"hankelpert {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, with_h=False, with_quad=False):
+    def common(sp, with_h=False):
         sp.add_argument("--n", required=True,
                         help="sizes: one integer, a comma list, or start:stop[:step]")
         sp.add_argument("--alpha", default="0", help="exponent of (1-x), > -1")
@@ -476,17 +437,16 @@ def build_parser() -> argparse.ArgumentParser:
         if with_h:
             sp.add_argument("--h", required=True,
                             help="perturbation expression in x, e.g. 'exp(0.5*x)'")
-        if with_quad:
-            sp.add_argument("--quad-order", type=int, default=None,
-                            help="Gauss rule order for perturbed moments "
-                                 "(default and minimum: largest n + 32, shared by every row)")
 
     sp = sub.add_parser("exact", help="bare-weight ln det by three routes")
     common(sp)
     sp.set_defaults(run=cmd_exact)
 
     sp = sub.add_parser("compare", help="direct perturbed ln det vs prediction")
-    common(sp, with_h=True, with_quad=True)
+    common(sp, with_h=True)
+    sp.add_argument("--quad-order", type=int, default=None,
+                    help="Gauss rule order for perturbed moments "
+                         "(default and minimum: largest n + 32, shared by every row)")
     sp.add_argument("--heine", action="store_true",
                     help="add ensemble-average columns for sizes <= 3")
     sp.set_defaults(run=cmd_compare)
@@ -499,10 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--points", type=int, default=21)
     sp.set_defaults(run=cmd_density)
-
-    sp = sub.add_parser("heine", help="determinant ratio vs ensemble average")
-    common(sp, with_h=True, with_quad=True)
-    sp.set_defaults(run=cmd_heine)
     return parser
 
 

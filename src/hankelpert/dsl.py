@@ -19,8 +19,9 @@ constructors write source text and parse it, so the parser is the only code
 that builds trees.
 
 Evaluation is exact-rational-in, arbitrary-precision-out: numeric leaves are
-Fractions, arithmetic on them stays exact until a transcendental call or an
-mpf argument forces the current mpmath working precision. Domain faults
+Fractions, arithmetic on them stays exact until a transcendental call, an
+mpf argument or a constant power larger than ``EXACT_POWER_BITS`` forces
+the current mpmath working precision. Domain faults
 (log of a nonpositive value, sqrt of a negative, 0 to a negative power,
 negative base to a fractional power) raise EvalDomainError with the point.
 
@@ -53,6 +54,11 @@ FUNCTIONS = {
     "sinh": (mpmath.sinh, None, None),
 }
 FUNCTION_NAMES = tuple(FUNCTIONS)
+#: A rational base to an integer power stays exact while the power's size
+#: bound, |k| times the bits of the base beyond the first, is within this.
+EXACT_POWER_BITS = 4096
+#: Points of the positivity screen ``validate_positive``.
+SCREEN_POINTS = 257
 
 
 # --- syntax tree ---
@@ -156,7 +162,12 @@ def evaluate(node, x):
         if base == 0 and q < 0:
             raise EvalDomainError("zero raised to a negative power", x)
         if q.denominator == 1:
-            return base ** q.numerator
+            k = q.numerator
+            if isinstance(base, Fraction):
+                bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
+                if abs(k) * bits > EXACT_POWER_BITS:
+                    return mpmath.power(to_mpf(base), k)
+            return base ** k
         if base < 0:
             raise EvalDomainError("negative base with a fractional exponent", x)
         return mpmath.power(to_mpf(base), to_mpf(q))
@@ -397,19 +408,18 @@ def positive_sample(h, x) -> BigReal:
     return v
 
 
-def validate_positive(h: PerturbationFn, samples: int = 257, p: Precision = None) -> BigReal:
+def validate_positive(h: PerturbationFn, p: Precision) -> BigReal:
     """Screen h > 0 on a Chebyshev point set including both endpoints; return the smallest value.
 
-    Samples cos(pi j / (samples-1)) for j = 0..samples-1; the clustering near
-    +-1 targets where admissible perturbations degenerate first. Raises
-    PositivityError with the witnessing point on any nonpositive value.
-    EvalDomainError from the expression itself propagates unchanged.
+    Samples cos(pi j / (SCREEN_POINTS-1)) for j = 0..SCREEN_POINTS-1; the
+    clustering near +-1 targets where admissible perturbations degenerate
+    first. Raises PositivityError with the witnessing point on any
+    nonpositive value. EvalDomainError from the expression itself
+    propagates unchanged.
     """
-    if samples < 3:
-        raise DomainError(f"need at least 3 sample points, got {samples}")
-    ctx = p.workdps() if p is not None else mpmath.workdps(mpmath.mp.dps)
-    with ctx:
-        inner = (mpmath.cos(mpmath.pi * j / (samples - 1)) for j in range(1, samples - 1))
+    last = SCREEN_POINTS - 1
+    with p.workdps():
+        inner = (mpmath.cos(mpmath.pi * j / last) for j in range(1, last))
         return min(positive_sample(h, x) for x in (mpf(1), *inner, mpf(-1)))
 
 

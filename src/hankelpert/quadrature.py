@@ -309,8 +309,8 @@ def cheb_expand(f, M: int, p: Precision) -> ChebExpansion:
         return ChebExpansion(coeffs, max(abs(coeffs[-1]), abs(coeffs[-2])))
 
 
-def cheb_expand_auto(f, p: Precision, start: int = 64, limit: int = 8192) -> ChebExpansion:
-    """Smallest power-of-two degree >= ``start`` whose tail bound clears 10^(-digits/2).
+def cheb_expand_auto(f, p: Precision, limit: int = 8192) -> ChebExpansion:
+    """Smallest power-of-two degree >= 64 whose tail bound clears 10^(-digits/2).
 
     Doubles the resolution until the last two coefficients fall below the
     threshold; analytic sources decay geometrically so this terminates fast.
@@ -326,7 +326,7 @@ def cheb_expand_auto(f, p: Precision, start: int = 64, limit: int = 8192) -> Che
             values[x] = f(x)
         return values[x]
 
-    M = start
+    M = 64
     while M <= limit:
         ce = cheb_expand(once, M, p)
         if ce.tail_bound < threshold:

@@ -13,6 +13,8 @@ from hankelpert.errors import (DomainError, EvalDomainError, ParseError,
                                PositivityError)
 from hankelpert.precision import Precision
 
+P64 = Precision(64)
+
 ROUND_TRIP_CORPUS = (
     "exp(0.5*x)",
     "1 + x^2/2",
@@ -86,6 +88,20 @@ def test_precedence_and_associativity():
     assert evaluate(parse_h("8/4/2 + x").ast, Fraction(0)) == 1
     # power tower folds right-assoc: x^2^3 = x^8
     assert evaluate(parse_h("x^2^3 + 1").ast, Fraction(2)) == 257
+
+
+def test_constant_powers_past_the_bit_budget_are_rounded():
+    # exact while |k| times the base's bits beyond the first stays within 4096
+    assert evaluate(parse_h("2^4096").ast, None) == 2 ** 4096
+    assert evaluate(parse_h("(1/3)^4096").ast, None) == Fraction(1, 3 ** 4096)
+    assert evaluate(parse_h("1^99999999 + (-1)^99999999").ast, None) == 0
+    # past it the power is an mpf: 3^9999999 exactly would take seconds per sample
+    big = evaluate(parse_h("(-3)^9999999").ast, None)
+    assert isinstance(big, mpmath.mpf) and big < 0
+    assert parse_h("1 + 0*3^9999999")(mpmath.mpf("0.5")) == 1
+    # and an exponent that is no longer a rational constant is refused at parse time
+    with pytest.raises(ParseError):
+        parse_h("x^(2^(3^99999999))")
 
 
 def test_round_trip_preserves_tree():
@@ -181,28 +197,28 @@ def test_function_domain_boundaries():
 
 
 def test_validate_accepts_positive_functions():
-    smallest = validate_positive(parse_h("exp(x)"), samples=257, p=Precision(64))
+    smallest = validate_positive(parse_h("exp(x)"), P64)
     with mpmath.workdps(40):
         # the minimum is h(-1), an endpoint of the point set
         assert float(abs(smallest - mpmath.exp(-1))) < 1e-30
 
 
 def test_validate_thin_positive_margin():
-    assert 0 < float(validate_positive(parse_h("1 - 0.999*x^2"))) < 0.0011
+    assert 0 < float(validate_positive(parse_h("1 - 0.999*x^2"), P64)) < 0.0011
 
 
 def test_validate_rejects_sign_changes():
     with pytest.raises(PositivityError) as err:
-        validate_positive(parse_h("x"))
+        validate_positive(parse_h("x"), P64)
     assert err.value.witness is not None
     assert float(err.value.value) <= 0
     with pytest.raises(PositivityError):
-        validate_positive(parse_h("log(x)"))  # hits h(1) = 0
+        validate_positive(parse_h("log(x)"), P64)  # hits h(1) = 0
 
 
 def test_validate_propagates_evaluation_failures():
     with pytest.raises(EvalDomainError):
-        validate_positive(parse_h("log(x - 2)"))
+        validate_positive(parse_h("log(x - 2)"), P64)
 
 
 def test_builtin_constructor_guards():
