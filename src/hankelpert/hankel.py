@@ -185,10 +185,35 @@ def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
     return MomentSequence(mus, f"perturbed({label})", nus, jp)
 
 
+def _truncated(man: int, exp: int, bits: int) -> tuple:
+    """man 2^exp with the integer mantissa cut to its leading ``bits`` bits."""
+    drop = max(0, man.bit_length() - bits)
+    return man >> drop, exp + drop
+
+
 def _log_det_from_betas(betas) -> BigReal:
-    """ln D_n = sum_{j<n} (n-j) ln beta_j, n = len(betas), as D_n = prod_{j<n} beta_0 ... beta_j."""
+    """ln D_n, n = len(betas), as one log of D_n = prod_{j<n} h_j, h_j = beta_0 ... beta_j.
+
+    The pivots h_j and their product are integer mantissas, truncated to the
+    working bits plus 2 bit_length(n) + 8 (so the n^2/2 + n truncations move
+    ln D_n by under 2^-(prec+7)), with a binary exponent, so D_n ~ 2^(-n^2)
+    does not underflow and costs no log per beta_j. The log is taken of the
+    mantissa normalised to [1/2, 1), so adding exponent * ln 2 cancels no
+    digits.
+    """
     n = len(betas)
-    log_det = mpmath.fsum((n - j) * mpmath.log(b) for j, b in enumerate(betas))
+    keep = mp.prec + 2 * n.bit_length() + 8
+    pivot, det = (1, 0), (1, 0)
+    for b in betas:
+        b = mpf(b)
+        if not b > 0:
+            raise PrecisionError(f"ln det (size {n}) of a nonpositive beta: {b}")
+        man, exp = b.man_exp
+        pivot = _truncated(pivot[0] * man, pivot[1] + exp, keep)
+        det = _truncated(det[0] * pivot[0], det[1] + pivot[1], keep)
+    man, exp = det
+    bits = man.bit_length()
+    log_det = mpmath.log(mpmath.ldexp(man, -bits)) + (exp + bits) * mpmath.ln2
     return ensure_finite(log_det, f"ln det (size {n})")
 
 

@@ -5,6 +5,7 @@ weight w(x) = (1-x)^alpha (1+x)^beta on [-1, 1] with alpha, beta > -1:
 
 * moments        mu_k = integral of x^k w(x) dx, by a three-term recurrence,
 * recurrence     x P_n = P_{n+1} + alpha_n P_n + beta_n P_{n-1}  (monic P_n),
+* structure      (1-x^2) P_n' as a combination of P_n, x P_n and P_{n-1},
 * square norms   h_n = integral of P_n(x)^2 w(x) dx,
 * determinants   D_n = det(mu_{j+k})_{j,k<n} = prod_{j<n} h_j,
 
@@ -105,6 +106,28 @@ def jacobi_beta_n_exact(n: int, jp: JacobiParams) -> Fraction:
     m = 2 * n * d + S
     return Fraction(4 * n * d * (n * d + A) * (n * d + B) * (n * d + S),
                     m * m * (m + d) * (m - d))
+
+
+def jacobi_structure_exact(m: int, jp: JacobiParams) -> tuple:
+    """Exact (B, C) of the structure relation (m >= 1)
+
+        (1 - x^2) Q'_m = (B - m x) Q_m + C Q_{m-1},   Q_k = 2^k P_k.
+
+    The left side vanishes at x = +-1, so (B -+ m) r_+- + C = 0 with
+    r_+- = Q_m(+-1) / Q_{m-1}(+-1), which for m >= 2 is
+    +-4 (m + alpha or beta)(m + s) / ((2m+s)(2m+s-1)).
+    """
+    a, b = jp.alpha, jp.beta
+    s = a + b
+    if m == 1:
+        # the generic ratio is 0/0 at m=1 when s=-1; Q_1 = 2(x - alpha_0)
+        a0 = jacobi_alpha_n_exact(0, jp)
+        r_plus, r_minus = 2 * (1 - a0), -2 * (1 + a0)
+    else:
+        k = 4 * (m + s) / ((2 * m + s) * (2 * m + s - 1))
+        r_plus, r_minus = k * (m + a), -k * (m + b)
+    B = m * (r_plus + r_minus) / (r_plus - r_minus)
+    return B, (m - B) * r_plus
 
 
 def jacobi_alpha_n(n: int, jp: JacobiParams) -> BigReal:

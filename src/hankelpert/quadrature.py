@@ -6,25 +6,39 @@ on the scaled recurrence Q_k = 2^k P_k,
 
     Q_{k+1} = (2x - 2 alpha_k) Q_k - 4 beta_k Q_{k-1},
 
-whose values do not shrink like 2^-k as the P_k do (4 beta_k -> 1).
-Seeds come from Newton in floats with Maehly deflation, working in from
-x = 1: started right of the largest root of a real-rooted polynomial,
-Newton descends monotonically onto it, and dividing out the roots found
-makes the next root the largest. Newton then polishes each seed on F-bit
-fixed-point Python integers (x, 2 alpha_k and 4 beta_k scaled by 2^F,
-F = working bits + guard bits, each product shifted back by F), which
-does the work of mpf arithmetic without its per-operation overhead. Fixed
-point resolves small values only absolutely, so the guard grows with m
-and with the bits by which the smallest |Q_k(+-1)| falls below 1 (large
-exponents). A node that fails to converge inside its bracket (midpoints
-between neighbouring seeds) is recovered by bisection on the sign change
-of Q_m on the same kernel; failure after that raises with diagnostics
-rather than returning silently.
+whose values do not shrink like 2^-k as the P_k do (4 beta_k -> 1). Each
+evaluation runs only this recurrence, to Q_m and Q_{m-1}; the derivative
+comes from the Jacobi structure relation (Hale and Townsend, SIAM J. Sci.
+Comput. 35 (2013) A652)
 
-Weights use the classical Christoffel formula for monic polynomials,
+    (1 - x^2) Q'_m = (B - m x) Q_m + C Q_{m-1},
+
+with exact B and C (:func:`jacobi_structure_exact`), so a Newton step is
+Q_m (1 - x^2) / ((B - m x) Q_m + C Q_{m-1}). Seeds come from Newton in
+floats with Maehly deflation, working in from x = 1: started right of the
+largest root of a real-rooted polynomial, Newton descends monotonically
+onto it, and dividing out the roots found makes the next root the largest.
+The first step, from x = 1 itself, and the restart after each root read the
+Jacobi differential equation
+
+    (1 - x^2) Q''_m + (beta - alpha - (s+2) x) Q'_m + m (m+s+1) Q_m = 0,  s = alpha + beta,
+
+which gives Q_m/Q'_m at x = 1 and Q''_m/Q'_m at a root. Newton then polishes
+each seed on F-bit fixed-point Python integers (x, 2 alpha_k and 4 beta_k
+scaled by 2^F, F = working bits + guard bits, each product shifted back by
+F), which does the work of mpf arithmetic without its per-operation
+overhead. Fixed point resolves small values only absolutely, so the guard
+grows with m (1 - x^2 near +-1 falls like 1/m^2) and with the bits by which
+the smallest |Q_k(+-1)| falls below 1 (large exponents). A node that fails
+to converge inside its bracket (midpoints between neighbouring seeds) is
+recovered by bisection on the sign change of Q_m on the same kernel;
+failure after that raises with diagnostics rather than returning silently.
+
+Weights use the classical Christoffel formula for monic polynomials, with
+Q'_m from the structure relation,
 
     w_i = h_{m-1} / (P_{m-1}(x_i) * P'_m(x_i))
-        = h_{m-1} 2^(2m-1) / (Q_{m-1}(x_i) * Q'_m(x_i)),
+        = h_{m-1} 2^(2m-1) (1 - x_i^2) / (Q_{m-1}(x_i) * (C Q_{m-1}(x_i) + (B - m x_i) Q_m(x_i))),
 
 which is positive at every root and needs one extra norm constant h_{m-1}.
 """
@@ -38,11 +52,13 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import DomainError, ResolutionError, RootFindError
-from .jacobi import JacobiParams, jacobi_log_hn, jacobi_recurrence_table
+from .jacobi import (JacobiParams, jacobi_log_hn, jacobi_recurrence_table,
+                     jacobi_structure_exact)
 from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite, to_mpf
 
 #: Fixed-point guard bits on top of the working precision: in the Gauss rule
-#: plus 3 per bit of the rule order and the bits of :func:`_small_value_bits`,
+#: plus 5 per bit of the rule order (3 for the rounding count, 2 for 1 - x^2
+#: near +-1) and the bits of :func:`_small_value_bits`,
 #: in the perturbed moment pass (``hankel``) plus 1 per bit of the rule order
 #: and the same small-value bits, in the modified Chebyshev kernel
 #: (``hankel``) plus 3 per coefficient pair, in the Chebyshev transform below
@@ -66,41 +82,52 @@ class QuadratureRule:
 
 
 def _eval_float(x: float, two_alpha, four_beta) -> tuple:
-    """(Q_m(x), Q'_m(x), Q''_m(x)) in floats."""
-    qm1, q, dm1, dq, em1, d2q = 0.0, 1.0, 0.0, 0.0, 0.0, 0.0
+    """(Q_m(x), Q_{m-1}(x)) in floats."""
+    qm1, q = 0.0, 1.0
     for a, b in zip(two_alpha, four_beta):
-        c = 2 * x - a
-        qm1, q, dm1, dq, em1, d2q = (q, c * q - b * qm1, dq, 2 * q + c * dq - b * dm1,
-                                     d2q, 4 * dq + c * d2q - b * em1)
-    return q, dq, d2q
+        qm1, q = q, (2 * x - a) * q - b * qm1
+    return q, qm1
 
 
-def _seed_nodes(two_alpha, four_beta) -> list:
-    """Increasing float roots of Q_m, by Newton with Maehly deflation from x = 1 inward."""
+def _seed_nodes(two_alpha, four_beta, *, relation) -> list:
+    """Increasing float roots of Q_m, by Newton with Maehly deflation from x = 1 inward.
+
+    ``relation`` is (B, C, beta - alpha, s + 2) in floats: the structure
+    relation's coefficients and those of the first-order term of the Jacobi
+    equation.
+    """
+    m = len(two_alpha)
+    b, c, b_minus_a, s_plus_2 = relation
     roots = []
-    x = 1.0
+    # Newton's first step from x = 1, where the equation gives
+    # Q/Q' = 2 (alpha + 1) / (m (m + s + 1)) and the relation is 0/0
+    x = 1 - (s_plus_2 - b_minus_a) / (m * (m + s_plus_2 - 1))
     while True:
         last = math.inf
         for _ in range(SEED_ITERATIONS):
-            q, dq, _ = _eval_float(x, two_alpha, four_beta)
-            den = dq - q * sum(1 / (x - r) for r in roots)
+            q, qm1 = _eval_float(x, two_alpha, four_beta)
+            one_minus_x2 = 1 - x * x
+            # (1 - x^2) (Q'_m - Q_m sum 1/(x - r)): the Newton denominator
+            # for Q_m / prod (x - r), times 1 - x^2
+            den = (b - m * x) * q + c * qm1 - q * one_minus_x2 * sum(1 / (x - r) for r in roots)
             if den == 0:
                 break
-            step = q / den
+            step = q * one_minus_x2 / den
             x -= step
             # done at the float floor, or when rounding noise stops the descent
             if abs(step) <= 4e-16 or last <= abs(step) < 1e-10:
                 break
             last = abs(step)
         roots.append(x)
-        if len(roots) == len(two_alpha):
+        if len(roots) == m:
             return roots[::-1]
         # start the next search one Newton step for Q_m / prod (x - r) away
         # from the root just found, where the quotient is 0/0: the step 1/S,
         # S = Q''/(2Q') - sum over the earlier roots of 1/(x - r), lands right
-        # of the next root and, unlike a start near x, cancels no digits
-        _, dq, d2q = _eval_float(x, two_alpha, four_beta)
-        x -= 1 / (d2q / (2 * dq) + sum(1 / (r - x) for r in roots[:-1]))
+        # of the next root and, unlike a start near x, cancels no digits; at
+        # a root the equation gives Q''/(2Q') = ((s+2) x - (beta - alpha)) / (2 (1 - x^2))
+        x -= 1 / ((s_plus_2 * x - b_minus_a) / (2 * (1 - x * x))
+                  + sum(1 / (r - x) for r in roots[:-1]))
 
 
 def _small_value_bits(two_alpha, four_beta) -> int:
@@ -133,14 +160,12 @@ def scaled_recurrence(ca, cb, spare_bits: int) -> tuple:
 
 
 def _eval_fixed(x: int, two_alpha, four_beta, bits: int) -> tuple:
-    """(Q_m(x), Q'_m(x), Q_{m-1}(x)) on fixed-point integers scaled by 2^bits."""
+    """(Q_m(x), Q_{m-1}(x)) on fixed-point integers scaled by 2^bits."""
     two_x = 2 * x
-    qm1, q, dm1, dq = 0, 1 << bits, 0, 0
+    qm1, q = 0, 1 << bits
     for a, b in zip(two_alpha, four_beta):
-        c = two_x - a
-        qm1, q, dm1, dq = (q, (c * q - b * qm1) >> bits,
-                           dq, 2 * q + ((c * dq - b * dm1) >> bits))
-    return q, dq, qm1
+        qm1, q = q, ((two_x - a) * q - b * qm1) >> bits
+    return q, qm1
 
 
 def _bisect_root(lo: int, hi: int, two_alpha, four_beta, bits: int, tol: int):
@@ -174,14 +199,24 @@ def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
         inner = Precision(max(32, mp.dps))
         ca, cb = jacobi_recurrence_table(m, jp)
         two_alpha_f, four_beta_f = [float(2 * a) for a in ca], [float(4 * b) for b in cb]
-        seeds = _seed_nodes(two_alpha_f, four_beta_f)
+        B, C = jacobi_structure_exact(m, jp)
+        relation = (B, C, jp.beta - jp.alpha, jp.alpha + jp.beta + 2)
+        seeds = _seed_nodes(two_alpha_f, four_beta_f, relation=[float(v) for v in relation])
         for i, s in enumerate(seeds):
             if not -1 < s < 1:
                 raise RootFindError(
                     f"seed {i} of order-{m} rule for alpha={jp.alpha}, "
                     f"beta={jp.beta} is {s}, outside (-1, 1)")
-        bits, two_alpha, four_beta = scaled_recurrence(ca, cb, 3 * m.bit_length())
+        bits, two_alpha, four_beta = scaled_recurrence(ca, cb, 5 * m.bit_length())
         one = 1 << bits
+        b_fixed, c_fixed = (v.numerator * one // v.denominator for v in (B, C))
+
+        def newton_terms(x):
+            """(Q_m, (1 - x^2) Q'_m, Q_{m-1}, 1 - x^2) at x, each scaled by 2^bits."""
+            q, qm1 = _eval_fixed(x, two_alpha, four_beta, bits)
+            return (q, ((b_fixed - m * x) * q + c_fixed * qm1) >> bits, qm1,
+                    one - (x * x >> bits))
+
         xs = [int(mpmath.ldexp(s, bits)) for s in seeds]
         # interlacing brackets between consecutive seeds (seeds are within
         # ~1e-15 of the true roots, midpoints separate them safely)
@@ -193,10 +228,10 @@ def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
         for i, x in enumerate(xs):
             converged = False
             for _ in range(120):
-                q, dq, _ = _eval_fixed(x, two_alpha, four_beta, bits)
-                if dq == 0:
+                q, den, _, one_minus_x2 = newton_terms(x)
+                if den == 0:
                     break
-                step = (q << bits) // dq
+                step = q * one_minus_x2 // den
                 x -= step
                 if not edges[i] < x < edges[i + 1]:
                     break
@@ -215,16 +250,18 @@ def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
                 raise RootFindError(
                     f"nodes {i}, {i + 1} of order-{m} rule are not increasing: "
                     f"{mpmath.ldexp(nodes[i], -bits)}, {mpmath.ldexp(nodes[i + 1], -bits)}")
-        # Q_{m-1} Q'_m carries the scale 2^(2 bits) of its two fixed-point factors
-        scale = mpmath.ldexp(mpmath.exp(jacobi_log_hn(m - 1, jp, inner)), 2 * m - 1 + 2 * bits)
+        # (1 - x^2) / (Q_{m-1} (1 - x^2) Q'_m) carries the scale 2^-bits of
+        # its three fixed-point factors
+        scale = mpmath.ldexp(mpmath.exp(jacobi_log_hn(m - 1, jp, inner)), 2 * m - 1 + bits)
         weights = []
         for i, x in enumerate(nodes):
-            _, dq, qm1 = _eval_fixed(x, two_alpha, four_beta, bits)
-            if not qm1 * dq > 0:
+            _, den, qm1, one_minus_x2 = newton_terms(x)
+            if not (qm1 * den > 0 and one_minus_x2 > 0):
                 raise RootFindError(
                     f"weight {i} of order-{m} rule is not positive: "
-                    f"Q_(m-1) Q'_m = {mpmath.ldexp(qm1 * dq, -2 * bits)}")
-            weights.append(ensure_finite(scale / (qm1 * dq), f"weight {i}"))
+                    f"Q_(m-1) (1 - x^2) Q'_m = {mpmath.ldexp(qm1 * den, -2 * bits)}, "
+                    f"1 - x^2 = {mpmath.ldexp(one_minus_x2, -bits)}")
+            weights.append(ensure_finite(scale * one_minus_x2 / (qm1 * den), f"weight {i}"))
         return QuadratureRule(tuple(mpmath.ldexp(x, -bits) for x in nodes),
                               tuple(weights))
 

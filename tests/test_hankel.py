@@ -175,6 +175,33 @@ def test_degraded_moments_are_detected_not_masked():
         assert abs(got - hankel_logdet_ldl(degraded, n, P64).log_det) < mpmath.mpf(10) ** -64
 
 
+@pytest.mark.parametrize("n", [1, 2, 60, 300])
+def test_log_det_from_betas_matches_sum_of_logs(n):
+    """One log of the truncated pivot product equals sum_j (n-j) ln beta_j,
+    the per-coefficient form it replaced, evaluated at twice the digits, to
+    a unit in the last working digit (taking the log of the unnormalised
+    mantissa misses by 15 to 30 units at n <= 3)."""
+    work = P64.decimal_digits + _conditioning_guard(n)
+    for beta0 in [1 + mpmath.mpf(k) / 7 for k in range(12)] + [mpmath.mpf(10) ** 300]:
+        with mpmath.workdps(work):
+            # pivots decaying like 4^-j, and one tiny beta
+            betas = [+beta0, *(mpmath.mpf(1) / 4 + mpmath.mpf(1) / (j + 3) ** 2
+                               for j in range(1, n))]
+            if n > 2:
+                betas[2] = mpmath.mpf(10) ** -200
+        with mpmath.workdps(2 * work):
+            want = mpmath.fsum((n - j) * mpmath.log(b) for j, b in enumerate(betas))
+        got = hankel_logdet_leading(betas, n, P64).log_det
+        assert abs(got - want) < mpmath.mpf(10) ** -work * max(1, abs(want)), \
+            f"beta_0 = {mpmath.nstr(beta0, 5)}: off by {mpmath.nstr(got - want, 3)}"
+
+
+def test_log_det_from_betas_refuses_nonpositive_beta():
+    for bad in (0, -1, mpmath.nan):
+        with pytest.raises(PrecisionError, match="nonpositive"):
+            hankel_logdet_leading([mpmath.mpf(2), mpmath.mpf(bad)], 2, P64)
+
+
 def generic_modified_chebyshev(nu, aux_alpha, aux_beta, count):
     """The generic loop the fixed-point kernel replaced, kept as its oracle:
     Fractions (with Fraction auxiliaries) run exactly, mpf at the working

@@ -12,7 +12,7 @@ from hankelpert.jacobi import (JacobiParams, jacobi_alpha_n_exact,
                                jacobi_beta_n_exact, jacobi_log_hn,
                                jacobi_logdet_asym, jacobi_logdet_exact,
                                jacobi_moment, jacobi_moment_exact,
-                               jacobi_recurrence_table)
+                               jacobi_recurrence_table, jacobi_structure_exact)
 from hankelpert.precision import Precision
 from hankelpert.specfun import log_barnes_g, log_gamma
 
@@ -106,6 +106,37 @@ def test_recurrence_against_rational_gram_schmidt():
             assert alphas[k] == jacobi_alpha_n_exact(k, jp), f"{pair} alpha_{k}"
         for k in range(1, count):
             assert betas[k] == jacobi_beta_n_exact(k, jp), f"{pair} beta_{k}"
+
+
+def _poly(*terms):
+    """Sum of c x^shift q(x) over the (c, shift, q), q a Fraction coefficient list."""
+    out = [Fraction(0)] * max(shift + len(q) for _, shift, q in terms)
+    for c, shift, q in terms:
+        for i, v in enumerate(q):
+            out[i + shift] += c * v
+    return out
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (1, 0), (0, 3), (2, 5), ("-1/2", "-1/2"),
+                                  ("-3/4", "-1/4")])
+def test_structure_relation_against_exact_derivatives(pair):
+    """(1 - x^2) Q'_m = (B - m x) Q_m + C Q_{m-1} coefficient by coefficient, m <= 8.
+
+    Q_k = 2^k P_k from the exact recurrence. The last two pairs put
+    alpha + beta at -1, where the generic Q_m(+-1)/Q_{m-1}(+-1) is 0/0 at m = 1.
+    """
+    jp = JacobiParams(*pair)
+    qs = [[Fraction(0)], [Fraction(1)]]
+    for k in range(8):
+        beta_k = jacobi_beta_n_exact(k, jp) if k else 0
+        qs.append(_poly((2, 1, qs[-1]), (-2 * jacobi_alpha_n_exact(k, jp), 0, qs[-1]),
+                        (-4 * beta_k, 0, qs[-2])))
+    for m in range(1, 9):
+        q, qm1 = qs[m + 1], qs[m]
+        dq = [i * c for i, c in enumerate(q)][1:]
+        B, C = jacobi_structure_exact(m, jp)
+        assert _poly((1, 0, dq), (-1, 2, dq)) == _poly((B, 0, q), (-m, 1, q), (C, 0, qm1)), \
+            f"{pair} m={m}"
 
 
 def test_exponents_without_exact_value_are_refused(capsys):

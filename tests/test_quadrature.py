@@ -2,9 +2,11 @@
 import mpmath
 import pytest
 
+from hankelpert import quadrature
 from hankelpert.errors import DomainError, ResolutionError
-from hankelpert.jacobi import (JacobiParams, jacobi_log_hn, jacobi_moment,
-                              jacobi_moment_ratios, jacobi_recurrence_table)
+from hankelpert.jacobi import (JacobiParams, jacobi_alpha_n_exact, jacobi_beta_n_exact,
+                              jacobi_log_hn, jacobi_moment, jacobi_moment_ratios,
+                              jacobi_recurrence_table)
 from hankelpert.precision import GUARD_DIGITS, Precision, to_mpf
 from hankelpert.quadrature import (cheb_expand, cheb_expand_auto,
                                    gauss_jacobi_rule)
@@ -33,6 +35,36 @@ def test_two_point_rule_values():
         assert float(abs(rule.nodes[1] - node)) < 1e-60
     assert float(abs(rule.weights[0] - 1)) < 1e-60
     assert float(abs(rule.weights[1] - 1)) < 1e-60
+
+
+@pytest.mark.parametrize("a_s, b_s", [("-1/2", "-1/2"), ("-3/4", "-1/4")])
+def test_low_order_rules_at_exponent_sum_minus_one(a_s, b_s):
+    """Orders 1 and 2 where alpha + beta = -1, at which the structure relation's
+    generic Q_1(+-1)/Q_0(+-1) is 0/0.
+
+    Order 1 is the node alpha_0 with weight mu_0. Order 2 has the roots of
+    P_2 = (x - alpha_1)(x - alpha_0) - beta_1 with the weights that integrate
+    1 and x exactly.
+    """
+    jp = JacobiParams(a_s, b_s)
+    with mpmath.workdps(70):
+        a0, a1, b1 = (to_mpf(v) for v in (jacobi_alpha_n_exact(0, jp),
+                                          jacobi_alpha_n_exact(1, jp),
+                                          jacobi_beta_n_exact(1, jp)))
+        mu0 = jacobi_moment(0, jp, P64)
+        root = mpmath.sqrt(((a0 - a1) / 2) ** 2 + b1)
+        x1, x2 = (a0 + a1) / 2 - root, (a0 + a1) / 2 + root
+        w1 = mu0 * (a0 - x2) / (x1 - x2)
+        for m, nodes, weights in ((1, [a0], [mu0]), (2, [x1, x2], [w1, mu0 - w1])):
+            rule = gauss_jacobi_rule(m, jp, P64)
+            for got, want in zip(rule.nodes + rule.weights, nodes + weights):
+                assert abs(got - want) < 1e-62, f"m={m}"
+        if a_s == b_s:
+            # Gauss-Chebyshev: node 0 with weight pi, then weights pi/2
+            assert gauss_jacobi_rule(1, jp, P64).nodes == (0,)
+            for m in (1, 2):
+                assert all(abs(w - mpmath.pi / m) < 1e-62
+                           for w in gauss_jacobi_rule(m, jp, P64).weights)
 
 
 def test_polynomial_exactness():
@@ -257,6 +289,24 @@ def test_fixed_point_kernel_matches_mpf_newton(m, digits, a_s, b_s):
         assert abs(rule.nodes[i] - nodes[i]) < mpmath.mpf(10) ** -(digits + 12), f"node {i}"
         assert abs(rule.weights[i] / weights[i] - 1) < mpmath.mpf(10) ** -(digits + 8), \
             f"weight {i}"
+
+
+@pytest.mark.parametrize("a_s, b_s", [("1/3", "2"), ("-9/10", "5"), ("-1/2", "-1/2"),
+                                      ("100", "-99/100")])
+def test_rule_takes_five_kernel_evaluations_per_node(monkeypatch, a_s, b_s):
+    """Work guard, by count: from float seeds the order-62 rule at 74 digits
+    (the rule ``compare --n 10:30:10`` builds) takes at most 5m fixed-point
+    evaluations, four Newton steps and one weight per node, and no bisection."""
+    calls = {"_eval_fixed": 0, "_bisect_root": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(quadrature, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(quadrature, name, counted)
+    gauss_jacobi_rule.cache_clear()
+    assert len(gauss_jacobi_rule(62, JacobiParams(a_s, b_s), Precision(74)).nodes) == 62
+    assert calls["_bisect_root"] == 0
+    assert calls["_eval_fixed"] <= 5 * 62
 
 
 @pytest.mark.parametrize("m, a_s, b_s", [(208, "1/3", "2"), (150, "0", "-1/2"),
