@@ -67,10 +67,13 @@ BOUNDS = (
 DIFF_FIELDS = frozenset(diff for diff, _, _ in BOUNDS)
 DIFF_DIGITS = 3
 #: A field computed from a printed value by subtracting others printed no
-#: finer: it prints no digit finer than that value's last printed digit.
+#: finer, or one of the terms so subtracted (``log_mean`` and ``boundary_part``
+#: from ``prediction_total``, ``mean_term_limit`` from ``log_ratio``): it
+#: prints no digit finer than that value's last printed digit.
 RESOLVED_BY = {"asym_gap": "log_det_closed", "prediction_gap": "log_det_ldl",
                "log_ratio": "log_det_ldl", "pv_estimate": "log_det_ldl",
-               "pv_estimate_edge_adjusted": "log_det_ldl"}
+               "pv_estimate_edge_adjusted": "log_det_ldl", "log_mean": "log_det_ldl",
+               "boundary_part": "log_det_ldl", "mean_term_limit": "log_det_ldl"}
 
 
 def _parse_n_list(text: str) -> list:

@@ -43,6 +43,7 @@ from mpmath import mpf
 
 from .errors import DomainError, EvalDomainError, ParseError, PositivityError
 from .precision import BigReal, Precision, to_mpf
+from .quadrature import lobatto_cos_sin
 
 #: name -> (function, domain fault or None, fault message). The fault test
 #: reads the argument before rounding, so exact arguments are judged exactly.
@@ -57,7 +58,8 @@ FUNCTION_NAMES = tuple(FUNCTIONS)
 #: A rational base to an integer power stays exact while the power's size
 #: bound, |k| times the bits of the base beyond the first, is within this.
 EXACT_POWER_BITS = 4096
-#: Points of the positivity screen ``validate_positive``.
+#: Points of the positivity screen ``validate_positive``: the Chebyshev-Lobatto
+#: nodes of degree SCREEN_POINTS - 1, a power of two.
 SCREEN_POINTS = 257
 
 
@@ -411,16 +413,15 @@ def positive_sample(h, x) -> BigReal:
 def validate_positive(h: PerturbationFn, p: Precision) -> BigReal:
     """Screen h > 0 on a Chebyshev point set including both endpoints; return the smallest value.
 
-    Samples cos(pi j / (SCREEN_POINTS-1)) for j = 0..SCREEN_POINTS-1; the
-    clustering near +-1 targets where admissible perturbations degenerate
-    first. Raises PositivityError with the witnessing point on any
-    nonpositive value. EvalDomainError from the expression itself
-    propagates unchanged.
+    Samples the Chebyshev-Lobatto nodes cos(pi j / (SCREEN_POINTS-1)),
+    j = 0..SCREEN_POINTS-1, read from the precision's table
+    (:func:`lobatto_cos_sin`); the clustering near +-1 targets where
+    admissible perturbations degenerate first. Raises PositivityError with
+    the witnessing point on any nonpositive value. EvalDomainError from the
+    expression itself propagates unchanged.
     """
-    last = SCREEN_POINTS - 1
     with p.workdps():
-        inner = (mpmath.cos(mpmath.pi * j / last) for j in range(1, last))
-        return min(positive_sample(h, x) for x in (mpf(1), *inner, mpf(-1)))
+        return min(positive_sample(h, x) for x in lobatto_cos_sin(SCREEN_POINTS - 1)[0])
 
 
 # --- ready-made perturbations ---

@@ -165,6 +165,43 @@ def test_compare_sweep_rows_match_single_size_runs(capsys, monkeypatch):
             assert abs(mpmath.mpf(row[key]) - mpmath.mpf(alone[key])) <= tol, (row["n"], key)
 
 
+def test_compare_computes_each_lobatto_angle_once(capsys, monkeypatch):
+    """The screen and the ln h expansion read their nodes from one table per
+    precision: at most M/4 + 1 cos_sin calls for its finest M, and the screen
+    calls no mpmath.cos."""
+    quadrature._OCTANTS.clear()
+    angles, screen_cosines, inside = [], [], []
+    cos_sin, cos, screen = mpmath.cos_sin, mpmath.cos, cli.validate_positive
+
+    def counted_cos_sin(*args, **kwargs):
+        angles.append(mpmath.mp.prec)
+        return cos_sin(*args, **kwargs)
+
+    def counted_cos(*args, **kwargs):
+        if inside:
+            screen_cosines.append(args)
+        return cos(*args, **kwargs)
+
+    def marked_screen(*args):
+        inside.append(True)
+        try:
+            return screen(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(mpmath, "cos_sin", counted_cos_sin)
+    monkeypatch.setattr(mpmath, "cos", counted_cos)
+    monkeypatch.setattr(cli, "validate_positive", marked_screen)
+    code, _, _ = run_json(["compare", "--n", "10:30:10", "--h", "1+2*x^2"], capsys)
+    assert code == 0
+    assert screen_cosines == []
+    # the screen's precision and the expansion's
+    assert len(quadrature._OCTANTS) == 2
+    for prec, (finest, _) in quadrature._OCTANTS.items():
+        assert angles.count(prec) <= finest // 4 + 1, (prec, finest)
+    assert len(angles) == sum(angles.count(prec) for prec in quadrature._OCTANTS)
+
+
 @pytest.mark.parametrize("kind", ["nonpositive beta", "zero denominator"])
 def test_breakdown_at_k_fails_only_larger_rows(capsys, monkeypatch, kind):
     """The sweep's one factorization breaks down at index 15: rows 10 keep their
@@ -202,13 +239,17 @@ def test_failed_shared_build_runs_once(capsys, monkeypatch):
 
 def test_prediction_gap_prints_no_digit_finer_than_log_det(capsys):
     """prediction_gap, log_ratio and both pv estimates are log_det_ldl minus values
-    printed no finer: none prints a digit finer than log_det_ldl's last."""
+    printed no finer, and log_mean, boundary_part and mean_term_limit are terms
+    so subtracted: none prints a digit finer than log_det_ldl's last."""
     code, rep, _ = run_json(["compare", "--n", "10:30:10", "--alpha=-1/2", "--beta=-1/2",
                              "--h", "exp(x)"], capsys)
     assert code == 0
     for row in rep["rows"]:
         _assert_resolved_by(row, "log_det_ldl", ("prediction_gap", "log_ratio", "pv_estimate",
-                                                 "pv_estimate_edge_adjusted"))
+                                                 "pv_estimate_edge_adjusted", "log_mean",
+                                                 "boundary_part", "mean_term_limit"))
+        # ln h = x is odd, so its mean c_0/2 and every multiple of it is 0
+        assert [row[f] for f in ("log_mean", "boundary_part", "mean_term_limit")] == ["0.0"] * 3
     assert [row["prediction_gap"] for row in rep["rows"]][1:] == ["1.1e-60", "0.0"]
     # asym_gap is log_det_closed minus the asymptotic, printed no finer
     code, rep, _ = run_json(["exact", "--n", "1,12,50", "--alpha=1/2"], capsys)

@@ -291,12 +291,8 @@ def test_fixed_point_kernel_matches_mpf_newton(m, digits, a_s, b_s):
             f"weight {i}"
 
 
-@pytest.mark.parametrize("a_s, b_s", [("1/3", "2"), ("-9/10", "5"), ("-1/2", "-1/2"),
-                                      ("100", "-99/100")])
-def test_rule_takes_five_kernel_evaluations_per_node(monkeypatch, a_s, b_s):
-    """Work guard, by count: from float seeds the order-62 rule at 74 digits
-    (the rule ``compare --n 10:30:10`` builds) takes at most 5m fixed-point
-    evaluations, four Newton steps and one weight per node, and no bisection."""
+def _kernel_calls(monkeypatch, m, jp, p) -> dict:
+    """Calls of ``_eval_fixed`` and ``_bisect_root`` while the order-m rule is built afresh."""
     calls = {"_eval_fixed": 0, "_bisect_root": 0}
     for name in calls:
         def counted(*args, name=name, original=getattr(quadrature, name)):
@@ -304,9 +300,59 @@ def test_rule_takes_five_kernel_evaluations_per_node(monkeypatch, a_s, b_s):
             return original(*args)
         monkeypatch.setattr(quadrature, name, counted)
     gauss_jacobi_rule.cache_clear()
-    assert len(gauss_jacobi_rule(62, JacobiParams(a_s, b_s), Precision(74)).nodes) == 62
+    assert len(gauss_jacobi_rule(m, jp, p).nodes) == m
+    return calls
+
+
+@pytest.mark.parametrize("a_s, b_s", [("1/3", "2"), ("-9/10", "5"), ("-1/2", "-1/2"),
+                                      ("100", "-99/100")])
+def test_rule_takes_five_kernel_evaluations_per_node(monkeypatch, a_s, b_s):
+    """Work guard, by count: from float seeds the order-62 rule at 74 digits
+    (the rule ``compare --n 10:30:10`` builds) takes at most 3m fixed-point
+    evaluations, two Halley steps and one that accepts the node and serves
+    its weight, and no bisection."""
+    calls = _kernel_calls(monkeypatch, 62, JacobiParams(a_s, b_s), Precision(74))
     assert calls["_bisect_root"] == 0
-    assert calls["_eval_fixed"] <= 5 * 62
+    assert calls["_eval_fixed"] <= 3 * 62
+
+
+def test_rule_takes_three_kernel_evaluations_near_a_large_exponent(monkeypatch):
+    """At exponents (60, 0) the nodes crowd the far endpoint, where Halley's
+    error constant is largest; the order-40 rule still takes at most 3m
+    evaluations and no bisection."""
+    calls = _kernel_calls(monkeypatch, 40, JacobiParams(60, 0), Precision(74))
+    assert calls["_bisect_root"] == 0
+    assert calls["_eval_fixed"] <= 3 * 40
+
+
+@pytest.mark.parametrize("digits", [40, 111])
+def test_lobatto_table_within_one_ulp(digits):
+    """Each cos and sin of pi t / M is within one unit of its last place of
+    mpmath's cospi and sinpi, which take the angle exactly (cos(pi * t / M)
+    rounds pi first, so near its zeros it is off by many of its own units)."""
+    quadrature._OCTANTS.clear()
+    with mpmath.workdps(digits):
+        for M in (1, 2, 4, 64, 256):
+            cos_t, sin_t = quadrature.lobatto_cos_sin(M)
+            assert len(cos_t) == len(sin_t) == M + 1
+            for t in range(M + 1):
+                for got, want in ((cos_t[t], mpmath.cospi(mpmath.mpf(t) / M)),
+                                  (sin_t[t], mpmath.sinpi(mpmath.mpf(t) / M))):
+                    ulp = mpmath.ldexp(1, mpmath.mag(want) - mpmath.mp.prec) if want else 0
+                    assert abs(got - want) <= ulp, (M, t)
+
+
+def test_coarser_lobatto_table_is_a_stride_of_a_finer_one():
+    """Built alone or after a finer one, the degree-M table is every
+    (256/M)-th entry of the degree-256 table."""
+    with mpmath.workdps(72):
+        quadrature._OCTANTS.clear()
+        fine_cos, fine_sin = quadrature.lobatto_cos_sin(256)
+        for M in (1, 2, 4, 64, 128):
+            stride = 256 // M
+            assert quadrature.lobatto_cos_sin(M) == (fine_cos[::stride], fine_sin[::stride])
+            quadrature._OCTANTS.clear()
+            assert quadrature.lobatto_cos_sin(M) == (fine_cos[::stride], fine_sin[::stride])
 
 
 @pytest.mark.parametrize("m, a_s, b_s", [(208, "1/3", "2"), (150, "0", "-1/2"),
