@@ -133,20 +133,26 @@ def _fmt(value, digits: int):
     return str(value)
 
 
-def _fmt_resolved(value, reference, digits: int) -> str:
-    """``value`` rounded to the last digit that ``reference`` prints at ``digits`` significant digits."""
-    with mpmath.workdps(digits + GUARD_DIGITS):
-        order = int(mpmath.floor(mpmath.log10(abs(reference)))) if reference else 0
-        unit = mpf(10) ** (order - digits + 1)
-        q = int(mpmath.nint(value / unit))
-        return mpmath.nstr(q * unit, len(str(abs(q)))) if q else "0.0"
+def _last_digit_unit(reference, digits: int):
+    """Place value of the last digit that ``reference`` prints at ``digits`` significant digits."""
+    order = int(mpmath.floor(mpmath.log10(abs(reference)))) if reference else 0
+    return mpf(10) ** (order - digits + 1)
+
+
+def _fmt_resolved(value, unit) -> str:
+    """``value`` rounded to a multiple of ``unit``."""
+    q = int(mpmath.nint(value / unit))
+    return mpmath.nstr(q * unit, len(str(abs(q)))) if q else "0.0"
 
 
 def _fmt_row(row: dict, digits: int) -> dict:
     out = {k: _fmt(v, DIFF_DIGITS if k in DIFF_FIELDS else digits) for k, v in row.items()}
-    for field, reference in RESOLVED_BY.items():
-        if field in row:
-            out[field] = _fmt_resolved(row[field], row[reference], digits)
+    resolved = {field: reference for field, reference in RESOLVED_BY.items() if field in row}
+    with mpmath.workdps(digits + GUARD_DIGITS):
+        units = {reference: _last_digit_unit(row[reference], digits)
+                 for reference in set(resolved.values())}
+        for field, reference in resolved.items():
+            out[field] = _fmt_resolved(row[field], units[reference])
     return out
 
 

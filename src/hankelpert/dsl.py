@@ -23,7 +23,8 @@ Fractions, arithmetic on them stays exact until a transcendental call, an
 mpf argument or a constant power larger than ``EXACT_POWER_BITS`` forces
 the current mpmath working precision. Domain faults
 (log of a nonpositive value, sqrt of a negative, 0 to a negative power,
-negative base to a fractional power) raise EvalDomainError with the point.
+negative base to a fractional power) raise EvalDomainError carrying the
+point, which its message names.
 
 ``to_source`` prints an expression with minimal parentheses such that
 reparsing reproduces the identical tree. ``positive_sample`` is the one
@@ -35,8 +36,8 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mpf
@@ -65,42 +66,84 @@ SCREEN_POINTS = 257
 
 # --- syntax tree ---
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class _Node:
+    """An immutable tree node: equal, and hashing equal, only to a node of its
+    own class whose fields, named by ``__match_args__``, are equal."""
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__match_args__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
-@dataclass(frozen=True)
-class Var:
-    pass
+class Num(_Node):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        self._init(value)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: object
+class Var(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Binary:
+class Neg(_Node):
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand):
+        self._init(operand)
+
+
+class Binary(_Node):
     """left <op> right; the operator's symbol, precedence and arithmetic are in BINARY_OPS."""
-    left: object
-    right: object
+
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self._init(left, right)
 
 
 class Add(Binary):
-    pass
+    __slots__ = ()
 
 
 class Sub(Binary):
-    pass
+    __slots__ = ()
 
 
 class Mul(Binary):
-    pass
+    __slots__ = ()
 
 
 class Div(Binary):
-    pass
+    __slots__ = ()
 
 
 #: node class -> (printed form, precedence, operation). Precedence 1 is the
@@ -115,16 +158,18 @@ BINARY_OPS = {
 _BY_SYMBOL = {text.strip(): (cls, prec) for cls, (text, prec, _) in BINARY_OPS.items()}
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: Fraction
+class Pow(_Node):
+    __slots__ = __match_args__ = ("base", "exponent")
+
+    def __init__(self, base, exponent: Fraction):
+        self._init(base, exponent)
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    argument: object
+class Call(_Node):
+    __slots__ = __match_args__ = ("name", "argument")
+
+    def __init__(self, name: str, argument):
+        self._init(name, argument)
 
 
 # --- evaluation ---
@@ -144,6 +189,13 @@ def _coerce(a, b):
     return a, b
 
 
+def _fault(message: str, x) -> EvalDomainError:
+    """The domain fault ``message`` at x, naming the point unless x is None (constant folding)."""
+    if x is not None:
+        message += f" at x = {mpmath.nstr(x, 8)}"
+    return EvalDomainError(message, x)
+
+
 def evaluate(node, x):
     """Value of the expression at x; Fraction-exact where possible."""
     if isinstance(node, Num):
@@ -157,12 +209,12 @@ def evaluate(node, x):
         try:
             return BINARY_OPS[type(node)][2](a, b)
         except ZeroDivisionError:
-            raise EvalDomainError("division by zero", x) from None
+            raise _fault("division by zero", x) from None
     if isinstance(node, Pow):
         base = evaluate(node.base, x)
         q = node.exponent
         if base == 0 and q < 0:
-            raise EvalDomainError("zero raised to a negative power", x)
+            raise _fault("zero raised to a negative power", x)
         if q.denominator == 1:
             k = q.numerator
             if isinstance(base, Fraction):
@@ -171,13 +223,13 @@ def evaluate(node, x):
                     return mpmath.power(to_mpf(base), k)
             return base ** k
         if base < 0:
-            raise EvalDomainError("negative base with a fractional exponent", x)
+            raise _fault("negative base with a fractional exponent", x)
         return mpmath.power(to_mpf(base), to_mpf(q))
     if isinstance(node, Call):
         v = evaluate(node.argument, x)
         fn, fault, message = FUNCTIONS[node.name]
         if fault is not None and fault(v):
-            raise EvalDomainError(message, x)
+            raise _fault(message, x)
         return fn(to_mpf(v))
     raise DomainError(f"cannot evaluate node {node!r}")
 
@@ -257,8 +309,7 @@ def to_source(node) -> str:
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -382,8 +433,7 @@ def _fold_rational(node):
 
 # --- public surface ---
 
-@dataclass(frozen=True)
-class PerturbationFn:
+class PerturbationFn(NamedTuple):
     """A positive perturbation factor: callable tree plus its normalized source."""
 
     source: str

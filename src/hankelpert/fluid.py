@@ -28,7 +28,7 @@ kept for comparison.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
@@ -38,23 +38,20 @@ from .precision import BigReal, Precision, to_mpf
 from .jacobi import JacobiParams
 
 
-@dataclass(frozen=True)
-class SupportInterval:
+class SupportInterval(NamedTuple("SupportInterval", [
+        ("a_n", object), ("b_n", object), ("n", int), ("jp", JacobiParams)])):
     """Band [a_n, b_n] carrying the continuum density for size n.
 
     Always -1 <= a_n < b_n <= 1; an endpoint sits exactly at +/-1 only when
     the corresponding exponent vanishes.
     """
 
-    a_n: object
-    b_n: object
-    n: int
-    jp: JacobiParams
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (-1 <= self.a_n < self.b_n <= 1):
-            raise DomainError(
-                f"invalid band [{mpmath.nstr(self.a_n, 8)}, {mpmath.nstr(self.b_n, 8)}]")
+    def __new__(cls, a_n, b_n, n: int, jp: JacobiParams):
+        if not (-1 <= a_n < b_n <= 1):
+            raise DomainError(f"invalid band [{mpmath.nstr(a_n, 8)}, {mpmath.nstr(b_n, 8)}]")
+        return super().__new__(cls, a_n, b_n, n, jp)
 
     @property
     def center(self) -> BigReal:
@@ -159,8 +156,7 @@ def band_integral(si: SupportInterval, f) -> BigReal:
     return mpmath.quad(g, [-mpmath.pi / 2, mpmath.pi / 2])
 
 
-@dataclass(frozen=True)
-class EquilibriumDensity:
+class EquilibriumDensity(NamedTuple):
     """Callable wrapper around ``equilibrium_density`` for a fixed band."""
 
     si: SupportInterval

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
@@ -76,8 +76,8 @@ def cross_validation_tol(n: int, p: Precision) -> BigReal:
     return n * mpf(10) ** (2 * GUARD_DIGITS - p.decimal_digits)
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(NamedTuple("MomentSequence", [
+        ("mu", tuple), ("source", str), ("modified", tuple), ("basis", JacobiParams)])):
     """Moments mu_0..mu_{2n-2} of a weight, with provenance.
 
     ``source`` is "pure" for the bare weight or "perturbed(<expr>)" for a
@@ -89,22 +89,20 @@ class MomentSequence:
     such as the pure one, serves the ldl route only.
     """
 
-    mu: tuple
-    source: str
-    modified: tuple = None
-    basis: JacobiParams = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.mu) == 0 or not self.mu[0] > 0:
+    def __new__(cls, mu: tuple, source: str, modified: tuple = None,
+                basis: JacobiParams = None):
+        if len(mu) == 0 or not mu[0] > 0:
             raise DomainError("moment sequence must start with mu_0 > 0")
+        return super().__new__(cls, mu, source, modified, basis)
 
     def max_order(self) -> int:
         """Largest matrix size n this sequence covers (needs indices up to 2n-2)."""
         return (len(self.mu) + 1) // 2
 
 
-@dataclass(frozen=True)
-class HankelResult:
+class HankelResult(NamedTuple):
     """Log-determinant of one n x n Hankel matrix.
 
     ``betas`` are the recurrence coefficients beta_0..beta_{n-1} whose

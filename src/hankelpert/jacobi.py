@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
@@ -37,8 +37,7 @@ from .precision import (GUARD_DIGITS, BigReal, Precision, ensure_finite,
 from .specfun import log_barnes_g, log_gamma
 
 
-@dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(NamedTuple("JacobiParams", [("alpha", Fraction), ("beta", Fraction)])):
     """Weight exponents alpha, beta > -1, held as exact ``Fraction`` values.
 
     Ints, Fractions, floats and decimal or ratio strings all have an exact
@@ -47,19 +46,19 @@ class JacobiParams:
     asymptotic included, takes this whole domain.
     """
 
-    alpha: Fraction
-    beta: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("alpha", "beta"):
-            raw = getattr(self, name)
+    def __new__(cls, alpha, beta):
+        exact = []
+        for name, raw in (("alpha", alpha), ("beta", beta)):
             q = exact_fraction(raw)
             if q is None:
                 raise DomainError(f"{name} must be a rational number (a decimal string "
                                   f"for an irrational value), got {raw!r}")
             if not q > -1:
                 raise DomainError(f"{name} must exceed -1 for integrable moments, got {q}")
-            object.__setattr__(self, name, q)
+            exact.append(q)
+        return super().__new__(cls, *exact)
 
     @property
     def is_nonneg_integer(self) -> bool:

@@ -41,7 +41,7 @@ every alpha, beta > -1, the domain ``JacobiParams`` enforces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mpf
@@ -84,8 +84,7 @@ def mean_term(ce: ChebExpansion, n: int, jp: JacobiParams) -> BigReal:
     return (n + (a + b) / 2) * ce.coeffs[0] / 2
 
 
-@dataclass(frozen=True)
-class LinStatTerms:
+class LinStatTerms(NamedTuple):
     """Mean of sum_j ln h(x_j) at size n; its variance half is :func:`pv_double_integral`."""
 
     mean: object
@@ -98,8 +97,7 @@ def linstat_terms(h, n: int, jp: JacobiParams, p: Precision) -> LinStatTerms:
     return LinStatTerms(mean)
 
 
-@dataclass(frozen=True)
-class AsymptoticPrediction:
+class AsymptoticPrediction(NamedTuple):
     """Additive decomposition of the predicted ln D_n for a perturbed weight.
 
     ``total`` re-assembles the prediction; ``log_constant`` collects the

@@ -9,8 +9,8 @@ eight digits to downstream arithmetic and still meet their own targets.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
@@ -23,18 +23,17 @@ BigReal = mpmath.mpf
 GUARD_DIGITS = 8
 
 
-@dataclass(frozen=True)
-class Precision:
+class Precision(NamedTuple("Precision", [("decimal_digits", int)])):
     """Requested working precision, in decimal digits (at least 32)."""
 
-    decimal_digits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.decimal_digits, numbers.Integral):
+    def __new__(cls, decimal_digits: int):
+        if not isinstance(decimal_digits, numbers.Integral):
             raise DomainError("decimal_digits must be an integer")
-        if self.decimal_digits < 32:
-            raise DomainError(
-                f"decimal_digits must be >= 32, got {self.decimal_digits}")
+        if decimal_digits < 32:
+            raise DomainError(f"decimal_digits must be >= 32, got {decimal_digits}")
+        return super().__new__(cls, decimal_digits)
 
     def workdps(self, extra: int = GUARD_DIGITS):
         """Context manager setting mpmath working precision with guard digits."""

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
@@ -88,8 +88,7 @@ KERNEL_GUARD_BITS = 16
 SEED_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Gauss rule of order m: strictly increasing nodes in (-1,1), positive weights.
 
     The sum of w_i f(x_i) is exact (to working precision) for polynomial f
@@ -297,8 +296,7 @@ def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
                               tuple(weights))
 
 
-@dataclass(frozen=True)
-class ChebExpansion:
+class ChebExpansion(NamedTuple):
     """Chebyshev-T coefficients c_0..c_M of a function on [-1, 1].
 
     Convention: f(cos t) = c_0/2 + sum_{k>=1} c_k cos(k t), i.e. the k = 0

@@ -1,7 +1,6 @@
 """End-to-end command-line behavior: report schema, values, and exit codes."""
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -420,14 +419,23 @@ def test_exit_3_when_ratio_misses_ensemble_average(capsys, argv):
         assert "tol 1.0e-44" in row["error"]
 
 
-def test_cli_import_loads_no_scipy_or_numpy():
+def _loaded_by_cli_import(packages) -> str:
+    """The modules of ``packages`` that a fresh ``import hankelpert.cli`` loads, as printed."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     probe = ("import sys, hankelpert.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('scipy', 'numpy')))")
+             f"if m.split('.')[0] in {tuple(packages)!r}))")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_cli_import_loads_no_scipy_or_numpy():
+    assert _loaded_by_cli_import(("scipy", "numpy")) == "[]"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Both cost start-up time on every run: the records are plain tuples and slots classes."""
+    assert _loaded_by_cli_import(("dataclasses", "inspect")) == "[]"
 
 
 def test_csv_output(capsys):
@@ -586,6 +594,17 @@ def test_exit_4_on_sign_changing_perturbation(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("h, fault", [
+    ("1/x", "division by zero at x = 0.0"),
+    ("log(x)+5", "log of a nonpositive value at x = 0.0"),
+])
+def test_exit_4_names_the_point_of_an_evaluation_fault(capsys, h, fault):
+    code, out, err = run(["compare", "--n", "3", "--h", h], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == f"error: perturbation rejected: {fault}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["exact", "--n", "4,6"],
     ["compare", "--n", "4,6", "--h", "exp(x)"],
@@ -608,7 +627,7 @@ def test_exit_3_when_routes_differ_beyond_method_tol(capsys, monkeypatch):
     def offset(ms, n, jp, p):
         r = recurrence(ms, n, jp, p)
         with p.workdps():
-            return dataclasses.replace(r, log_det=r.log_det + mpmath.mpf("1e-30"))
+            return r._replace(log_det=r.log_det + mpmath.mpf("1e-30"))
 
     monkeypatch.setattr(cli, "hankel_logdet_recurrence", offset)
     code, out, _ = run(["compare", "--n", "10", "--h", "exp(x)"], capsys)

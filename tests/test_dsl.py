@@ -11,6 +11,8 @@ from hankelpert.dsl import (Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var, evalua
                             validate_positive)
 from hankelpert.errors import (DomainError, EvalDomainError, ParseError,
                                PositivityError)
+from hankelpert.hankel import HankelResult, MomentSequence
+from hankelpert.jacobi import JacobiParams
 from hankelpert.precision import Precision
 
 P64 = Precision(64)
@@ -112,6 +114,23 @@ def test_round_trip_preserves_tree():
         assert to_source(again.ast) == h.source, src
 
 
+def test_records_are_immutable_and_trees_compare_by_node_type():
+    left, right = Add(Var(), Num(1)), Sub(Var(), Num(1))
+    assert left != right
+    assert left == Add(left=Var(), right=Num(1)) and hash(left) == hash(Add(Var(), Num(1)))
+    assert repr(left) == "Add(left=Var(), right=Num(value=1))"
+    assert repr(Precision(40)) == "Precision(decimal_digits=40)"
+    assert hash(JacobiParams("1/2", 0)) == hash(JacobiParams(alpha=Fraction(1, 2), beta=0))
+    one = mpmath.mpf(1)
+    records = [(Precision(40), "decimal_digits"), (JacobiParams(0, 0), "alpha"),
+               (HankelResult(1, one, one, (one,)), "log_det"),
+               (MomentSequence((one,), "pure"), "mu"), (parse_h("x + 2"), "source"),
+               (left, "left")]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
 def test_builtin_sources_round_trip():
     fns = (h_one(), h_const(Fraction(3, 2)), h_exp_linear(1),
            h_exp_linear(Fraction(-1, 2)), h_exp_cheb2(1),
@@ -178,7 +197,7 @@ def test_evaluation_domain_guards():
         evaluate(parse_h("x^(-1)").ast, Fraction(0))
     with pytest.raises(EvalDomainError):
         evaluate(parse_h("(x - 2)^(1/2)").ast, Fraction(0))
-    with pytest.raises(EvalDomainError):
+    with pytest.raises(EvalDomainError, match=r"^sqrt of a negative value at x = -1$"):
         evaluate(parse_h("sqrt(x)").ast, Fraction(-1))
 
 
