@@ -22,8 +22,8 @@ from .errors import (DomainError, EvalDomainError, HankelpertError,
                      ResolutionError, RootFindError)
 from .precision import BigReal, Precision, ensure_finite, exact_fraction, to_mpf
 from .specfun import log_barnes_g, log_gamma
-from .jacobi import (JacobiParams, jacobi_alpha_n, jacobi_alpha_n_exact,
-                     jacobi_asym_constant, jacobi_beta_n, jacobi_beta_n_exact,
+from .jacobi import (JacobiParams, jacobi_alpha_n_exact,
+                     jacobi_asym_constant, jacobi_beta_n_exact,
                      jacobi_log_hn, jacobi_logdet_asym, jacobi_logdet_exact,
                      jacobi_moment, jacobi_moment_exact, jacobi_recurrence_table)
 from .quadrature import (ChebExpansion, QuadratureRule, cheb_expand,
@@ -54,8 +54,8 @@ __all__ = [
     # special functions
     "log_gamma", "log_barnes_g",
     # bare weight
-    "JacobiParams", "jacobi_alpha_n", "jacobi_beta_n", "jacobi_alpha_n_exact",
-    "jacobi_beta_n_exact", "jacobi_recurrence_table",
+    "JacobiParams", "jacobi_alpha_n_exact", "jacobi_beta_n_exact",
+    "jacobi_recurrence_table",
     "jacobi_moment", "jacobi_moment_exact", "jacobi_log_hn",
     "jacobi_logdet_exact", "jacobi_logdet_asym", "jacobi_asym_constant",
     # quadrature and expansions

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import os
 import shlex
@@ -40,15 +39,14 @@ from . import __version__
 from .errors import (DomainError, EvalDomainError, ParseError,
                      PositivityError, PrecisionError)
 from .precision import GUARD_DIGITS, Precision, to_mpf
-from .jacobi import (JacobiParams, jacobi_alpha_n, jacobi_beta_n,
-                     jacobi_beta_n_exact, jacobi_log_hn, jacobi_logdet_asym,
-                     jacobi_logdet_exact)
+from .jacobi import (JacobiParams, jacobi_alpha_n_exact, jacobi_beta_n_exact,
+                     jacobi_log_hn, jacobi_logdet_asym, jacobi_logdet_exact)
 from .hankel import (auto_digits, hankel_logdet_ldl, hankel_logdet_leading,
                      hankel_logdet_recurrence, heine_average_small_n,
                      perturbed_moment_sequence, pure_moment_sequence)
 from .fluid import (EquilibriumDensity, fluid_recurrence, support_endpoints,
                     support_endpoints_shifted)
-from .linstat import assemble_prediction, cheb_log_expand, mean_term
+from .linstat import assemble_prediction, cheb_log_expand
 from .dsl import parse_h, validate_positive
 
 SCHEMA_VERSION = 2
@@ -165,44 +163,32 @@ def _digits_param(args):
     return args.digits if args.digits is not None else "auto"
 
 
-def _once_at_largest(args, ns, build):
-    """``build(N, p)`` for the largest size N at its row precision p, run on first call.
-
-    The result, or the PrecisionError the build raised, is kept for the
-    other rows: each row reads the prefix it needs, or raises the same
-    failure again. The rows call it inside ``_run_rows``, so a failure
-    becomes error rows without building again.
-    """
-    top = max(ns)
-
-    @functools.cache
-    def outcome():
-        try:
-            return build(top, Precision(_row_digits(args, top))), None
-        except PrecisionError as exc:
-            return None, exc
-
-    def shared():
-        result, failure = outcome()
-        if failure is not None:
-            raise failure
-        return result
-
-    return shared
+def _kept(build):
+    """``build()``, or the PrecisionError it raised kept as its value."""
+    try:
+        return build()
+    except PrecisionError as exc:
+        return exc
 
 
-def _leading(route, n: int, p: Precision):
-    """Row n of a route factorized once at the largest size: that result itself
-    for the largest row, else ln D_n from the first n of its coefficients.
+def _read(kept):
+    """The result of a :func:`_kept` build, or its PrecisionError raised again."""
+    if isinstance(kept, PrecisionError):
+        raise kept
+    return kept
+
+
+def _leading(top, n: int, p: Precision):
+    """Row n of a route factorized once at the largest size, kept by :func:`_kept`:
+    that result itself for the largest row, else ln D_n from the first n of its
+    coefficients.
 
     A breakdown at index k fails the rows n > k only.
     """
-    try:
-        top = route()
-    except PrecisionError as exc:
-        if len(exc.leading) < n:
-            raise
-        return hankel_logdet_leading(exc.leading, n, p)
+    if isinstance(top, PrecisionError):
+        if len(top.leading) < n:
+            raise top
+        return hankel_logdet_leading(top.leading, n, p)
     return top if top.n == n else hankel_logdet_leading(top.betas, n, p)
 
 
@@ -277,20 +263,21 @@ def cmd_compare(args) -> tuple:
     _warn_if_below_policy(args, ns)
     h = parse_h(args.h)
     h_min = validate_positive(h, Precision(64))
-    moments = _once_at_largest(
-        args, ns, lambda top, p: perturbed_moment_sequence(jp, h, top, p, m=args.quad_order))
-    ldl = _once_at_largest(args, ns, lambda top, p: hankel_logdet_ldl(moments(), top, p))
-    recurrence = _once_at_largest(
-        args, ns, lambda top, p: hankel_logdet_recurrence(moments(), top, jp, p))
-    expansion = _once_at_largest(args, ns, lambda top, p: cheb_log_expand(h, p))
+    # built once, before the first row, at the largest size and its precision;
+    # every row reads them, and a build's PrecisionError fails each row that does
+    top, top_p = max(ns), Precision(_row_digits(args, max(ns)))
+    moments = _kept(lambda: perturbed_moment_sequence(jp, h, top, top_p, m=args.quad_order))
+    ldl = _kept(lambda: hankel_logdet_ldl(_read(moments), top, top_p))
+    recurrence = _kept(lambda: hankel_logdet_recurrence(_read(moments), top, jp, top_p))
+    expansion = _kept(lambda: cheb_log_expand(h, top_p))
 
     def row(n, p):
         direct = _leading(ldl, n, p)
         second = _leading(recurrence, n, p)
-        pred = assemble_prediction(n, jp, h, p, expansion())
+        pred = assemble_prediction(n, jp, h, p, _read(expansion))
         pure = jacobi_logdet_exact(n, jp, p)
         with p.workdps():
-            mean_limit = mean_term(pred.expansion, n, jp)
+            mean_limit = pred.log_mean + pred.boundary_part
             log_ratio = direct.log_det - pure
             pv_estimate = log_ratio - mean_limit
             out = {
@@ -332,15 +319,15 @@ def cmd_fluid(args) -> tuple:
     """Continuum band and recurrence estimates against the exact coefficients."""
     jp = JacobiParams(args.alpha, args.beta)
     ns = _parse_n_list(args.n)
-    digits = args.digits if args.digits is not None else 64
+    digits = args.digits
 
     def row(n, p):
         with p.workdps():
             si = support_endpoints(n, jp)
             shifted = support_endpoints_shifted(n, jp)
             alpha_tilde, beta_tilde = fluid_recurrence(n, jp)
-            alpha_true = jacobi_alpha_n(n, jp)
-            beta_true = jacobi_beta_n(n, jp)
+            alpha_true = to_mpf(jacobi_alpha_n_exact(n, jp))
+            beta_true = to_mpf(jacobi_beta_n_exact(n, jp))
             return {
                 "a_n": si.a_n,
                 "b_n": si.b_n,
@@ -369,7 +356,7 @@ def cmd_density(args) -> tuple:
     n = ns[0]
     if args.points < 3:
         raise DomainError(f"need at least 3 grid points, got {args.points}")
-    digits = args.digits if args.digits is not None else 64
+    digits = args.digits
     p = Precision(digits)
     t0 = time.perf_counter()
     with p.workdps():
@@ -435,13 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"hankelpert {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, with_h=False):
+    def common(sp, with_h=False, digits=None):
         sp.add_argument("--n", required=True,
                         help="sizes: one integer, a comma list, or start:stop[:step]")
         sp.add_argument("--alpha", default="0", help="exponent of (1-x), > -1")
         sp.add_argument("--beta", default="0", help="exponent of (1+x), > -1")
-        sp.add_argument("--digits", type=int, default=None,
-                        help="working precision override (default: size-based policy)")
+        sp.add_argument("--digits", type=int, default=digits,
+                        help="working precision in digits "
+                             f"(default: {digits or 'size-based policy'})")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         if with_h:
             sp.add_argument("--h", required=True,
@@ -461,11 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=cmd_compare)
 
     sp = sub.add_parser("fluid", help="continuum band and recurrence estimates")
-    common(sp)
+    common(sp, digits=64)
     sp.set_defaults(run=cmd_fluid)
 
     sp = sub.add_parser("density", help="continuum density on a grid")
-    common(sp)
+    common(sp, digits=64)
     sp.add_argument("--points", type=int, default=21)
     sp.set_defaults(run=cmd_density)
     return parser

@@ -34,11 +34,11 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import DomainError
-from .precision import BigReal, Precision, to_mpf
+from .precision import BigReal, Precision, checked_namedtuple, to_mpf
 from .jacobi import JacobiParams
 
 
-class SupportInterval(NamedTuple("SupportInterval", [
+class SupportInterval(checked_namedtuple("SupportInterval", [
         ("a_n", object), ("b_n", object), ("n", int), ("jp", JacobiParams)])):
     """Band [a_n, b_n] carrying the continuum density for size n.
 

@@ -49,7 +49,8 @@ from .dsl import positive_sample
 from .errors import DomainError, PrecisionError
 from .jacobi import (JacobiParams, jacobi_moment, jacobi_moment_exact,
                      jacobi_moment_ratios, jacobi_recurrence_table)
-from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite, to_mpf
+from .precision import (GUARD_DIGITS, BigReal, Precision, checked_namedtuple,
+                        ensure_finite, to_mpf)
 from .quadrature import KERNEL_GUARD_BITS, gauss_jacobi_rule, scaled_recurrence
 
 #: Extra decimal digits per matrix row consumed by pivot decay during factorization.
@@ -76,7 +77,7 @@ def cross_validation_tol(n: int, p: Precision) -> BigReal:
     return n * mpf(10) ** (2 * GUARD_DIGITS - p.decimal_digits)
 
 
-class MomentSequence(NamedTuple("MomentSequence", [
+class MomentSequence(checked_namedtuple("MomentSequence", [
         ("mu", tuple), ("source", str), ("modified", tuple), ("basis", JacobiParams)])):
     """Moments mu_0..mu_{2n-2} of a weight, with provenance.
 

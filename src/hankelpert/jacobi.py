@@ -26,18 +26,17 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
 
 from .errors import DomainError
-from .precision import (GUARD_DIGITS, BigReal, Precision, ensure_finite,
-                        exact_fraction, to_mpf)
+from .precision import (GUARD_DIGITS, BigReal, Precision, checked_namedtuple,
+                        ensure_finite, exact_fraction, to_mpf)
 from .specfun import log_barnes_g, log_gamma
 
 
-class JacobiParams(NamedTuple("JacobiParams", [("alpha", Fraction), ("beta", Fraction)])):
+class JacobiParams(checked_namedtuple("JacobiParams", [("alpha", Fraction), ("beta", Fraction)])):
     """Weight exponents alpha, beta > -1, held as exact ``Fraction`` values.
 
     Ints, Fractions, floats and decimal or ratio strings all have an exact
@@ -129,24 +128,15 @@ def jacobi_structure_exact(m: int, jp: JacobiParams) -> tuple:
     return B, (m - B) * r_plus
 
 
-def jacobi_alpha_n(n: int, jp: JacobiParams) -> BigReal:
-    """alpha_n rounded to the current working precision."""
-    return to_mpf(jacobi_alpha_n_exact(n, jp))
-
-
-def jacobi_beta_n(n: int, jp: JacobiParams) -> BigReal:
-    """beta_n (n >= 1) rounded to the current working precision."""
-    return to_mpf(jacobi_beta_n_exact(n, jp))
-
-
 def jacobi_recurrence_table(count: int, jp: JacobiParams) -> tuple:
-    """Lists (alpha_0..alpha_{count-1}, [0, beta_1..beta_{count-1}]) at the current working precision.
+    """Exact lists (alpha_0..alpha_{count-1}, [0, beta_1..beta_{count-1}]) of Fractions.
 
     The leading zero aligns beta_k with alpha_k, so the monic recurrence
-    P_{k+1} = (x - alpha_k) P_k - beta_k P_{k-1} reads both at index k.
+    P_{k+1} = (x - alpha_k) P_k - beta_k P_{k-1} reads both at index k. Each
+    kernel rounds the entries once, at its own working precision.
     """
-    alphas = [jacobi_alpha_n(k, jp) for k in range(count)]
-    betas = [mpf(0)] + [jacobi_beta_n(k, jp) for k in range(1, count)]
+    alphas = [jacobi_alpha_n_exact(k, jp) for k in range(count)]
+    betas = [Fraction(0)] + [jacobi_beta_n_exact(k, jp) for k in range(1, count)]
     return alphas, betas
 
 

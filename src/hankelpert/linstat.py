@@ -102,7 +102,6 @@ class AsymptoticPrediction(NamedTuple):
 
     ``total`` re-assembles the prediction; ``log_constant`` collects the
     n-independent part (everything except log_leading and log_mean).
-    ``expansion`` is the Chebyshev expansion of ln h the parts were read from.
     """
 
     log_leading: object
@@ -111,7 +110,6 @@ class AsymptoticPrediction(NamedTuple):
     boundary_part: object
     edge_part: object
     pure_constant_part: object
-    expansion: ChebExpansion
 
     @property
     def log_constant(self) -> BigReal:
@@ -163,4 +161,4 @@ def assemble_prediction(n: int, jp: JacobiParams, h, p: Precision,
                         ("boundary", boundary), ("edge", edge), ("pv", pv),
                         ("constant", pure)):
             ensure_finite(v, f"{name} part")
-    return AsymptoticPrediction(log_leading, log_mean, pv, boundary, edge, pure, ce)
+    return AsymptoticPrediction(log_leading, log_mean, pv, boundary, edge, pure)

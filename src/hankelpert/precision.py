@@ -23,7 +23,15 @@ BigReal = mpmath.mpf
 GUARD_DIGITS = 8
 
 
-class Precision(NamedTuple("Precision", [("decimal_digits", int)])):
+def checked_namedtuple(name: str, fields: list) -> type:
+    """``NamedTuple(name, fields)`` whose ``_make``, and so ``_replace``, calls the
+    subclass constructor: a copy passes the same ``__new__`` checks as a new value."""
+    base = NamedTuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class Precision(checked_namedtuple("Precision", [("decimal_digits", int)])):
     """Requested working precision, in decimal digits (at least 32)."""
 
     __slots__ = ()

@@ -226,14 +226,30 @@ def test_breakdown_at_k_fails_only_larger_rows(capsys, monkeypatch, kind):
         assert message in row["error"]
 
 
-def test_failed_shared_build_runs_once(capsys, monkeypatch):
-    """sqrt(1+x) is not analytic at -1: its ln h expansion fails at degree 8192
-    once, and every row reports that failure."""
-    builds = _counting(monkeypatch, linstat, "cheb_expand_auto")
-    code, rep, _ = run_json(["compare", "--n", "2,3,4", "--h", "1+sqrt(1+x)"], capsys)
+@pytest.mark.parametrize("build", ["expansion", "moments"])
+def test_failed_shared_build_runs_once(capsys, monkeypatch, build):
+    """A shared build that fails runs once, and every row reports its failure:
+    sqrt(1+x) is not analytic at -1, so its ln h expansion fails at degree
+    8192; a top-size moment pass that fails leaves both factorizations unrun."""
+    if build == "expansion":
+        builds = _counting(monkeypatch, linstat, "cheb_expand_auto")
+        argv, error = ["compare", "--n", "2,3,4", "--h", "1+sqrt(1+x)"], "ResolutionError"
+    else:
+        def failing(jp, h, n, p, m=None):
+            raise PrecisionError(f"moment pass failed at size {n}")
+
+        monkeypatch.setattr(cli, "perturbed_moment_sequence", failing)
+        builds = _counting(monkeypatch, cli, "perturbed_moment_sequence")
+        factorizations = [_counting(monkeypatch, cli, name)
+                          for name in ("hankel_logdet_ldl", "hankel_logdet_recurrence")]
+        argv, error = ["compare", "--n", "2,3,4", "--h", "exp(x)"], "PrecisionError"
+    code, rep, _ = run_json(argv, capsys)
     assert code == 3
     assert len(builds) == 1
-    assert [row["error_type"] for row in rep["rows"]] == ["ResolutionError"] * 3
+    assert [row["error_type"] for row in rep["rows"]] == [error] * 3
+    if build == "moments":
+        assert factorizations == [[], []]
+        assert [row["error"] for row in rep["rows"]] == ["moment pass failed at size 4"] * 3
 
 
 def test_prediction_gap_prints_no_digit_finer_than_log_det(capsys):
@@ -498,6 +514,17 @@ def test_reports_match_pinned_reports():
     moved = [f"{shlex.join(entry['argv'])}: {d}" for entry in pinned
              for d in _differences(entry, pinned_report(entry["argv"]))]
     assert not moved, "reports moved from data/reports.json:\n" + "\n".join(moved)
+
+
+@pytest.mark.parametrize("subcommand, default", [
+    ("exact", "size-based policy"), ("compare", "size-based policy"),
+    ("fluid", "64"), ("density", "64")])
+def test_digits_help_names_the_default(capsys, subcommand, default):
+    """--digits help states the precision each subcommand runs at without it."""
+    code, out, _ = run([subcommand, "--help"], capsys)
+    assert code == 0
+    help_text = " ".join(out.split())
+    assert f"--digits DIGITS working precision in digits (default: {default})" in help_text
 
 
 def test_low_digit_override_warns(capsys):

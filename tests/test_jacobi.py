@@ -7,13 +7,14 @@ import pytest
 
 import hankelpert.cli as cli
 from hankelpert.errors import DomainError
+from hankelpert.fluid import SupportInterval
+from hankelpert.hankel import MomentSequence
 from hankelpert.jacobi import (JacobiParams, jacobi_alpha_n_exact,
-                               jacobi_asym_constant, jacobi_beta_n,
-                               jacobi_beta_n_exact, jacobi_log_hn,
+                               jacobi_asym_constant, jacobi_beta_n_exact, jacobi_log_hn,
                                jacobi_logdet_asym, jacobi_logdet_exact,
                                jacobi_moment, jacobi_moment_exact,
                                jacobi_recurrence_table, jacobi_structure_exact)
-from hankelpert.precision import Precision
+from hankelpert.precision import Precision, to_mpf
 from hankelpert.specfun import log_barnes_g, log_gamma
 
 P64 = Precision(64)
@@ -33,6 +34,28 @@ def test_params_reject_nonintegrable():
         JacobiParams(-1, 0)
     with pytest.raises(DomainError):
         JacobiParams(0, "-3/2")
+
+
+@pytest.mark.parametrize("copy", [
+    lambda: Precision(40)._replace(decimal_digits=6),
+    lambda: JacobiParams._make(["-3", 0]),
+    lambda: JacobiParams(1, 2)._replace(beta="-3/2"),
+    lambda: MomentSequence((mpmath.mpf(2),), "pure")._replace(mu=(mpmath.mpf(0),)),
+    lambda: SupportInterval(-HALF, HALF, 4, JacobiParams(0, 0))._replace(b_n=-1),
+], ids=["Precision", "JacobiParams._make", "JacobiParams", "MomentSequence",
+        "SupportInterval"])
+def test_copies_pass_the_constructor_checks(copy):
+    """_make and _replace, which calls it, build through the checking constructor."""
+    with pytest.raises(DomainError):
+        copy()
+
+
+def test_copies_normalize_like_the_constructor():
+    jp = JacobiParams._make(["1/2", 0.25])
+    assert jp == JacobiParams(HALF, Fraction(1, 4))
+    assert isinstance(jp.alpha, Fraction) and isinstance(jp.beta, Fraction)
+    assert JacobiParams(1, 2)._replace(beta="1/3").beta == Fraction(1, 3)
+    assert Precision(40)._replace(decimal_digits=50) == Precision(50)
 
 
 def test_legendre_moments():
@@ -158,10 +181,12 @@ def test_legendre_recurrence_values():
 
 
 def test_recurrence_coeffs_shape():
-    with P64.workdps():
-        alphas, betas = jacobi_recurrence_table(6, JacobiParams(1, HALF))
-    assert len(alphas) == 6
-    assert len(betas[1:]) == 5
+    """The one table holds the exact Fractions of the per-index formulas."""
+    jp = JacobiParams(1, HALF)
+    alphas, betas = jacobi_recurrence_table(6, jp)
+    assert alphas == [jacobi_alpha_n_exact(k, jp) for k in range(6)]
+    assert betas == [0] + [jacobi_beta_n_exact(k, jp) for k in range(1, 6)]
+    assert all(type(v) is Fraction for v in alphas + betas)
     assert all(b > 0 for b in betas[1:])
 
 
@@ -171,7 +196,7 @@ def test_norm_links_to_beta_product():
         jp = JacobiParams(HALF, Fraction(3, 2))
         acc = jacobi_log_hn(0, jp, P64)
         for n in range(1, 12):
-            acc += mpmath.log(jacobi_beta_n(n, jp))
+            acc += mpmath.log(to_mpf(jacobi_beta_n_exact(n, jp)))
             assert float(abs(acc - jacobi_log_hn(n, jp, P64))) < 1e-55, f"n={n}"
 
 
@@ -253,7 +278,7 @@ def test_chebyshev_corner_is_finite_and_correct():
     assert jacobi_beta_n_exact(1, jp) == HALF
     assert jacobi_beta_n_exact(2, jp) == Fraction(1, 4)
     with mpmath.workdps(70):
-        assert abs(jacobi_beta_n(1, jp) - mpmath.mpf("0.5")) < 1e-60
+        assert to_mpf(jacobi_beta_n_exact(1, jp)) == mpmath.mpf("0.5")
         assert abs(jacobi_log_hn(0, jp, P64) - mpmath.log(mpmath.pi)) < 1e-60
         for n in (1, 2, 3, 8):
             want = n * mpmath.log(mpmath.pi) - (n - 1) ** 2 * mpmath.log(2)

@@ -316,6 +316,22 @@ def test_rule_takes_five_kernel_evaluations_per_node(monkeypatch, a_s, b_s):
     assert calls["_eval_fixed"] <= 3 * 62
 
 
+def test_rule_stays_exact_where_a_node_falls_back_to_bisection(monkeypatch):
+    """At exponents (100, 60) the order-124 rule at 64 digits recovers a node by
+    bisection, and it still integrates every monomial through degree 2m-1 to
+    within 10^8 units of its working precision (5.7e-78 relative at 80 digits)."""
+    m, jp, p = 124, JacobiParams(100, 60), P64
+    assert _kernel_calls(monkeypatch, m, jp, p)["_bisect_root"] >= 1
+    rule = gauss_jacobi_rule(m, jp, p)
+    with p.workdps(2 * GUARD_DIGITS):
+        mu0 = jacobi_moment(0, jp, Precision(mpmath.mp.dps))
+        terms, worst = list(rule.weights), 0
+        for ratio in jacobi_moment_ratios(2 * m, jp):
+            worst = max(worst, abs(mpmath.fsum(terms) / (mu0 * to_mpf(ratio)) - 1))
+            terms = [t * x for t, x in zip(terms, rule.nodes)]
+        assert worst < mpmath.mpf(10) ** (8 - mpmath.mp.dps)
+
+
 def test_rule_takes_three_kernel_evaluations_near_a_large_exponent(monkeypatch):
     """At exponents (60, 0) the nodes crowd the far endpoint, where Halley's
     error constant is largest; the order-40 rule still takes at most 3m
