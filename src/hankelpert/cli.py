@@ -113,6 +113,7 @@ def _row_digits(args, n: int) -> int:
 def _warn_if_below_policy(args, ns) -> None:
     if args.digits is None:
         return
+    Precision(args.digits)  # a value Precision refuses gets its error, not the warning
     policy = max(auto_digits(n) for n in ns)
     if args.digits < policy:
         print(f"warning: --digits {args.digits} is below the size-based "
@@ -356,6 +357,10 @@ def cmd_density(args) -> tuple:
     n = ns[0]
     if args.points < 3:
         raise DomainError(f"need at least 3 grid points, got {args.points}")
+    if jp.alpha < 0 or jp.beta < 0:
+        raise DomainError(
+            "density needs alpha, beta >= 0: otherwise sigma integrates to n + "
+            f"min(alpha, 0) + min(beta, 0), not n; got alpha = {jp.alpha}, beta = {jp.beta}")
     digits = args.digits
     p = Precision(digits)
     t0 = time.perf_counter()
@@ -365,8 +370,8 @@ def cmd_density(args) -> tuple:
         mass = density.mass(p)
         rows = []
         for j in range(args.points):
-            x = si.center + si.halfwidth * mpmath.cos(
-                mpmath.pi * (args.points - 1 - j) / (args.points - 1))
+            x = si.center + si.halfwidth * mpmath.cospi(
+                mpmath.mpf(args.points - 1 - j) / (args.points - 1))
             if j == 0:
                 x = si.a_n
             elif j == args.points - 1:

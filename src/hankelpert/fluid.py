@@ -63,6 +63,10 @@ class SupportInterval(checked_namedtuple("SupportInterval", [
 
 
 def _endpoints_with_denominator(n: int, jp: JacobiParams, bump: int):
+    if n + jp.alpha + jp.beta <= 0:
+        # the root's factor n + s would make the band empty or complex
+        raise DomainError(f"the band needs n + alpha + beta > 0, got n = {n}, "
+                          f"alpha + beta = {jp.alpha + jp.beta}")
     a, b = jp.ab_mpf()
     s = a + b
     root = 4 * mpmath.sqrt(n * (n + a) * (n + b) * (n + s))
@@ -107,7 +111,8 @@ def equilibrium_density(x, si: SupportInterval) -> BigReal:
     """Continuum density sigma(x) on the band; zero at the endpoints.
 
     sigma(x) = (n + s/2) sqrt((b-x)(x-a)) / (pi (1-x^2)); its integral over
-    [a_n, b_n] is exactly n.
+    [a_n, b_n] is n + min(alpha, 0) + min(beta, 0), exactly n for
+    alpha, beta >= 0.
     """
     x = to_mpf(x)
     if not si.a_n <= x <= si.b_n:

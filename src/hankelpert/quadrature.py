@@ -41,10 +41,16 @@ working precision up to about 115 requested digits, and four beyond that
 up to about 380 (Newton took five and more). Fixed point
 resolves small values only absolutely, so the guard grows with m (1 - x^2
 near +-1 falls like 1/m^2) and with the bits by which the smallest
-|Q_k(+-1)| falls below 1 (large exponents). A node that fails to converge
-inside its bracket (midpoints between neighbouring seeds) is recovered by
-bisection on the sign change of Q_m on the same kernel; failure after that
-raises with diagnostics rather than returning silently.
+|Q_k(+-1)| falls below 1 (large exponents). The same loop safeguards the
+node: it keeps a bracket, from the midpoints between neighbouring seeds,
+whose ends each evaluation moves by the measured sign of Q_m. A step that
+would leave it, or a zero step, takes its midpoint instead, unless two
+measured values of opposite sign already pin the node within 2^-(prec-16):
+then that node is accepted, as where Halley steps stall at the rounding
+level of Q_m short of the one-unit test (at exponents (100, 60), a few
+nodes near the weight's peak, where |Q_m| is about 2^-58). A bracket that
+finds no sign change within the step cap raises with diagnostics rather
+than returning silently.
 
 Weights use the classical Christoffel formula for monic polynomials, with
 Q'_m from the structure relation,
@@ -187,28 +193,6 @@ def _eval_fixed(x: int, two_alpha, four_beta, bits: int) -> tuple:
     return q, qm1
 
 
-def _bisect_root(lo: int, hi: int, two_alpha, four_beta, bits: int, tol: int):
-    """A sign change of Q_m in [lo, hi] narrowed to width ``tol``, or None without one."""
-    flo = _eval_fixed(lo, two_alpha, four_beta, bits)[0]
-    fhi = _eval_fixed(hi, two_alpha, four_beta, bits)[0]
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        return None
-    while hi - lo > tol:
-        mid = (lo + hi) // 2
-        fm = _eval_fixed(mid, two_alpha, four_beta, bits)[0]
-        if fm == 0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return (lo + hi) // 2
-
-
 @functools.lru_cache
 def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
     """Order-m Gauss rule for the weight (1-x)^alpha (1+x)^beta, built once per (m, jp, p)."""
@@ -242,38 +226,40 @@ def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
         # interlacing brackets between consecutive seeds (seeds are within
         # ~1e-15 of the true roots, midpoints separate them safely)
         edges = [-one] + [(xs[i] + xs[i + 1]) // 2 for i in range(m - 1)] + [one]
-        # bisection narrows to 2^-(prec-16), about 10^-(dps-5)
-        tol = 1 << (bits - mp.prec + 16)
+        # a measured sign change this narrow, 2^-(prec-16), about 10^-(dps-5),
+        # settles a node whose Halley step would leave its bracket
+        width = 1 << (bits - mp.prec + 16)
         nodes, terms = [], []
         for i, x in enumerate(xs):
-            converged = False
+            bracket, measured = [edges[i], edges[i + 1]], [False, False]
             for _ in range(120):
                 q, d, _, one_minus_x2 = at_x = newton_terms(x)
-                if d == 0:
-                    break
+                # Q_m > 0 right of its largest root, so (-1)^(m-1-i) Q_m > 0
+                # right of node i: x becomes the bracket's upper or lower end
+                side = (q > 0) == ((m - 1 - i) % 2 == 0)
+                bracket[side], measured[side] = x, True
                 # the Newton correction Q (1 - x^2) / D, D = (1 - x^2) Q'_m, is
                 # the error to first order: accept within one unit of the
                 # node's last returned place (mp.prec bits)
-                if abs(q * one_minus_x2 // d) <= 1 << max(abs(x).bit_length() - mp.prec, 0):
-                    converged = True
+                if d and abs(q * one_minus_x2 // d) <= 1 << max(abs(x).bit_length() - mp.prec, 0):
                     break
                 # Halley: 2 Q D (1 - x^2) / (2 D^2 - Q (1 - x^2)^2 Q''), where
                 # the Jacobi equation gives -(1 - x^2)^2 Q'' =
                 # (beta - alpha - (s+2) x) D + m (m+s+1) (1 - x^2) Q
                 den = 2 * d * d + q * (((b_minus_a - (s_plus_2 * x >> bits)) * d
                                         + lam * (one_minus_x2 * q >> bits)) >> bits)
-                if den == 0:
+                step = 2 * q * d * one_minus_x2 // den if den else 0
+                # a zero step (zero D or denominator) would stay on an end
+                if bracket[0] < x - step < bracket[1]:
+                    x -= step
+                elif all(measured) and bracket[1] - bracket[0] <= width:
                     break
-                x -= 2 * q * d * one_minus_x2 // den
-                if not edges[i] < x < edges[i + 1]:
-                    break
-            if not converged:
-                x = _bisect_root(edges[i], edges[i + 1], two_alpha, four_beta, bits, tol)
-                if x is None:
-                    raise RootFindError(
-                        f"node {i} of order-{m} rule for alpha={jp.alpha}, "
-                        f"beta={jp.beta} did not converge from seed {seeds[i]}")
-                at_x = newton_terms(x)
+                else:
+                    x = (bracket[0] + bracket[1]) // 2
+            else:
+                raise RootFindError(
+                    f"node {i} of order-{m} rule for alpha={jp.alpha}, "
+                    f"beta={jp.beta} did not converge from seed {seeds[i]}")
             nodes.append(x)
             terms.append(at_x)
         for i in range(m - 1):

@@ -15,7 +15,7 @@ import mpmath
 import pytest
 
 import hankelpert.cli as cli
-from hankelpert import hankel, jacobi, linstat, quadrature, specfun
+from hankelpert import fluid, hankel, jacobi, linstat, quadrature, specfun
 from hankelpert.errors import PrecisionError
 
 LN2 = math.log(2)
@@ -421,6 +421,38 @@ def test_density_grid_and_mass(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["--n", "20", "--points", "5"],
+    ["--n", "7", "--alpha", "2/3", "--beta", "2/3", "--points", "21"]])
+def test_density_grid_prints_the_centre_of_a_symmetric_band_as_zero(capsys, argv):
+    code, rep, _ = run_json(["density", *argv], capsys)
+    assert code == 0
+    assert rep["rows"][len(rep["rows"]) // 2]["x"] == "0.0"
+
+
+@pytest.mark.parametrize("exponents", [["--alpha=-1/2", "--beta", "1/3"], ["--beta=-3/5"]])
+def test_density_refuses_negative_exponents(capsys, monkeypatch, exponents):
+    """With a negative exponent sigma integrates to n + min(alpha, 0) + min(beta, 0),
+    not n (1.5 at n = 2, alpha = -1/2), so the run stops before its mass integral."""
+    monkeypatch.setattr(fluid, "band_integral", lambda *args: pytest.fail("integral ran"))
+    code, out, err = run(["density", "--n", "2", *exponents, "--points", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: density needs alpha, beta >= 0: otherwise sigma "
+                          "integrates to n + min(alpha, 0) + min(beta, 0), not n")
+
+
+@pytest.mark.parametrize("exponent, total", [("-0.9", "-9/5"), ("-1/2", "-1")])
+def test_fluid_refuses_a_band_without_mass(capsys, exponent, total):
+    """n + alpha + beta <= 0 leaves the band complex (-9/5) or empty (-1): exit 2, no traceback."""
+    code, out, err = run(["fluid", "--n", "1", f"--alpha={exponent}", f"--beta={exponent}"],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: the band needs n + alpha + beta > 0, "
+                   f"got n = 1, alpha + beta = {total}\n")
+
+
+@pytest.mark.parametrize("argv", [
     ["compare", "--n", "1,2", "--heine"],
 ], ids=["compare"])
 def test_exit_3_when_ratio_misses_ensemble_average(capsys, argv):
@@ -531,6 +563,14 @@ def test_low_digit_override_warns(capsys):
     code, out, err = run(["exact", "--n", "40", "--digits", "32"], capsys)
     assert code == 0
     assert "below" in err
+
+
+@pytest.mark.parametrize("argv", [["exact"], ["compare", "--h", "exp(x)"]])
+def test_digits_below_the_floor_get_the_error_without_the_warning(capsys, argv):
+    code, out, err = run([*argv, "--n", "3", "--digits", "31"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: decimal_digits must be >= 32, got 31\n"
 
 
 def test_exit_2_on_syntax_error(capsys):

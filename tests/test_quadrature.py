@@ -3,7 +3,7 @@ import mpmath
 import pytest
 
 from hankelpert import quadrature
-from hankelpert.errors import DomainError, ResolutionError
+from hankelpert.errors import DomainError, ResolutionError, RootFindError
 from hankelpert.jacobi import (JacobiParams, jacobi_alpha_n_exact, jacobi_beta_n_exact,
                               jacobi_log_hn, jacobi_moment, jacobi_moment_ratios,
                               jacobi_recurrence_table)
@@ -291,14 +291,17 @@ def test_fixed_point_kernel_matches_mpf_newton(m, digits, a_s, b_s):
             f"weight {i}"
 
 
-def _kernel_calls(monkeypatch, m, jp, p) -> dict:
-    """Calls of ``_eval_fixed`` and ``_bisect_root`` while the order-m rule is built afresh."""
-    calls = {"_eval_fixed": 0, "_bisect_root": 0}
-    for name in calls:
-        def counted(*args, name=name, original=getattr(quadrature, name)):
-            calls[name] += 1
-            return original(*args)
-        monkeypatch.setattr(quadrature, name, counted)
+def _kernel_calls(monkeypatch, m, jp, p) -> int:
+    """Calls of ``_eval_fixed`` while the order-m rule is built afresh."""
+    calls = 0
+    original = quadrature._eval_fixed
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, "_eval_fixed", counted)
     gauss_jacobi_rule.cache_clear()
     assert len(gauss_jacobi_rule(m, jp, p).nodes) == m
     return calls
@@ -310,18 +313,21 @@ def test_rule_takes_five_kernel_evaluations_per_node(monkeypatch, a_s, b_s):
     """Work guard, by count: from float seeds the order-62 rule at 74 digits
     (the rule ``compare --n 10:30:10`` builds) takes at most 3m fixed-point
     evaluations, two Halley steps and one that accepts the node and serves
-    its weight, and no bisection."""
-    calls = _kernel_calls(monkeypatch, 62, JacobiParams(a_s, b_s), Precision(74))
-    assert calls["_bisect_root"] == 0
-    assert calls["_eval_fixed"] <= 3 * 62
+    its weight."""
+    assert _kernel_calls(monkeypatch, 62, JacobiParams(a_s, b_s), Precision(74)) <= 3 * 62
 
 
-def test_rule_stays_exact_where_a_node_falls_back_to_bisection(monkeypatch):
-    """At exponents (100, 60) the order-124 rule at 64 digits recovers a node by
-    bisection, and it still integrates every monomial through degree 2m-1 to
-    within 10^8 units of its working precision (5.7e-78 relative at 80 digits)."""
-    m, jp, p = 124, JacobiParams(100, 60), P64
-    assert _kernel_calls(monkeypatch, m, jp, p)["_bisect_root"] >= 1
+@pytest.mark.parametrize("m, digits", [(124, 64), (120, 64), (124, 32)])
+def test_rule_stays_exact_where_halley_needs_its_bracket(monkeypatch, m, digits):
+    """At exponents (100, 60) the Halley steps of a few nodes near the weight's
+    peak stall at the rounding level of Q_m short of the one-unit test, and
+    the bracket settles each once a measured sign change is 2^-(prec-16)
+    wide; the rule still takes at most 4m evaluations and integrates every
+    monomial through degree 2m-1 to within 10^2 units of its working
+    precision (2.7e-80 and 5.1e-80 relative at 80 working digits, 2.4e-48
+    at 48)."""
+    jp, p = JacobiParams(100, 60), Precision(digits)
+    assert _kernel_calls(monkeypatch, m, jp, p) <= 4 * m
     rule = gauss_jacobi_rule(m, jp, p)
     with p.workdps(2 * GUARD_DIGITS):
         mu0 = jacobi_moment(0, jp, Precision(mpmath.mp.dps))
@@ -329,16 +335,31 @@ def test_rule_stays_exact_where_a_node_falls_back_to_bisection(monkeypatch):
         for ratio in jacobi_moment_ratios(2 * m, jp):
             worst = max(worst, abs(mpmath.fsum(terms) / (mu0 * to_mpf(ratio)) - 1))
             terms = [t * x for t, x in zip(terms, rule.nodes)]
-        assert worst < mpmath.mpf(10) ** (8 - mpmath.mp.dps)
+        assert worst < mpmath.mpf(10) ** (2 - mpmath.mp.dps)
 
 
 def test_rule_takes_three_kernel_evaluations_near_a_large_exponent(monkeypatch):
     """At exponents (60, 0) the nodes crowd the far endpoint, where Halley's
     error constant is largest; the order-40 rule still takes at most 3m
-    evaluations and no bisection."""
-    calls = _kernel_calls(monkeypatch, 40, JacobiParams(60, 0), Precision(74))
-    assert calls["_bisect_root"] == 0
-    assert calls["_eval_fixed"] <= 3 * 40
+    evaluations."""
+    assert _kernel_calls(monkeypatch, 40, JacobiParams(60, 0), Precision(74)) <= 3 * 40
+
+
+def test_rule_raises_on_a_bracket_that_holds_no_root(monkeypatch):
+    """A seed moved next to its right neighbour leaves its bracket, the
+    midpoints between neighbouring seeds, without a sign change of Q_m:
+    the rule names that node rather than returning a wrong one."""
+    seed_nodes = quadrature._seed_nodes
+
+    def crowded(*args, **kwargs):
+        seeds = seed_nodes(*args, **kwargs)
+        seeds[10] = seeds[11] - 1e-9
+        return seeds
+
+    monkeypatch.setattr(quadrature, "_seed_nodes", crowded)
+    gauss_jacobi_rule.cache_clear()
+    with pytest.raises(RootFindError, match="node 10 of order-40 rule"):
+        gauss_jacobi_rule(40, JacobiParams("1/3", "2"), P64)
 
 
 @pytest.mark.parametrize("digits", [40, 111])
