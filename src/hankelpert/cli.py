@@ -8,6 +8,11 @@ Subcommands:
     fluid    continuum band endpoints and recurrence estimates vs exact values
     density  the continuum density on a grid, with its mass check
 
+Importing this module loads only what every subcommand runs (``jacobi``,
+``hankel`` and what they import); a subcommand imports the rest of the
+package when it runs, so ``exact`` never loads ``dsl``, ``quadrature``,
+``linstat`` or ``fluid``.
+
 Reports go to stdout as JSON (default) or CSV; arbitrary-precision values
 are emitted as decimal strings, never as binary floats. Identical command
 lines produce identical reports except for the timing fields.
@@ -24,7 +29,6 @@ h at any point the run samples, or an evaluation fault).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import shlex
@@ -44,10 +48,6 @@ from .jacobi import (JacobiParams, jacobi_alpha_n_exact, jacobi_beta_n_exact,
 from .hankel import (auto_digits, hankel_logdet_ldl, hankel_logdet_leading,
                      hankel_logdet_recurrence, heine_average_small_n,
                      perturbed_moment_sequence, pure_moment_sequence)
-from .fluid import (EquilibriumDensity, fluid_recurrence, support_endpoints,
-                    support_endpoints_shifted)
-from .linstat import assemble_prediction, cheb_log_expand
-from .dsl import parse_h, validate_positive
 
 SCHEMA_VERSION = 2
 HEINE_GUARD = 20
@@ -259,6 +259,9 @@ def cmd_exact(args) -> tuple:
 
 def cmd_compare(args) -> tuple:
     """Perturbed determinants, two direct routes vs the asymptotic prediction."""
+    from .dsl import parse_h, validate_positive
+    from .linstat import assemble_prediction, cheb_log_expand
+
     jp = JacobiParams(args.alpha, args.beta)
     ns = _parse_n_list(args.n)
     _warn_if_below_policy(args, ns)
@@ -318,6 +321,8 @@ def cmd_compare(args) -> tuple:
 
 def cmd_fluid(args) -> tuple:
     """Continuum band and recurrence estimates against the exact coefficients."""
+    from .fluid import fluid_recurrence, support_endpoints, support_endpoints_shifted
+
     jp = JacobiParams(args.alpha, args.beta)
     ns = _parse_n_list(args.n)
     digits = args.digits
@@ -350,6 +355,8 @@ def cmd_fluid(args) -> tuple:
 
 def cmd_density(args) -> tuple:
     """Continuum density sampled on a Chebyshev grid over its band."""
+    from .fluid import EquilibriumDensity, support_endpoints
+
     jp = JacobiParams(args.alpha, args.beta)
     ns = _parse_n_list(args.n)
     if len(ns) != 1:
@@ -393,6 +400,8 @@ def _emit_json(report: dict, stream) -> None:
 
 
 def _emit_csv(report: dict, stream) -> None:
+    import csv
+
     stream.write(f"# command: {report['command']}\n")
     stream.write(f"# tool: {report['tool']['name']} {report['tool']['version']}"
                  f" schema {report['schema_version']}\n")

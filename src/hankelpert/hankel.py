@@ -45,13 +45,11 @@ from typing import NamedTuple
 import mpmath
 from mpmath import mp, mpf
 
-from .dsl import positive_sample
 from .errors import DomainError, PrecisionError
 from .jacobi import (JacobiParams, jacobi_moment, jacobi_moment_exact,
                      jacobi_moment_ratios, jacobi_recurrence_table)
-from .precision import (GUARD_DIGITS, BigReal, Precision, checked_namedtuple,
-                        ensure_finite, to_mpf)
-from .quadrature import KERNEL_GUARD_BITS, gauss_jacobi_rule, scaled_recurrence
+from .precision import (GUARD_DIGITS, KERNEL_GUARD_BITS, BigReal, Precision,
+                        checked_namedtuple, ensure_finite, to_mpf)
 
 #: Extra decimal digits per matrix row consumed by pivot decay during factorization.
 CONDITIONING_GUARD_PER_ROW = 0.7
@@ -141,7 +139,7 @@ def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
     One pass over the nodes yields both the raw power moments mu_0..mu_{2n-2}
     and the modified moments nu_0..nu_{2n-1} against the monic orthogonal
     basis of the unperturbed weight. The pass runs on F-bit fixed-point
-    integers, F from :func:`scaled_recurrence` with one spare bit per bit of
+    integers, F from ``quadrature.scaled_recurrence`` with one spare bit per bit of
     m: each node's w h becomes an integer W, scaled so that the largest sits
     at 2^F, the powers step as x^(k+1) W = (x^k W * X) >> F with X = 2^F x,
     and the basis is evaluated by the scaled
@@ -149,6 +147,9 @@ def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
     so nu_k = 2^-k sum W Q_k. Every product rounds by one unit of 2^-F of
     the largest w h, as an mpf loop rounds by one unit of each value.
     """
+    from .dsl import positive_sample
+    from .quadrature import gauss_jacobi_rule, scaled_recurrence
+
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     if m is None:
@@ -418,6 +419,9 @@ def heine_average_small_n(n: int, jp: JacobiParams, h, p: Precision) -> BigReal:
     the squared Vandermonde density by tensor-product Gauss quadrature and
     returns their ratio. Cost grows like (rule order)^n, hence the size cap.
     """
+    from .dsl import positive_sample
+    from .quadrature import gauss_jacobi_rule
+
     if n not in (1, 2, 3):
         raise DomainError(f"ensemble average implemented for n in 1..3, got {n}")
     order = max(24, p.decimal_digits + GUARD_DIGITS)

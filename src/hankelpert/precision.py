@@ -21,6 +21,14 @@ BigReal = mpmath.mpf
 
 #: Guard digits added on top of the requested precision inside every operation.
 GUARD_DIGITS = 8
+#: Fixed-point guard bits on top of the working precision, read by the integer
+#: kernels of ``quadrature`` and ``hankel``: in the Gauss rule plus 5 per bit
+#: of the rule order (3 for the rounding count, 2 for 1 - x^2 near +-1) and
+#: the bits of ``quadrature._small_value_bits``, in the perturbed moment pass
+#: plus 1 per bit of the rule order and the same small-value bits, in the
+#: modified Chebyshev kernel plus 3 per coefficient pair, in the Chebyshev
+#: transform below the largest sample.
+KERNEL_GUARD_BITS = 16
 
 
 def checked_namedtuple(name: str, fields: list) -> type:

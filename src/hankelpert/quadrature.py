@@ -80,16 +80,9 @@ from mpmath import mp, mpf
 from .errors import DomainError, ResolutionError, RootFindError
 from .jacobi import (JacobiParams, jacobi_log_hn, jacobi_recurrence_table,
                      jacobi_structure_exact)
-from .precision import GUARD_DIGITS, BigReal, Precision, ensure_finite, to_mpf
+from .precision import (GUARD_DIGITS, KERNEL_GUARD_BITS, BigReal, Precision,
+                        ensure_finite, to_mpf)
 
-#: Fixed-point guard bits on top of the working precision: in the Gauss rule
-#: plus 5 per bit of the rule order (3 for the rounding count, 2 for 1 - x^2
-#: near +-1) and the bits of :func:`_small_value_bits`,
-#: in the perturbed moment pass (``hankel``) plus 1 per bit of the rule order
-#: and the same small-value bits, in the modified Chebyshev kernel
-#: (``hankel``) plus 3 per coefficient pair, in the Chebyshev transform below
-#: the largest sample.
-KERNEL_GUARD_BITS = 16
 #: Float Newton steps allowed per seed.
 SEED_ITERATIONS = 200
 

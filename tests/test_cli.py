@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: report schema, values, and exit codes."""
+import ast
 import contextlib
 import csv
 import io
@@ -14,8 +15,9 @@ import time
 import mpmath
 import pytest
 
+import hankelpert
 import hankelpert.cli as cli
-from hankelpert import fluid, hankel, jacobi, linstat, quadrature, specfun
+from hankelpert import dsl, fluid, hankel, jacobi, linstat, quadrature, specfun
 from hankelpert.errors import PrecisionError
 
 LN2 = math.log(2)
@@ -143,14 +145,14 @@ SWEEP = ["compare", "--n", "10:30:10", "--alpha=1/3", "--beta=2", "--h", "1+0.5*
 
 def test_compare_sweep_rows_match_single_size_runs(capsys, monkeypatch):
     """One moment pass, one factorization per route and one ln h expansion serve
-    every row, within each row's method_tol."""
-    rules = _counting(monkeypatch, hankel, "gauss_jacobi_rule")
+    every row, within each row's method_tol. The counted names are read at call
+    time, so they also see any expansion that the prediction would build."""
+    rules = _counting(monkeypatch, quadrature, "gauss_jacobi_rule")
     factorizations = _counting(monkeypatch, hankel, "modified_chebyshev")
-    expansions = _counting(monkeypatch, cli, "cheb_log_expand")
-    inner_expansions = _counting(monkeypatch, linstat, "cheb_log_expand")
+    expansions = _counting(monkeypatch, linstat, "cheb_log_expand")
     code, sweep, _ = run_json(SWEEP, capsys)
     assert code == 0
-    assert (len(rules), len(expansions), len(inner_expansions)) == (1, 1, 0)
+    assert (len(rules), len(expansions)) == (1, 1)
     assert [call[3] for call in factorizations] == [30, 30]
     assert rules[0][0] == 30 + 32  # the largest size's default order
     for row in sweep["rows"]:
@@ -170,7 +172,7 @@ def test_compare_computes_each_lobatto_angle_once(capsys, monkeypatch):
     calls no mpmath.cos."""
     quadrature._OCTANTS.clear()
     angles, screen_cosines, inside = [], [], []
-    cos_sin, cos, screen = mpmath.cos_sin, mpmath.cos, cli.validate_positive
+    cos_sin, cos, screen = mpmath.cos_sin, mpmath.cos, dsl.validate_positive
 
     def counted_cos_sin(*args, **kwargs):
         angles.append(mpmath.mp.prec)
@@ -190,7 +192,7 @@ def test_compare_computes_each_lobatto_angle_once(capsys, monkeypatch):
 
     monkeypatch.setattr(mpmath, "cos_sin", counted_cos_sin)
     monkeypatch.setattr(mpmath, "cos", counted_cos)
-    monkeypatch.setattr(cli, "validate_positive", marked_screen)
+    monkeypatch.setattr(dsl, "validate_positive", marked_screen)
     code, _, _ = run_json(["compare", "--n", "10:30:10", "--h", "1+2*x^2"], capsys)
     assert code == 0
     assert screen_cosines == []
@@ -467,14 +469,74 @@ def test_exit_3_when_ratio_misses_ensemble_average(capsys, argv):
         assert "tol 1.0e-44" in row["error"]
 
 
-def _loaded_by_cli_import(packages) -> str:
-    """The modules of ``packages`` that a fresh ``import hankelpert.cli`` loads, as printed."""
+def _fresh(probe: str) -> str:
+    """What ``probe`` prints in a fresh interpreter that imports the package from source."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    probe = ("import sys, hankelpert.cli; print(sorted(m for m in sys.modules "
-             f"if m.split('.')[0] in {tuple(packages)!r}))")
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def _loaded_by_cli_import(packages) -> str:
+    """The modules of ``packages`` that a fresh ``import hankelpert.cli`` loads, as printed."""
+    return _fresh("import sys, hankelpert.cli; print(sorted(m for m in sys.modules "
+                  f"if m.split('.')[0] in {tuple(packages)!r}))")
+
+
+LAZY = ("csv", "hankelpert.dsl", "hankelpert.fluid", "hankelpert.linstat",
+        "hankelpert.quadrature")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["exact", "--n", "3"], []),
+    (["exact", "--n", "3", "--format", "csv"], ["csv"]),
+    (["fluid", "--n", "5"], ["hankelpert.fluid"]),
+    (["compare", "--n", "3", "--h", "exp(x)"],
+     ["hankelpert.dsl", "hankelpert.linstat", "hankelpert.quadrature"]),
+], ids=["exact", "exact-csv", "fluid", "compare"])
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded):
+    """A fresh ``import hankelpert.cli`` loads none of ``LAZY``; running ``argv``
+    then loads exactly ``loaded`` of them."""
+    probe = ("import contextlib, io, json, sys, hankelpert.cli as cli\n"
+             f"lazy = {LAZY!r}\n"
+             "at_import = [m for m in lazy if m in sys.modules]\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = cli.main({argv!r})\n"
+             "print(json.dumps([at_import, code, [m for m in lazy if m in sys.modules]]))")
+    assert json.loads(_fresh(probe)) == [[], 0, loaded]
+
+
+def _defining_modules() -> dict:
+    """Each name defined at the top level of a package module, mapped to that module."""
+    defined = {}
+    for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(path.stem)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        defined.setdefault(target.id, []).append(path.stem)
+    return defined
+
+
+def test_package_exports_load_their_module_on_first_access():
+    """A fresh ``import hankelpert`` loads no module of the package and no mpmath;
+    each exported name is then the object its defining module binds, and
+    ``dir`` lists every export."""
+    defined = _defining_modules()
+    home = {name: defined[name] for name in hankelpert.__all__ if name != "__version__"}
+    assert all(len(modules) == 1 for modules in home.values()), home
+    probe = ("import importlib, json, sys, hankelpert\n"
+             "loaded = sorted(m for m in sys.modules if m.startswith(('hankelpert.', 'mpmath')))\n"
+             "listed = set(dir(hankelpert))\n"
+             f"home = {home!r}\n"
+             "moved = [name for name, (module, ) in home.items() if getattr(hankelpert, name)"
+             " is not getattr(importlib.import_module('hankelpert.' + module), name)]\n"
+             "print(json.dumps([loaded, sorted(set(hankelpert.__all__) - listed), moved]))")
+    assert json.loads(_fresh(probe)) == [[], [], []]
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        hankelpert.no_such_name
 
 
 def test_cli_import_loads_no_scipy_or_numpy():
