@@ -13,10 +13,11 @@ rational), NAME is one of exp, log, sqrt, cosh, sinh. Exponents must
 constant-fold to a rational; 'x^x' is rejected at parse time. Parse errors
 carry the byte offset and the token kinds that would have been accepted.
 
-One table, ``BINARY_OPS``, drives the binary operators in the parser, the
-printer and the evaluator, which also folds constant exponents; the ``h_*``
-constructors write source text and parse it, so the parser is the only code
-that builds trees.
+One table, ``BINARY_OPS``, keyed by operator symbol, drives the binary
+operators in the parser, the printer and the evaluator, which also folds
+constant exponents. The tree is one ``NamedTuple`` record per grammar rule;
+the ``h_*`` constructors write source text and parse it, so the parser is
+the only code that builds trees.
 
 Evaluation is exact-rational-in, arbitrary-precision-out: numeric leaves are
 Fractions, arithmetic on them stays exact until a transcendental call, an
@@ -64,112 +65,49 @@ EXACT_POWER_BITS = 4096
 SCREEN_POINTS = 257
 
 
-# --- syntax tree ---
+# --- syntax tree: one record per grammar rule ---
+# Kinds never compare equal: Var has no fields, Num holds a Fraction and Neg a
+# node, Pow starts with a node and Call with a str, and only Binary has three.
 
-class _Node:
-    """An immutable tree node: equal, and hashing equal, only to a node of its
-    own class whose fields, named by ``__match_args__``, are equal."""
-
-    __slots__ = ()
-    __match_args__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def _init(self, *values) -> None:
-        for name, value in zip(self.__match_args__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash((type(self), self._values()))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self.__match_args__, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
+class Num(NamedTuple):
+    value: Fraction
 
 
-class Num(_Node):
-    __slots__ = __match_args__ = ("value",)
-
-    def __init__(self, value: Fraction):
-        self._init(value)
+class Var(NamedTuple):
+    pass
 
 
-class Var(_Node):
-    __slots__ = ()
+class Neg(NamedTuple):
+    operand: object
 
 
-class Neg(_Node):
-    __slots__ = __match_args__ = ("operand",)
+class Binary(NamedTuple):
+    """left <op> right; the symbol ``op`` keys its precedence and arithmetic in BINARY_OPS."""
 
-    def __init__(self, operand):
-        self._init(operand)
-
-
-class Binary(_Node):
-    """left <op> right; the operator's symbol, precedence and arithmetic are in BINARY_OPS."""
-
-    __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self._init(left, right)
+    op: str
+    left: object
+    right: object
 
 
-class Add(Binary):
-    __slots__ = ()
-
-
-class Sub(Binary):
-    __slots__ = ()
-
-
-class Mul(Binary):
-    __slots__ = ()
-
-
-class Div(Binary):
-    __slots__ = ()
-
-
-#: node class -> (printed form, precedence, operation). Precedence 1 is the
-#: grammar's ``expr`` level and 2 its ``term`` level; the symbol is the printed
-#: form without its spaces. A zero divisor raises ZeroDivisionError.
+#: symbol -> (printed form, precedence, operation). Precedence 1 is the
+#: grammar's ``expr`` level and 2 its ``term`` level; the printed form is the
+#: symbol with its spacing. A zero divisor raises ZeroDivisionError.
 BINARY_OPS = {
-    Add: (" + ", 1, operator.add),
-    Sub: (" - ", 1, operator.sub),
-    Mul: ("*", 2, operator.mul),
-    Div: ("/", 2, operator.truediv),
+    "+": (" + ", 1, operator.add),
+    "-": (" - ", 1, operator.sub),
+    "*": ("*", 2, operator.mul),
+    "/": ("/", 2, operator.truediv),
 }
-_BY_SYMBOL = {text.strip(): (cls, prec) for cls, (text, prec, _) in BINARY_OPS.items()}
 
 
-class Pow(_Node):
-    __slots__ = __match_args__ = ("base", "exponent")
-
-    def __init__(self, base, exponent: Fraction):
-        self._init(base, exponent)
+class Pow(NamedTuple):
+    base: object
+    exponent: Fraction
 
 
-class Call(_Node):
-    __slots__ = __match_args__ = ("name", "argument")
-
-    def __init__(self, name: str, argument):
-        self._init(name, argument)
+class Call(NamedTuple):
+    name: str
+    argument: object
 
 
 # --- evaluation ---
@@ -207,7 +145,7 @@ def evaluate(node, x):
     if isinstance(node, Binary):
         a, b = _coerce(evaluate(node.left, x), evaluate(node.right, x))
         try:
-            return BINARY_OPS[type(node)][2](a, b)
+            return BINARY_OPS[node.op][2](a, b)
         except ZeroDivisionError:
             raise _fault("division by zero", x) from None
     if isinstance(node, Pow):
@@ -257,7 +195,7 @@ def _decimal_repr(q: Fraction):
 
 def _precedence(node) -> int:
     if isinstance(node, Binary):
-        return BINARY_OPS[type(node)][1]
+        return BINARY_OPS[node.op][1]
     if isinstance(node, Neg):
         return 3
     if isinstance(node, Pow):
@@ -295,7 +233,7 @@ def to_source(node) -> str:
     if isinstance(node, Neg):
         return "-" + wrap(node.operand, 3)
     if isinstance(node, Binary):
-        text, prec, _ = BINARY_OPS[type(node)]
+        text, prec, _ = BINARY_OPS[node.op]
         return f"{wrap(node.left, prec)}{text}{wrap(node.right, prec + 1)}"
     if isinstance(node, Pow):
         return f"{wrap(node.base, 5)}^{_exponent_repr(node.exponent)}"
@@ -339,7 +277,6 @@ def _tokenize(source: str):
 
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.index = 0
 
@@ -363,7 +300,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos,
-                             tuple(_BY_SYMBOL) + ("^",))
+                             tuple(BINARY_OPS) + ("^",))
         return node
 
     def binary(self, level: int):
@@ -372,9 +309,8 @@ class _Parser:
             return self.binary(2) if level == 1 else self.unary()
 
         node = operand()
-        while _BY_SYMBOL.get(self.peek().kind, (None, 0))[1] == level:
-            cls = _BY_SYMBOL[self.advance().kind][0]
-            node = cls(node, operand())
+        while BINARY_OPS.get(self.peek().kind, (None, 0))[1] == level:
+            node = Binary(self.advance().kind, node, operand())
         return node
 
     def unary(self):

@@ -395,13 +395,7 @@ def cheb_expand_auto(f, p: Precision, limit: int = 8192) -> ChebExpansion:
     doubling evaluates f only at its M new nodes.
     """
     threshold = mpf(10) ** (-(p.decimal_digits // 2))
-    values = {}
-
-    def once(x):
-        if x not in values:
-            values[x] = f(x)
-        return values[x]
-
+    once = functools.cache(f)
     M = 64
     while M <= limit:
         ce = cheb_expand(once, M, p)

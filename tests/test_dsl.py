@@ -1,14 +1,15 @@
 """Expression grammar for perturbation factors: parsing, printing, evaluation,
 and the positivity screen."""
+import copy
+import pickle
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from hankelpert.dsl import (Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var, evaluate,
-                            h_const, h_exp_cheb2, h_exp_linear, h_one,
-                            h_one_plus_square, parse_h, to_source,
-                            validate_positive)
+from hankelpert.dsl import (Binary, Call, Neg, Num, Pow, Var, evaluate, h_const,
+                            h_exp_cheb2, h_exp_linear, h_one, h_one_plus_square,
+                            parse_h, to_source, validate_positive)
 from hankelpert.errors import (DomainError, EvalDomainError, ParseError,
                                PositivityError)
 from hankelpert.hankel import HankelResult, MomentSequence
@@ -33,9 +34,9 @@ ROUND_TRIP_CORPUS = (
 
 
 def test_parse_builds_expected_trees():
-    assert parse_h("exp(0.5*x)").ast == Call("exp", Mul(Num(Fraction(1, 2)), Var()))
-    assert parse_h("1 + x^2/2").ast == Add(
-        Num(Fraction(1)), Div(Pow(Var(), Fraction(2)), Num(Fraction(2))))
+    assert parse_h("exp(0.5*x)").ast == Call("exp", Binary("*", Num(Fraction(1, 2)), Var()))
+    assert parse_h("1 + x^2/2").ast == Binary(
+        "+", Num(Fraction(1)), Binary("/", Pow(Var(), Fraction(2)), Num(Fraction(2))))
 
 
 def test_parse_error_carries_offset_and_expectation():
@@ -115,10 +116,20 @@ def test_round_trip_preserves_tree():
 
 
 def test_records_are_immutable_and_trees_compare_by_node_type():
-    left, right = Add(Var(), Num(1)), Sub(Var(), Num(1))
+    left, right = Binary("+", Var(), Num(1)), Binary("-", Var(), Num(1))
     assert left != right
-    assert left == Add(left=Var(), right=Num(1)) and hash(left) == hash(Add(Var(), Num(1)))
-    assert repr(left) == "Add(left=Var(), right=Num(value=1))"
+    assert Binary("*", Var(), Num(1)) != Binary("/", Var(), Num(1))
+    assert left == Binary(op="+", left=Var(), right=Num(1))
+    assert hash(left) == hash(Binary("+", Var(), Num(1)))
+    assert repr(left) == "Binary(op='+', left=Var(), right=Num(value=1))"
+    # each node kind has its own arity or first-field type, so kinds never compare equal
+    assert Num(Fraction(1)) != Neg(Num(Fraction(1)))
+    assert Pow(Var(), Fraction(2)) != Call("exp", Var())
+    h = parse_h("exp(-(1/3)*x) + 1/(1.02 - x)^2")
+    for value in (h, h.ast):
+        # repr names every node's class, which tuple equality alone would not check
+        for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert again == value and repr(again) == repr(value)
     assert repr(Precision(40)) == "Precision(decimal_digits=40)"
     assert hash(JacobiParams("1/2", 0)) == hash(JacobiParams(alpha=Fraction(1, 2), beta=0))
     one = mpmath.mpf(1)
@@ -160,9 +171,9 @@ def test_builtin_sources_are_pinned():
     for h, source in cases:
         assert h.source == source
     assert h_exp_linear(Fraction(-1, 3)).ast == Call(
-        "exp", Mul(Neg(Div(Num(Fraction(1)), Num(Fraction(3)))), Var()))
-    assert h_one_plus_square(Fraction(-1, 2)).ast == Sub(
-        Num(Fraction(1)), Mul(Num(Fraction(1, 2)), Pow(Var(), Fraction(2))))
+        "exp", Binary("*", Neg(Binary("/", Num(Fraction(1)), Num(Fraction(3)))), Var()))
+    assert h_one_plus_square(Fraction(-1, 2)).ast == Binary(
+        "-", Num(Fraction(1)), Binary("*", Num(Fraction(1, 2)), Pow(Var(), Fraction(2))))
 
 
 def test_exact_evaluation_stays_rational():

@@ -110,3 +110,20 @@ def test_every_class_member_is_read_by_code_that_runs():
     unread = [where for name, defined in members.items()
               if len(receivers.get(name, ())) < len(defined) for where in defined.values()]
     assert not unread, "read by no run: " + ", ".join(unread)
+
+
+#: methods a ``NamedTuple`` record already has; a class that writes its own
+#: copy of one is a hand-rolled record
+RECORD_METHODS = {"__eq__", "__ne__", "__hash__", "__repr__", "__reduce__",
+                  "__setattr__", "__delattr__"}
+
+
+def test_no_class_hand_writes_record_methods():
+    """Equality, hashing, repr, pickling and immutability come from NamedTuple."""
+    written = [f"{path.relative_to(ROOT)}:{node.lineno}: {cls.name}.{node.name}"
+               for path in PACKAGE for cls in ast.walk(_parse(path))
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name in RECORD_METHODS]
+    assert not written, "hand-written record methods: " + ", ".join(written)
