@@ -194,15 +194,16 @@ def _leading(top, n: int, p: Precision):
 
 
 def _run_rows(ns, digits_of, compute) -> tuple:
-    """One report row per size, and the exit code: 3 if any row failed, else 0.
+    """One report row per size, and the exit code: 2 if a size is outside
+    the domain, else 3 if any row failed, else 0.
 
     ``compute(n, p)`` returns the row's values after ``n`` and ``digits``,
-    with ``p`` the row's precision, and is timed into ``elapsed_s``. A
-    PrecisionError, or a difference of ``BOUNDS`` above its bound, becomes
-    the row {n, digits, error, error_type} and the next size still runs.
+    with ``p`` the row's precision, timed into ``elapsed_s``. A PrecisionError,
+    a DomainError other than h's EvalDomainError, or a difference of ``BOUNDS``
+    above its bound becomes the row {n, digits, error, error_type} and the
+    next size runs; if no size is in the domain, the first DomainError is raised.
     """
-    rows = []
-    failed = 0
+    rows, failed = [], []
     for n in ns:
         digits = digits_of(n)
         p = Precision(digits)
@@ -214,14 +215,19 @@ def _run_rows(ns, digits_of, compute) -> tuple:
                     raise PrecisionError(
                         f"{what} differ by {mpmath.nstr(row[diff], DIFF_DIGITS)}, "
                         f"above {bound} {mpmath.nstr(row[bound], DIFF_DIGITS)}")
-        except PrecisionError as exc:
-            failed += 1
+        except EvalDomainError:
+            raise
+        except (PrecisionError, DomainError) as exc:
+            failed.append(exc)
             rows.append({"n": n, "digits": digits, "error": str(exc),
                          "error_type": type(exc).__name__})
             continue
         row["elapsed_s"] = round(time.perf_counter() - t0, 3)
         rows.append(_fmt_row(row, digits))
-    return rows, (3 if failed else 0)
+    refused = [exc for exc in failed if isinstance(exc, DomainError)]
+    if len(refused) == len(ns):
+        raise refused[0]
+    return rows, (2 if refused else 3 if failed else 0)
 
 
 # --- subcommands ---

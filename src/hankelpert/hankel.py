@@ -127,7 +127,7 @@ def pure_moment_sequence(jp: JacobiParams, n: int, p: Precision) -> MomentSequen
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     with p.workdps(_conditioning_guard(n)):
-        mu0 = jacobi_moment(0, jp, Precision(max(32, mp.dps)))
+        mu0 = jacobi_moment(0, jp, Precision(mp.dps))
         mus = tuple(mu0 * to_mpf(r) for r in jacobi_moment_ratios(2 * n - 1, jp))
     return MomentSequence(mus, "pure")
 
@@ -158,8 +158,7 @@ def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
         raise DomainError(f"rule order {m} cannot resolve moments for size {n}: "
                           f"the minimum is {n + QUAD_ORDER_MARGIN}")
     with p.workdps(_conditioning_guard(n)):
-        boosted = Precision(max(32, mp.dps))
-        rule = gauss_jacobi_rule(m, jp, boosted)
+        rule = gauss_jacobi_rule(m, jp, Precision(mp.dps))
         count = 2 * n - 1
         bits, two_alpha, four_beta = scaled_recurrence(
             *jacobi_recurrence_table(count, jp), m.bit_length())
@@ -426,7 +425,7 @@ def heine_average_small_n(n: int, jp: JacobiParams, h, p: Precision) -> BigReal:
         raise DomainError(f"ensemble average implemented for n in 1..3, got {n}")
     order = max(24, p.decimal_digits + GUARD_DIGITS)
     with p.workdps(2 * GUARD_DIGITS):
-        rule = gauss_jacobi_rule(order, jp, Precision(max(32, mp.dps)))
+        rule = gauss_jacobi_rule(order, jp, Precision(mp.dps))
         xs = rule.nodes
         ws = rule.weights
         hx = [positive_sample(h, x) for x in xs]

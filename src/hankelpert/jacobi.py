@@ -187,7 +187,7 @@ def jacobi_log_hn(n: int, jp: JacobiParams, p: Precision) -> BigReal:
     with p.workdps():
         a, b = jp.ab_mpf()
         s = a + b
-        inner = Precision(max(32, mp.dps))
+        inner = Precision(mp.dps)
         if n == 0:
             # h_0 = mu_0 = 2^(s+1) B(a+1, b+1); written with Gamma(s+2) so the
             # s=-1 case stays finite (the generic formula pairs Gamma(s+1)
@@ -247,7 +247,7 @@ def jacobi_logdet_exact(n: int, jp: JacobiParams, p: Precision) -> BigReal:
     with p.workdps(2 * GUARD_DIGITS):
         a, b = jp.ab_mpf()
         s = a + b
-        inner = Precision(max(32, mp.dps))
+        inner = Precision(mp.dps)
         lG = lambda z: log_barnes_g(z, inner)
         value = (-n * (n + s) * mpmath.log(2) + n * mpmath.log(2 * mpmath.pi)
                  + jacobi_asym_constant(jp, p)
@@ -273,7 +273,7 @@ def jacobi_asym_constant(jp: JacobiParams, p: Precision) -> BigReal:
     with p.workdps(2 * GUARD_DIGITS):
         a, b = jp.ab_mpf()
         s = a + b
-        inner = Precision(max(32, mp.dps))
+        inner = Precision(mp.dps)
         value = (_log_gamma_g_ratio(s, inner) + 2 * log_barnes_g(s / 2 + 1, inner)
                  - log_barnes_g(a + 1, inner) - log_barnes_g(b + 1, inner))
         return ensure_finite(value, "asymptotic constant")

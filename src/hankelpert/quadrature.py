@@ -1,8 +1,14 @@
 """High-precision Gauss quadrature for the weight (1-x)^alpha (1+x)^beta,
 and Chebyshev expansion of smooth functions on [-1, 1].
 
-Nodes are the roots of the degree-m monic orthogonal polynomial P_m, found
-on the scaled recurrence Q_k = 2^k P_k,
+Nodes are the roots of the degree-m monic orthogonal polynomial P_m, the
+eigenvalues of its symmetric tridiagonal Jacobi matrix (diagonal alpha_k,
+off-diagonal sqrt(beta_k); Golub and Welsch, Math. Comp. 23 (1969) 221).
+The seeds are those eigenvalues in floats, by implicit QL with Wilkinson
+shifts (EISPACK tql1, O(m^2) in all), each within a few units of 2^-52 of
+its node (at most 2.8e-15 at orders up to 494, exponents -99/100 to 100).
+
+Each seed is then polished on the scaled recurrence Q_k = 2^k P_k,
 
     Q_{k+1} = (2x - 2 alpha_k) Q_k - 4 beta_k Q_{k-1},
 
@@ -13,35 +19,29 @@ Comput. 35 (2013) A652)
 
     (1 - x^2) Q'_m = (B - m x) Q_m + C Q_{m-1},
 
-with exact B and C (:func:`jacobi_structure_exact`). Seeds come from Newton
-in floats with Maehly deflation, working in from x = 1: started right of the
-largest root of a real-rooted polynomial, Newton descends monotonically
-onto it, and dividing out the roots found makes the next root the largest.
-Every step reads D = (1 - x^2) Q'_m from the relation, and the first step,
-from x = 1 itself, and the restart after each root also read the Jacobi
-differential equation
+with exact B and C (:func:`jacobi_structure_exact`), and the second
+derivative from the Jacobi differential equation
 
     (1 - x^2) Q''_m + (beta - alpha - (s+2) x) Q'_m + lambda Q_m = 0,
-    s = alpha + beta,  lambda = m (m+s+1),
+    s = alpha + beta,  lambda = m (m+s+1).
 
-which gives Q_m/Q'_m at x = 1 and Q''_m/Q'_m at a root. Halley's method
-then polishes each seed on F-bit fixed-point Python integers (x, 2 alpha_k
+Halley's method runs on F-bit fixed-point Python integers (x, 2 alpha_k
 and 4 beta_k scaled by 2^F, F = working bits + guard bits, each product
 shifted back by F), which does the work of mpf arithmetic without its
-per-operation overhead. With Q''_m from the equation, a step
+per-operation overhead. With D = (1 - x^2) Q'_m, a step
 
     2 Q D (1 - x^2) / (2 D^2 + Q [(beta - alpha - (s+2) x) D + lambda (1 - x^2) Q])
 
 costs one recurrence sweep, as a Newton step does, and triples the correct
-digits of the ~1e-15 float seed where Newton doubles them. A node is
-accepted once the Newton correction Q (1 - x^2) / D at it is at most one
-unit in its last returned place; that evaluation also gives its weight. So
-two steps and the accepting evaluation, three evaluations per node, reach
-working precision up to about 115 requested digits, and four beyond that
-up to about 380 (Newton took five and more). Fixed point
-resolves small values only absolutely, so the guard grows with m (1 - x^2
-near +-1 falls like 1/m^2) and with the bits by which the smallest
-|Q_k(+-1)| falls below 1 (large exponents). The same loop safeguards the
+digits of the float seed where Newton doubles them. A node is accepted
+once the Newton correction Q (1 - x^2) / D at it is at most one unit in
+its last returned place; that evaluation also gives its weight. So two
+steps and the accepting evaluation, three evaluations per node, reach
+working precision up to about 95 requested digits, and four beyond that
+up to about 330. Fixed point resolves small values only absolutely, so
+the guard grows with m (1 - x^2 near +-1 falls like 1/m^2) and with the
+bits by which the smallest |Q_k(+-1)| falls below 1 (large exponents).
+The same loop safeguards the
 node: it keeps a bracket, from the midpoints between neighbouring seeds,
 whose ends each evaluation moves by the measured sign of Q_m. A step that
 would leave it, or a zero step, takes its midpoint instead, unless two
@@ -59,9 +59,9 @@ Q'_m from the structure relation,
         = h_{m-1} 2^(2m-1) (1 - x_i^2) / (Q_{m-1}(x_i) * (C Q_{m-1}(x_i) + (B - m x_i) Q_m(x_i))),
 
 which is positive at every root and needs one extra norm constant h_{m-1}.
-An order-62 rule at 103 digits takes about 32 ms and an order-124 rule at
-161 digits about 186 ms (2 vCPU Xeon, Python 3.11, mpmath 1.3.0
-pure-Python backend), against 43 and 266 ms with the Newton polish.
+An order-62 rule at 103 digits takes about 14 ms and an order-124 rule at
+161 digits about 88 ms (2 vCPU Xeon, Python 3.11, mpmath 1.3.0
+pure-Python backend), of which the seeds are 1.8 and 6.7 ms.
 
 Chebyshev expansions and the positivity screen of ``dsl`` sample on the
 Chebyshev-Lobatto nodes cos(pi t / M), M a power of two. One table per
@@ -83,8 +83,8 @@ from .jacobi import (JacobiParams, jacobi_log_hn, jacobi_recurrence_table,
 from .precision import (GUARD_DIGITS, KERNEL_GUARD_BITS, BigReal, Precision,
                         ensure_finite, to_mpf)
 
-#: Float Newton steps allowed per seed.
-SEED_ITERATIONS = 200
+#: Implicit QL sweeps allowed per eigenvalue of the Jacobi matrix (the seeds).
+SEED_ITERATIONS = 30
 
 
 class QuadratureRule(NamedTuple):
@@ -99,53 +99,48 @@ class QuadratureRule(NamedTuple):
     weights: tuple
 
 
-def _eval_float(x: float, two_alpha, four_beta) -> tuple:
-    """(Q_m(x), Q_{m-1}(x)) in floats."""
-    qm1, q = 0.0, 1.0
-    for a, b in zip(two_alpha, four_beta):
-        qm1, q = q, (2 * x - a) * q - b * qm1
-    return q, qm1
-
-
-def _seed_nodes(two_alpha, four_beta, *, relation) -> list:
-    """Increasing float roots of Q_m, by Newton with Maehly deflation from x = 1 inward.
-
-    ``relation`` is (B, C, beta - alpha, s + 2) in floats: the structure
-    relation's coefficients and those of the first-order term of the Jacobi
-    equation.
+def _seed_nodes(diag, off) -> list:
+    """Increasing float eigenvalues of the symmetric tridiagonal matrix with
+    diagonal ``diag`` and off-diagonal ``off``, by implicit QL with Wilkinson
+    shifts; an off-diagonal entry below the rounding level of 1, the scale of
+    a Jacobi matrix on [-1, 1], splits the matrix.
     """
-    m = len(two_alpha)
-    b, c, b_minus_a, s_plus_2 = relation
-    roots = []
-    # Newton's first step from x = 1, where the equation gives
-    # Q/Q' = 2 (alpha + 1) / (m (m + s + 1)) and the relation is 0/0
-    x = 1 - (s_plus_2 - b_minus_a) / (m * (m + s_plus_2 - 1))
-    while True:
-        last = math.inf
-        for _ in range(SEED_ITERATIONS):
-            q, qm1 = _eval_float(x, two_alpha, four_beta)
-            one_minus_x2 = 1 - x * x
-            # (1 - x^2) (Q'_m - Q_m sum 1/(x - r)): the Newton denominator
-            # for Q_m / prod (x - r), times 1 - x^2
-            den = (b - m * x) * q + c * qm1 - q * one_minus_x2 * sum(1 / (x - r) for r in roots)
-            if den == 0:
+    d, e = list(diag), list(off) + [0.0]
+    m = len(d)
+    for l in range(m):
+        for sweep in range(SEED_ITERATIONS + 1):
+            k = l
+            while k < m - 1 and 1 + abs(e[k]) != 1:
+                k += 1
+            if k == l:
                 break
-            step = q * one_minus_x2 / den
-            x -= step
-            # done at the float floor, or when rounding noise stops the descent
-            if abs(step) <= 4e-16 or last <= abs(step) < 1e-10:
-                break
-            last = abs(step)
-        roots.append(x)
-        if len(roots) == m:
-            return roots[::-1]
-        # start the next search one Newton step for Q_m / prod (x - r) away
-        # from the root just found, where the quotient is 0/0: the step 1/S,
-        # S = Q''/(2Q') - sum over the earlier roots of 1/(x - r), lands right
-        # of the next root and, unlike a start near x, cancels no digits; at
-        # a root the equation gives Q''/(2Q') = ((s+2) x - (beta - alpha)) / (2 (1 - x^2))
-        x -= 1 / ((s_plus_2 * x - b_minus_a) / (2 * (1 - x * x))
-                  + sum(1 / (r - x) for r in roots[:-1]))
+            if sweep == SEED_ITERATIONS:
+                raise RootFindError(f"seed {l} of order-{m} rule did not converge "
+                                    f"in {SEED_ITERATIONS} QL sweeps")
+            # Wilkinson shift: the eigenvalue of the leading 2x2 block nearer d[l]
+            g = (d[l + 1] - d[l]) / (2 * e[l])
+            g = d[k] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1), g))
+            s = c = 1.0
+            p = 0.0
+            # chase the bulge from row k up to row l by plane rotations
+            for i in range(k - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = e[i + 1] = math.hypot(f, g)
+                if r == 0:
+                    # the rotation underflowed: the block splits at row i + 1
+                    d[i + 1] -= p
+                    e[k] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l], e[k] = g, 0.0
+    return sorted(d)
 
 
 def _small_value_bits(two_alpha, four_beta) -> int:
@@ -192,22 +187,20 @@ def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
     if m < 1:
         raise DomainError(f"rule order must be >= 1, got {m}")
     with p.workdps(2 * GUARD_DIGITS):
-        inner = Precision(max(32, mp.dps))
         ca, cb = jacobi_recurrence_table(m, jp)
-        two_alpha_f, four_beta_f = [float(2 * a) for a in ca], [float(4 * b) for b in cb]
-        B, C = jacobi_structure_exact(m, jp)
-        relation = (B, C, jp.beta - jp.alpha, jp.alpha + jp.beta + 2)
-        seeds = _seed_nodes(two_alpha_f, four_beta_f, relation=[float(v) for v in relation])
-        for i, s in enumerate(seeds):
-            if not -1 < s < 1:
+        seeds = _seed_nodes([float(a) for a in ca], [math.sqrt(b) for b in cb[1:]])
+        for i, seed in enumerate(seeds):
+            if not -1 < seed < 1:
                 raise RootFindError(
                     f"seed {i} of order-{m} rule for alpha={jp.alpha}, "
-                    f"beta={jp.beta} is {s}, outside (-1, 1)")
+                    f"beta={jp.beta} is {seed}, outside (-1, 1)")
         bits, two_alpha, four_beta = scaled_recurrence(ca, cb, 5 * m.bit_length())
         one = 1 << bits
+        s = jp.alpha + jp.beta
         b_fixed, c_fixed, b_minus_a, s_plus_2, lam = (
             v.numerator * one // v.denominator
-            for v in (*relation, m * (m + relation[3] - 1)))
+            for v in (*jacobi_structure_exact(m, jp), jp.beta - jp.alpha, s + 2,
+                      m * (m + s + 1)))
 
         def newton_terms(x):
             """(Q_m, (1 - x^2) Q'_m, Q_{m-1}, 1 - x^2) at x, each scaled by 2^bits."""
@@ -262,7 +255,7 @@ def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
                     f"{mpmath.ldexp(nodes[i], -bits)}, {mpmath.ldexp(nodes[i + 1], -bits)}")
         # (1 - x^2) / (Q_{m-1} (1 - x^2) Q'_m) carries the scale 2^-bits of
         # its three fixed-point factors
-        scale = mpmath.ldexp(mpmath.exp(jacobi_log_hn(m - 1, jp, inner)), 2 * m - 1 + bits)
+        scale = mpmath.ldexp(mpmath.exp(jacobi_log_hn(m - 1, jp, Precision(mp.dps))), 2 * m - 1 + bits)
         weights = []
         for i, (_, d, qm1, one_minus_x2) in enumerate(terms):
             if not (qm1 * d > 0 and one_minus_x2 > 0):

@@ -454,6 +454,20 @@ def test_fluid_refuses_a_band_without_mass(capsys, exponent, total):
                    f"got n = 1, alpha + beta = {total}\n")
 
 
+def test_fluid_sweep_keeps_the_sizes_inside_the_domain(capsys):
+    """A size without a band becomes an error row; the valid size still runs,
+    and the run exits 2."""
+    argv = ["fluid", "--n", "1,5", "--alpha=-0.9", "--beta=-0.9"]
+    code, rep, err = run_json(argv, capsys)
+    assert code == 2
+    assert err == ""
+    assert rep["rows"][0] == {
+        "n": 1, "digits": 64, "error_type": "DomainError",
+        "error": "the band needs n + alpha + beta > 0, got n = 1, alpha + beta = -9/5"}
+    _, single, _ = run_json(["fluid", "--n", "5", "--alpha=-0.9", "--beta=-0.9"], capsys)
+    assert strip_timing(rep)["rows"][1] == strip_timing(single)["rows"][0]
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "--n", "1,2", "--heine"],
 ], ids=["compare"])

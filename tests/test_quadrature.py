@@ -345,6 +345,28 @@ def test_rule_takes_three_kernel_evaluations_near_a_large_exponent(monkeypatch):
     assert _kernel_calls(monkeypatch, 40, JacobiParams(60, 0), Precision(74)) <= 3 * 40
 
 
+@pytest.mark.parametrize("a_s, b_s", [("1/2", "0"), ("100", "60"), ("-9/10", "3"),
+                                      ("100", "-99/100"), ("-1/2", "-1/2")])
+def test_seeds_are_the_jacobi_matrix_eigenvalues(monkeypatch, a_s, b_s):
+    """The float seeds, the Jacobi matrix's eigenvalues by shifted QL,
+    increase strictly and lie within 1e-14 of the rule's nodes, from one
+    node to orders where the nodes crowd the endpoints."""
+    seeds = []
+    seed_nodes = quadrature._seed_nodes
+
+    def kept(*args):
+        seeds.append(seed_nodes(*args))
+        return seeds[-1]
+
+    monkeypatch.setattr(quadrature, "_seed_nodes", kept)
+    gauss_jacobi_rule.cache_clear()
+    for m in (1, 2, 62, 248):
+        nodes = gauss_jacobi_rule(m, JacobiParams(a_s, b_s), Precision(32)).nodes
+        assert len(seeds[-1]) == m
+        assert all(x < y for x, y in zip(seeds[-1], seeds[-1][1:])), m
+        assert max(abs(s - x) for s, x in zip(seeds[-1], nodes)) < 1e-14, m
+
+
 def test_rule_raises_on_a_bracket_that_holds_no_root(monkeypatch):
     """A seed moved next to its right neighbour leaves its bracket, the
     midpoints between neighbouring seeds, without a sign change of Q_m:
