@@ -45,8 +45,8 @@ from .errors import (DomainError, EvalDomainError, ParseError,
 from .precision import GUARD_DIGITS, Precision, to_mpf
 from .jacobi import (JacobiParams, jacobi_alpha_n_exact, jacobi_beta_n_exact,
                      jacobi_log_hn, jacobi_logdet_asym, jacobi_logdet_exact)
-from .hankel import (auto_digits, hankel_logdet_ldl, hankel_logdet_leading,
-                     hankel_logdet_recurrence, heine_average_small_n,
+from .hankel import (auto_digits, cross_validation_tol, hankel_logdet_ldl,
+                     hankel_logdet_leading, hankel_logdet_recurrence, heine_average_small_n,
                      perturbed_moment_sequence, pure_moment_sequence)
 
 SCHEMA_VERSION = 2
@@ -190,7 +190,7 @@ def _leading(top, n: int, p: Precision):
         if len(top.leading) < n:
             raise top
         return hankel_logdet_leading(top.leading, n, p)
-    return top if top.n == n else hankel_logdet_leading(top.betas, n, p)
+    return top if len(top.betas) == n else hankel_logdet_leading(top.betas, n, p)
 
 
 def _run_rows(ns, digits_of, compute) -> tuple:
@@ -254,7 +254,7 @@ def cmd_exact(args) -> tuple:
                 "diff_closed_norm": abs(closed - norm_product),
                 "diff_closed_ldl": abs(closed - ldl.log_det),
                 "diff_norm_ldl": abs(norm_product - ldl.log_det),
-                "method_tol": ldl.cross_tolerance,
+                "method_tol": cross_validation_tol(n, p),
                 "log_det_asym": asym,
                 "asym_gap": abs(closed - asym),
             }
@@ -294,7 +294,7 @@ def cmd_compare(args) -> tuple:
                 "log_det_ldl": direct.log_det,
                 "log_det_recurrence": second.log_det,
                 "method_diff": abs(direct.log_det - second.log_det),
-                "method_tol": direct.cross_tolerance,
+                "method_tol": cross_validation_tol(n, p),
                 "prediction_total": pred.total,
                 "prediction_gap": direct.log_det - pred.total,
                 "log_leading": pred.log_leading,

@@ -8,12 +8,12 @@ Two routes are implemented at working precision:
                                its modified moments in the unperturbed Jacobi
                                basis; ln det = sum over j < n of (n-j) ln beta_j.
 
-Both run one kernel, :func:`modified_chebyshev` (Gautschi, *Orthogonal
-Polynomials: Computation and Approximation*, 2004), the modified Chebyshev
-algorithm on fixed-point Python integers with a scale per column and per
-row; only the basis and the failure message differ. The exact oracle
-``rational_hankel_minors`` gives D_1..D_n over the rationals by
-fraction-free (Bareiss) elimination, for integer weight exponents and
+Both run one body, ``_factorization``, around :func:`modified_chebyshev`
+(Gautschi, *Orthogonal Polynomials: Computation and Approximation*, 2004),
+the modified Chebyshev algorithm on fixed-point integers with a scale per
+column and per row; only moments, basis and failure message differ. The
+exact oracle ``rational_hankel_minors`` gives D_1..D_n over the rationals
+by fraction-free (Bareiss) elimination, for integer weight exponents and
 polynomial perturbations.
 
 Hankel matrices of smooth positive weights are notoriously ill-conditioned:
@@ -102,18 +102,14 @@ class MomentSequence(checked_namedtuple("MomentSequence", [
 
 
 class HankelResult(NamedTuple):
-    """Log-determinant of one n x n Hankel matrix.
+    """Log-determinant of one n x n Hankel matrix, n = len(betas).
 
     ``betas`` are the recurrence coefficients beta_0..beta_{n-1} whose
     weighted logarithms it sums, ln D_n = sum_{j<n} (n-j) ln beta_j; their
-    first k give D_k (:func:`hankel_logdet_leading`). ``cross_tolerance`` is
-    the absolute bound within which the ldl and recurrence routes must agree
-    at this size and precision.
+    first k give D_k (:func:`hankel_logdet_leading`).
     """
 
-    n: int
     log_det: object
-    cross_tolerance: object
     betas: tuple
 
 
@@ -127,8 +123,8 @@ def pure_moment_sequence(jp: JacobiParams, n: int, p: Precision) -> MomentSequen
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     with p.workdps(_conditioning_guard(n)):
-        mu0 = jacobi_moment(0, jp, Precision(mp.dps))
-        mus = tuple(mu0 * to_mpf(r) for r in jacobi_moment_ratios(2 * n - 1, jp))
+        mass = jacobi_moment(0, jp, Precision(mp.dps))
+        mus = tuple(mass * to_mpf(r) for r in jacobi_moment_ratios(2 * n - 1, jp))
     return MomentSequence(mus, "pure")
 
 
@@ -225,28 +221,34 @@ def hankel_logdet_leading(betas, n: int, p: Precision) -> HankelResult:
     """
     betas = tuple(betas[:n])
     with p.workdps(_conditioning_guard(n)):
-        return HankelResult(n, _log_det_from_betas(betas), cross_validation_tol(n, p), betas)
+        return HankelResult(_log_det_from_betas(betas), betas)
 
 
-def _factorization(nu, aux_alpha, aux_beta, n: int, p: Precision, mu0, breakdown) -> HankelResult:
-    """The size-n result of :func:`modified_chebyshev` on ``nu``, with beta_0 = ``mu0``.
+def _factorization(ms: MomentSequence, n: int, p: Precision, moments, basis,
+                   breakdown) -> HankelResult:
+    """The size-n result of :func:`modified_chebyshev` on ``moments(2n)`` against
+    the basis coefficients ``basis(2n)``; beta_0 = nu_0 = mu_0 in either basis.
 
     A breakdown at index k, a nonpositive beta_k (``breakdown(k, betas)``
     words it) or a zero denominator at step k, raises PrecisionError
     carrying beta_0..beta_{k-1}: positive, so they still give D_1..D_k.
     """
-    try:
-        _, betas = modified_chebyshev(nu, aux_alpha, aux_beta, n)
-        stopped = None
-    except PrecisionError as exc:
-        betas, stopped = exc.leading, exc
-    betas = (mu0, *betas[1:])
-    for k, b in enumerate(betas):
-        if not b > 0:
-            raise PrecisionError(breakdown(k, betas), betas[:k])
-    if stopped is not None:
-        raise PrecisionError(str(stopped), betas) from stopped
-    return hankel_logdet_leading(betas, n, p)
+    if n < 1:
+        raise DomainError(f"size must be >= 1, got {n}")
+    if ms.max_order() < n:
+        raise DomainError(f"moment sequence covers size {ms.max_order()}, need {n}")
+    with p.workdps(_conditioning_guard(n)):
+        try:
+            _, betas = modified_chebyshev(moments(2 * n), *basis(2 * n), n)
+            stopped = None
+        except PrecisionError as exc:
+            betas, stopped = exc.leading, exc
+        for k, b in enumerate(betas):
+            if not b > 0:
+                raise PrecisionError(breakdown(k, betas), betas[:k])
+        if stopped is not None:
+            raise stopped
+        return hankel_logdet_leading(betas, n, p)
 
 
 def hankel_logdet_ldl(ms: MomentSequence, n: int, p: Precision) -> HankelResult:
@@ -258,17 +260,12 @@ def hankel_logdet_ldl(ms: MomentSequence, n: int, p: Precision) -> HankelResult:
     nonpositive pivot therefore identifies precision exhaustion (or an
     invalid weight) and raises with the failing index.
     """
-    if n < 1:
-        raise DomainError(f"size must be >= 1, got {n}")
-    if ms.max_order() < n:
-        raise DomainError(f"moment sequence covers size {ms.max_order()}, need {n}")
-    with p.workdps(_conditioning_guard(n)):
-        zeros = [mpf(0)] * (2 * n)
-        return _factorization(
-            [*ms.mu[:2 * n - 1], mpf(0)], zeros, zeros, n, p, ms.mu[0],
-            lambda i, betas: f"matrix not positive definite at requested precision: "
-                             f"pivot {i} = {mpmath.nstr(math.prod(betas[:i + 1]), 6)} "
-                             f"at {p.decimal_digits} digits")
+    return _factorization(
+        ms, n, p, lambda length: [*ms.mu[:length - 1], mpf(0)],
+        lambda length: ((mpf(0),) * length,) * 2,
+        lambda i, betas: f"matrix not positive definite at requested precision: "
+                         f"pivot {i} = {mpmath.nstr(math.prod(betas[:i + 1]), 6)} "
+                         f"at {p.decimal_digits} digits")
 
 
 def modified_chebyshev(nu, aux_alpha, aux_beta, count: int):
@@ -342,22 +339,20 @@ def hankel_logdet_recurrence(ms: MomentSequence, n: int, jp: JacobiParams,
     beta_1..beta_{n-1} come from :func:`modified_chebyshev` on
     ``ms.modified``, the moments against the unperturbed orthogonal basis
     ``jp``, which keeps the map well conditioned for smooth perturbations.
-    A sequence without modified moments against ``jp`` raises DomainError.
+    A sequence without modified moments against ``jp`` raises DomainError
+    after the size checks.
     """
-    if n < 1:
-        raise DomainError(f"size must be >= 1, got {n}")
-    if ms.max_order() < n:
-        raise DomainError(f"moment sequence covers size {ms.max_order()}, need {n}")
-    if ms.modified is None or ms.basis != jp or len(ms.modified) < 2 * n:
-        raise DomainError(
-            f"recurrence route needs {2 * n} modified moments against the basis "
-            f"alpha={jp.alpha}, beta={jp.beta}; sequence {ms.source!r} does not carry them")
-    with p.workdps(_conditioning_guard(n)):
-        aux_a, aux_b = jacobi_recurrence_table(2 * n, jp)
-        return _factorization(
-            ms.modified[:2 * n], aux_a, aux_b, n, p, ms.mu[0],
-            lambda k, betas: f"recurrence breakdown: beta_{k} = {mpmath.nstr(betas[k], 6)} "
-                             f"at {p.decimal_digits} digits")
+    def modified(length):
+        if ms.modified is None or ms.basis != jp or len(ms.modified) < length:
+            raise DomainError(
+                f"recurrence route needs {length} modified moments against the basis "
+                f"alpha={jp.alpha}, beta={jp.beta}; sequence {ms.source!r} does not carry them")
+        return ms.modified[:length]
+
+    return _factorization(
+        ms, n, p, modified, lambda length: jacobi_recurrence_table(length, jp),
+        lambda k, betas: f"recurrence breakdown: beta_{k} = {mpmath.nstr(betas[k], 6)} "
+                         f"at {p.decimal_digits} digits")
 
 
 def _bareiss_leading_minors(rows):
@@ -399,8 +394,8 @@ def rational_hankel_minors(jp: JacobiParams, n: int, h_coeffs=None):
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     extra = 0 if h_coeffs is None else len(h_coeffs) - 1
-    mu0 = jacobi_moment_exact(0, jp)
-    base = [mu0 * r for r in jacobi_moment_ratios(2 * n - 1 + extra, jp)]
+    mass = jacobi_moment_exact(0, jp)
+    base = [mass * r for r in jacobi_moment_ratios(2 * n - 1 + extra, jp)]
     if h_coeffs is None:
         mus = base
     else:

@@ -162,9 +162,9 @@ def jacobi_moment_exact(k: int, jp: JacobiParams) -> Fraction:
         raise DomainError("exact moments require nonnegative integer parameters")
     a = int(jp.alpha)
     b = int(jp.beta)
-    mu0 = Fraction(2 ** (a + b + 1) * math.factorial(a) * math.factorial(b),
-                   math.factorial(a + b + 1))
-    return mu0 * jacobi_moment_ratios(k + 1, jp)[k]
+    mass = Fraction(2 ** (a + b + 1) * math.factorial(a) * math.factorial(b),
+                    math.factorial(a + b + 1))
+    return mass * jacobi_moment_ratios(k + 1, jp)[k]
 
 
 def jacobi_moment(k: int, jp: JacobiParams, p: Precision) -> BigReal:

@@ -134,7 +134,7 @@ def test_records_are_immutable_and_trees_compare_by_node_type():
     assert hash(JacobiParams("1/2", 0)) == hash(JacobiParams(alpha=Fraction(1, 2), beta=0))
     one = mpmath.mpf(1)
     records = [(Precision(40), "decimal_digits"), (JacobiParams(0, 0), "alpha"),
-               (HankelResult(1, one, one, (one,)), "log_det"),
+               (HankelResult(one, (one,)), "log_det"),
                (MomentSequence((one,), "pure"), "mu"), (parse_h("x + 2"), "source"),
                (left, "left")]
     for record, field in records:

@@ -293,6 +293,22 @@ def test_recurrence_route_reads_only_modified_moments():
         hankel_logdet_recurrence(other_basis, 4, LEG, P64)
 
 
+@pytest.mark.parametrize("route", [
+    lambda ms, n: hankel_logdet_ldl(ms, n, P64),
+    lambda ms, n: hankel_logdet_recurrence(ms, n, LEG, P64),
+], ids=["ldl", "recurrence"])
+def test_routes_check_the_size_before_the_moments(route):
+    """Each route refuses n = 0 and a sequence too short for n, with or without
+    modified moments: the size checks run before the recurrence route's basis check."""
+    with mpmath.workdps(70):
+        ms = perturbed_moment_sequence(LEG, parse_h("1"), 4, P64)
+    for seq in (ms, MomentSequence(ms.mu, "raw")):
+        with pytest.raises(DomainError, match=r"^size must be >= 1, got 0$"):
+            route(seq, 0)
+        with pytest.raises(DomainError, match=r"^moment sequence covers size 4, need 5$"):
+            route(seq, 5)
+
+
 def test_rational_minors_flat_weight():
     minors = rational_hankel_minors(LEG, 6)
     assert minors[0] == 2
