@@ -29,6 +29,7 @@ h at any point the run samples, or an evaluation fault).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shlex
@@ -272,14 +273,17 @@ def cmd_compare(args) -> tuple:
     ns = _parse_n_list(args.n)
     _warn_if_below_policy(args, ns)
     h = parse_h(args.h)
-    h_min = validate_positive(h, Precision(64))
     # built once, before the first row, at the largest size and its precision;
     # every row reads them, and a build's PrecisionError fails each row that does
     top, top_p = max(ns), Precision(_row_digits(args, max(ns)))
+    # the screen and the ln h expansion sample h on one table at one precision;
+    # the moment pass, h(+-1) and --heine sample at others and call h itself
+    sampled = functools.cache(h)
+    h_min = validate_positive(sampled, top_p)
     moments = _kept(lambda: perturbed_moment_sequence(jp, h, top, top_p, m=args.quad_order))
     ldl = _kept(lambda: hankel_logdet_ldl(_read(moments), top, top_p))
     recurrence = _kept(lambda: hankel_logdet_recurrence(_read(moments), top, jp, top_p))
-    expansion = _kept(lambda: cheb_log_expand(h, top_p))
+    expansion = _kept(lambda: cheb_log_expand(sampled, top_p))
 
     def row(n, p):
         direct = _leading(ldl, n, p)

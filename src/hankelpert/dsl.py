@@ -45,7 +45,7 @@ from mpmath import mpf
 
 from .errors import DomainError, EvalDomainError, ParseError, PositivityError
 from .precision import BigReal, Precision, to_mpf
-from .quadrature import lobatto_cos_sin
+from .quadrature import SAMPLE_GUARD_DIGITS, lobatto_cos_sin
 
 #: name -> (function, domain fault or None, fault message). The fault test
 #: reads the argument before rounding, so exact arguments are judged exactly.
@@ -400,13 +400,15 @@ def validate_positive(h: PerturbationFn, p: Precision) -> BigReal:
     """Screen h > 0 on a Chebyshev point set including both endpoints; return the smallest value.
 
     Samples the Chebyshev-Lobatto nodes cos(pi j / (SCREEN_POINTS-1)),
-    j = 0..SCREEN_POINTS-1, read from the precision's table
-    (:func:`lobatto_cos_sin`); the clustering near +-1 targets where
-    admissible perturbations degenerate first. Raises PositivityError with
-    the witnessing point on any nonpositive value. EvalDomainError from the
-    expression itself propagates unchanged.
+    j = 0..SCREEN_POINTS-1, at the precision (``SAMPLE_GUARD_DIGITS`` over
+    ``p``) and from the table (:func:`lobatto_cos_sin`) that
+    ``quadrature.cheb_expand`` reads at ``p``, so one memo of h given to both
+    evaluates h once at each node they share. The clustering near +-1
+    targets where admissible perturbations degenerate first. Raises
+    PositivityError with the witnessing point on any nonpositive value.
+    EvalDomainError from the expression itself propagates unchanged.
     """
-    with p.workdps():
+    with p.workdps(SAMPLE_GUARD_DIGITS):
         return min(positive_sample(h, x) for x in lobatto_cos_sin(SCREEN_POINTS - 1)[0])
 
 

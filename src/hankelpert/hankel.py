@@ -49,7 +49,7 @@ from .errors import DomainError, PrecisionError
 from .jacobi import (JacobiParams, jacobi_moment, jacobi_moment_exact,
                      jacobi_moment_ratios, jacobi_recurrence_table)
 from .precision import (GUARD_DIGITS, KERNEL_GUARD_BITS, BigReal, Precision,
-                        checked_namedtuple, ensure_finite, to_mpf)
+                        checked_namedtuple, ensure_finite, to_mpf, truncated)
 
 #: Extra decimal digits per matrix row consumed by pivot decay during factorization.
 CONDITIONING_GUARD_PER_ROW = 0.7
@@ -180,12 +180,6 @@ def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
     return MomentSequence(mus, f"perturbed({label})", nus, jp)
 
 
-def _truncated(man: int, exp: int, bits: int) -> tuple:
-    """man 2^exp with the integer mantissa cut to its leading ``bits`` bits."""
-    drop = max(0, man.bit_length() - bits)
-    return man >> drop, exp + drop
-
-
 def _log_det_from_betas(betas) -> BigReal:
     """ln D_n, n = len(betas), as one log of D_n = prod_{j<n} h_j, h_j = beta_0 ... beta_j.
 
@@ -204,8 +198,8 @@ def _log_det_from_betas(betas) -> BigReal:
         if not b > 0:
             raise PrecisionError(f"ln det (size {n}) of a nonpositive beta: {b}")
         man, exp = b.man_exp
-        pivot = _truncated(pivot[0] * man, pivot[1] + exp, keep)
-        det = _truncated(det[0] * pivot[0], det[1] + pivot[1], keep)
+        pivot = truncated(pivot[0] * man, pivot[1] + exp, keep)
+        det = truncated(det[0] * pivot[0], det[1] + pivot[1], keep)
     man, exp = det
     bits = man.bit_length()
     log_det = mpmath.log(mpmath.ldexp(man, -bits)) + (exp + bits) * mpmath.ln2

@@ -94,6 +94,12 @@ def exact_fraction(value) -> Fraction | None:
     return None
 
 
+def truncated(man: int, exp: int, bits: int) -> tuple:
+    """man 2^exp with the integer mantissa cut to its leading ``bits`` bits."""
+    drop = max(0, man.bit_length() - bits)
+    return man >> drop, exp + drop
+
+
 def ensure_finite(value: BigReal, what: str = "result") -> BigReal:
     """Raise PrecisionError if ``value`` is NaN or infinite; otherwise return it."""
     if not mpmath.isfinite(value):

@@ -67,8 +67,7 @@ Chebyshev expansions and the positivity screen of ``dsl`` sample on the
 Chebyshev-Lobatto nodes cos(pi t / M), M a power of two. One table per
 working precision (:func:`lobatto_cos_sin`) holds their cosines and sines,
 so each :func:`cheb_expand_auto` doubling computes only its new angles (64,
-128, 256 for ln(1 + 2x^2) in ``compare --n 40``); the screen, at its own
-precision, builds a second table.
+128, 256 for ln(1 + 2x^2) in ``compare --n 40``).
 """
 from __future__ import annotations
 
@@ -87,6 +86,9 @@ from .precision import (GUARD_DIGITS, KERNEL_GUARD_BITS, BigReal, Precision,
 
 #: Implicit QL sweeps allowed per eigenvalue of the Jacobi matrix (the seeds).
 SEED_ITERATIONS = 30
+#: Guard digits at which :func:`cheb_expand` samples f, and ``dsl``'s positivity
+#: screen samples h, so that one memo of h serves both.
+SAMPLE_GUARD_DIGITS = 2 * GUARD_DIGITS
 
 
 class QuadratureRule(NamedTuple):
@@ -295,33 +297,31 @@ class ChebExpansion(NamedTuple):
         return self.coeffs[0] / 2 + x * b1 - b2
 
 
-#: Working precisions whose Chebyshev-Lobatto octant :func:`lobatto_cos_sin` keeps.
-OCTANT_MEMO = 4
-#: mp.prec -> (finest M, [(cos, sin) of pi t / M for t <= M/4]), oldest first.
-_OCTANTS = {}
+@functools.lru_cache
+def _octant(prec: int, M: int) -> tuple:
+    """(cos, sin) of pi t / M for t <= M/4 at ``prec`` bits; M a power of two.
+
+    The even t are M/2's octant, so ``mpmath.cos_sin`` runs only on the odd t,
+    and each angle is computed once per precision.
+    """
+    if M == 1:
+        return ((mpf(1), mpf(0)),)
+    coarse = _octant(prec, M // 2)
+    with mp.workprec(prec):
+        return tuple(coarse[t // 2] if t % 2 == 0 else mpmath.cos_sin(mpmath.pi * t / M)
+                     for t in range(M // 4 + 1))
 
 
 def lobatto_cos_sin(M: int) -> tuple:
     """(cos, sin) lists of pi t / M, t = 0..M, at the working precision; M a power of two.
 
-    The cosines are the Chebyshev-Lobatto nodes cos(pi t / M). ``mpmath.cos_sin``
-    runs only on the first octant, t <= M/4, of the finest M built so far at
-    this precision: cos(pi/2 - a) = sin a and cos(pi - a) = -cos a give the
-    rest, and a coarser M reads every (finest/M)-th angle, so no angle is
-    computed twice. The octants of the last ``OCTANT_MEMO`` precisions are kept.
+    The cosines are the Chebyshev-Lobatto nodes cos(pi t / M). Only the first
+    octant, t <= M/4, is computed (:func:`_octant`): cos(pi/2 - a) = sin a and
+    cos(pi - a) = -cos a give the rest.
     """
-    finest, octant = _OCTANTS.pop(mp.prec, (1, [(mpf(1), mpf(0))]))
-    while finest < M:
-        finest *= 2
-        # the coarser octant holds the even angles of the finer one
-        octant = [octant[t // 2] if t % 2 == 0 else mpmath.cos_sin(mpmath.pi * t / finest)
-                  for t in range(finest // 4 + 1)]
-    _OCTANTS[mp.prec] = (finest, octant)
-    if len(_OCTANTS) > OCTANT_MEMO:
-        del _OCTANTS[next(iter(_OCTANTS))]
-    half, cos_t, sin_t = finest // 2, [], []
-    for t in range(0, finest + 1, finest // M):
-        u = min(t, finest - t)
+    octant, half, cos_t, sin_t = _octant(mp.prec, M), M // 2, [], []
+    for t in range(M + 1):
+        u = min(t, M - t)
         c, s = octant[u] if u <= half - u else octant[half - u][::-1]
         cos_t.append(-c if t > half else c)
         sin_t.append(s)
@@ -367,7 +367,7 @@ def cheb_expand(f, M: int, p: Precision) -> ChebExpansion:
     """
     if M < 1 or M & (M - 1):
         raise DomainError(f"expansion degree must be a power of two, got {M}")
-    with p.workdps(2 * GUARD_DIGITS):
+    with p.workdps(SAMPLE_GUARD_DIGITS):
         cos_t, sin_t = lobatto_cos_sin(M)
         fx = [ensure_finite(to_mpf(f(x)), f"f(x_{j})") for j, x in enumerate(cos_t)]
         bits = mp.prec + KERNEL_GUARD_BITS

@@ -35,7 +35,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import DomainError, PrecisionError
-from .precision import BigReal, Precision, ensure_finite, to_mpf
+from .precision import BigReal, Precision, ensure_finite, to_mpf, truncated
 
 
 def log_gamma(z, p: Precision) -> BigReal:
@@ -103,21 +103,11 @@ def _lift(z, n: int) -> tuple:
     _, man, exp, _ = z._mpf_
     base, step, scale = man << max(0, exp), 1 << max(0, -exp), min(0, exp)
     keep = mp.prec + 8
-    poch, poch_exp, powers, powers_exp = 1, 0, 1, 0
+    poch, powers = (1, 0), (1, 0)
     for j in reversed(range(k)):
-        poch *= base + j * step
-        poch_exp += scale
-        drop = poch.bit_length() - keep
-        if drop > 0:
-            poch >>= drop
-            poch_exp += drop
-        powers *= poch
-        powers_exp += poch_exp
-        drop = powers.bit_length() - keep
-        if drop > 0:
-            powers >>= drop
-            powers_exp += drop
-    return z + k, k, mpf((poch, poch_exp)), mpf((powers, powers_exp))
+        poch = truncated(poch[0] * (base + j * step), poch[1] + scale, keep)
+        powers = truncated(powers[0] * poch[0], powers[1] + poch[1], keep)
+    return z + k, k, mpf(poch), mpf(powers)
 
 
 def _series_gamma(x, log_x, n: int) -> BigReal:

@@ -167,10 +167,10 @@ def test_compare_sweep_rows_match_single_size_runs(capsys, monkeypatch):
 
 
 def test_compare_computes_each_lobatto_angle_once(capsys, monkeypatch):
-    """The screen and the ln h expansion read their nodes from one table per
-    precision: at most M/4 + 1 cos_sin calls for its finest M, and the screen
-    calls no mpmath.cos."""
-    quadrature._OCTANTS.clear()
+    """The screen and the ln h expansion read their nodes from one table at one
+    precision: every cos_sin call is at that precision, at most M/4 + 1 of them
+    for its finest M = 256, and the screen calls no mpmath.cos."""
+    quadrature._octant.cache_clear()
     angles, screen_cosines, inside = [], [], []
     cos_sin, cos, screen = mpmath.cos_sin, mpmath.cos, dsl.validate_positive
 
@@ -196,11 +196,41 @@ def test_compare_computes_each_lobatto_angle_once(capsys, monkeypatch):
     code, _, _ = run_json(["compare", "--n", "10:30:10", "--h", "1+2*x^2"], capsys)
     assert code == 0
     assert screen_cosines == []
-    # the screen's precision and the expansion's
-    assert len(quadrature._OCTANTS) == 2
-    for prec, (finest, _) in quadrature._OCTANTS.items():
-        assert angles.count(prec) <= finest // 4 + 1, (prec, finest)
-    assert len(angles) == sum(angles.count(prec) for prec in quadrature._OCTANTS)
+    assert len(set(angles)) == 1
+    # the octants of M = 1, 2, 4, ..., 256 at that one precision
+    assert quadrature._octant.cache_info().currsize == 9
+    assert len(angles) <= 256 // 4 + 1
+
+
+@pytest.mark.parametrize("n, h, expansion_nodes, order", [
+    ("10:30:10", "1+2*x^2", 257, 30 + 32),
+    ("20", "1/(1.02 - x)", 257 + 256, 20 + 32)])
+def test_compare_evaluates_h_once_per_lobatto_node(capsys, monkeypatch, n, h,
+                                                   expansion_nodes, order):
+    """One memo of h serves the screen's 257 nodes and the ln h expansion,
+    which reads them up to degree 256 and evaluates only its new nodes past
+    it (degree 512 for the pole); both sample at the precision of the
+    Lobatto table. The moment pass (its rule's order) and h(+-1) of each
+    row call h at other precisions."""
+    calls, angles = [], []
+    call, cos_sin = dsl.PerturbationFn.__call__, mpmath.cos_sin
+
+    def counted_call(self, x):
+        calls.append(mpmath.mp.prec)
+        return call(self, x)
+
+    def counted_cos_sin(*args, **kwargs):
+        angles.append(mpmath.mp.prec)
+        return cos_sin(*args, **kwargs)
+
+    quadrature._octant.cache_clear()
+    monkeypatch.setattr(dsl.PerturbationFn, "__call__", counted_call)
+    monkeypatch.setattr(mpmath, "cos_sin", counted_cos_sin)
+    code, rep, _ = run_json(["compare", "--n", n, "--h", h], capsys)
+    assert code == 0
+    assert len(set(angles)) == 1
+    assert calls.count(angles[0]) == expansion_nodes
+    assert len(calls) == expansion_nodes + order + 2 * len(rep["rows"])
 
 
 @pytest.mark.parametrize("kind", ["nonpositive beta", "zero denominator"])

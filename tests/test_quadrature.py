@@ -4,6 +4,7 @@ import pytest
 
 from hankelpert import quadrature
 from hankelpert.errors import DomainError, ResolutionError, RootFindError
+from hankelpert.hankel import _conditioning_guard
 from hankelpert.jacobi import (JacobiParams, jacobi_alpha_n_exact, jacobi_beta_n_exact,
                               jacobi_log_hn, jacobi_moment, jacobi_moment_ratios,
                               jacobi_recurrence_table)
@@ -339,6 +340,18 @@ def test_rule_stays_exact_where_halley_needs_its_bracket(monkeypatch, m, digits)
         assert worst < mpmath.mpf(10) ** (2 - mpmath.mp.dps)
 
 
+@pytest.mark.parametrize("a_s, b_s", [("1/3", "2"), ("2/3", "1/3"), ("1/2", "0"),
+                                      ("-1/2", "3/2"), ("-1/2", "-1/2"), ("-9/10", "5"),
+                                      ("100", "-99/100")])
+def test_compare_sweep_rule_takes_at_most_3m_plus_4_kernel_evaluations(monkeypatch, a_s, b_s):
+    """Work guard for the rule ``compare --n 10:30:10`` builds: order 62 at
+    103 digits (74 plus the conditioning guard of size 30). The float seeds
+    leave a few nodes a fourth evaluation there (186-189 calls), so the bound
+    is 3m + 4."""
+    p = Precision(74 + _conditioning_guard(30))
+    assert _kernel_calls(monkeypatch, 62, JacobiParams(a_s, b_s), p) <= 3 * 62 + 4
+
+
 def test_rule_takes_three_kernel_evaluations_near_a_large_exponent(monkeypatch):
     """At exponents (60, 0) the nodes crowd the far endpoint, where Halley's
     error constant is largest; the order-40 rule still takes at most 3m
@@ -390,7 +403,7 @@ def test_lobatto_table_within_one_ulp(digits):
     """Each cos and sin of pi t / M is within one unit of its last place of
     mpmath's cospi and sinpi, which take the angle exactly (cos(pi * t / M)
     rounds pi first, so near its zeros it is off by many of its own units)."""
-    quadrature._OCTANTS.clear()
+    quadrature._octant.cache_clear()
     with mpmath.workdps(digits):
         for M in (1, 2, 4, 64, 256):
             cos_t, sin_t = quadrature.lobatto_cos_sin(M)
@@ -406,12 +419,12 @@ def test_coarser_lobatto_table_is_a_stride_of_a_finer_one():
     """Built alone or after a finer one, the degree-M table is every
     (256/M)-th entry of the degree-256 table."""
     with mpmath.workdps(72):
-        quadrature._OCTANTS.clear()
+        quadrature._octant.cache_clear()
         fine_cos, fine_sin = quadrature.lobatto_cos_sin(256)
         for M in (1, 2, 4, 64, 128):
             stride = 256 // M
             assert quadrature.lobatto_cos_sin(M) == (fine_cos[::stride], fine_sin[::stride])
-            quadrature._OCTANTS.clear()
+            quadrature._octant.cache_clear()
             assert quadrature.lobatto_cos_sin(M) == (fine_cos[::stride], fine_sin[::stride])
 
 
