@@ -194,19 +194,20 @@ def _leading(top, n: int, p: Precision):
     return top if len(top.betas) == n else hankel_logdet_leading(top.betas, n, p)
 
 
-def _run_rows(ns, digits_of, compute) -> tuple:
+def _run_rows(args, ns, compute) -> tuple:
     """One report row per size, and the exit code: 2 if a size is outside
     the domain, else 3 if any row failed, else 0.
 
     ``compute(n, p)`` returns the row's values after ``n`` and ``digits``,
-    with ``p`` the row's precision, timed into ``elapsed_s``. A PrecisionError,
-    a DomainError other than h's EvalDomainError, or a difference of ``BOUNDS``
-    above its bound becomes the row {n, digits, error, error_type} and the
-    next size runs; if no size is in the domain, the first DomainError is raised.
+    with ``p`` the row's precision from :func:`_row_digits`, timed into
+    ``elapsed_s``. A PrecisionError, a DomainError other than h's
+    EvalDomainError, or a difference of ``BOUNDS`` above its bound becomes
+    the row {n, digits, error, error_type} and the next size runs; if no
+    size is in the domain, the first DomainError is raised.
     """
     rows, failed = [], []
     for n in ns:
-        digits = digits_of(n)
+        digits = _row_digits(args, n)
         p = Precision(digits)
         t0 = time.perf_counter()
         try:
@@ -260,7 +261,7 @@ def cmd_exact(args) -> tuple:
                 "asym_gap": abs(closed - asym),
             }
 
-    rows, code = _run_rows(ns, lambda n: _row_digits(args, n), row)
+    rows, code = _run_rows(args, ns, row)
     return _parameters(jp, ns, digits=_digits_param(args)), rows, code
 
 
@@ -323,7 +324,7 @@ def cmd_compare(args) -> tuple:
                 out.update(heine_average=avg, heine_diff=diff, heine_tol=tol)
             return out
 
-    rows, code = _run_rows(ns, lambda n: _row_digits(args, n), row)
+    rows, code = _run_rows(args, ns, row)
     return _parameters(
         jp, ns, h=h.source, h_min_sampled=_fmt(h_min, 16), digits=_digits_param(args),
         quad_order=args.quad_order), rows, code
@@ -335,7 +336,6 @@ def cmd_fluid(args) -> tuple:
 
     jp = JacobiParams(args.alpha, args.beta)
     ns = _parse_n_list(args.n)
-    digits = args.digits
 
     def row(n, p):
         with p.workdps():
@@ -359,8 +359,8 @@ def cmd_fluid(args) -> tuple:
                 "n2_one_minus_b": n ** 2 * (1 - si.b_n),
             }
 
-    rows, code = _run_rows(ns, lambda n: digits, row)
-    return _parameters(jp, ns, digits=digits), rows, code
+    rows, code = _run_rows(args, ns, row)
+    return _parameters(jp, ns, digits=args.digits), rows, code
 
 
 def cmd_density(args) -> tuple:

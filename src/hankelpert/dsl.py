@@ -24,8 +24,8 @@ Fractions, arithmetic on them stays exact until a transcendental call, an
 mpf argument or a constant power larger than ``EXACT_POWER_BITS`` forces
 the current mpmath working precision. Domain faults
 (log of a nonpositive value, sqrt of a negative, 0 to a negative power,
-negative base to a fractional power) raise EvalDomainError carrying the
-point, which its message names.
+negative base to a fractional power) raise EvalDomainError whose message
+names the point.
 
 ``to_source`` prints an expression with minimal parentheses such that
 reparsing reproduces the identical tree. ``positive_sample`` is the one
@@ -131,7 +131,7 @@ def _fault(message: str, x) -> EvalDomainError:
     """The domain fault ``message`` at x, naming the point unless x is None (constant folding)."""
     if x is not None:
         message += f" at x = {mpmath.nstr(x, 8)}"
-    return EvalDomainError(message, x)
+    return EvalDomainError(message)
 
 
 def evaluate(node, x):
@@ -244,7 +244,9 @@ def to_source(node) -> str:
 
 # --- parsing ---
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+#: One group per token kind; whitespace is skipped and any other character is ``bad``.
+_TOKEN_RE = re.compile(r"(?P<number>\d+\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                       r"|(?P<op>[-+*/^()])|(?P<space>\s+)|(?P<bad>.)")
 
 
 class _Token(NamedTuple):
@@ -254,23 +256,14 @@ class _Token(NamedTuple):
 
 
 def _tokenize(source: str):
+    """The tokens of ``source``, an operator's kind its own symbol, then ``end``."""
     tokens = []
-    i = 0
-    while i < len(source):
-        rest = source[i:]
-        if not rest.strip():
-            break
-        m = _TOKEN_RE.match(source, i)
-        if m is None:
-            at = len(source) - len(rest.lstrip())
-            raise ParseError(f"unexpected character {source[at]!r}", at)
-        if m.group(1) is not None:
-            tokens.append(_Token("number", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(_Token("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(_Token(m.group(3), m.group(3), m.start(3)))
-        i = m.end()
+    for m in _TOKEN_RE.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", m.start())
+        if kind != "space":
+            tokens.append(_Token(text if kind == "op" else kind, text, m.start()))
     tokens.append(_Token("end", "", len(source)))
     return tokens
 

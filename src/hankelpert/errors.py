@@ -47,10 +47,6 @@ class ParseError(HankelpertError, ValueError):
 class EvalDomainError(DomainError):
     """A perturbation expression hit a domain fault (log/sqrt/pow) during evaluation."""
 
-    def __init__(self, message, x=None):
-        super().__init__(message)
-        self.x = x
-
 
 class PositivityError(HankelpertError, ValueError):
     """A perturbation failed the positivity check; carries the witnessing point."""

@@ -63,6 +63,8 @@ class SupportInterval(checked_namedtuple("SupportInterval", [
 
 
 def _endpoints_with_denominator(n: int, jp: JacobiParams, bump: int):
+    if n < 1:
+        raise DomainError(f"size must be >= 1, got {n}")
     if n + jp.alpha + jp.beta <= 0:
         # the root's factor n + s would make the band empty or complex
         raise DomainError(f"the band needs n + alpha + beta > 0, got n = {n}, "
@@ -82,8 +84,6 @@ def support_endpoints(n: int, jp: JacobiParams) -> SupportInterval:
     b_n = 1 exactly when alpha = 0 and a_n = -1 exactly when beta = 0; the
     closed form lands within an ulp of those values, so they are snapped.
     """
-    if n < 1:
-        raise DomainError(f"size must be >= 1, got {n}")
     lo, hi = _endpoints_with_denominator(n, jp, 0)
     a, b = jp.ab_mpf()
     eps = mpf(10) ** (4 - mp.dps)
@@ -101,8 +101,6 @@ def support_endpoints_shifted(n: int, jp: JacobiParams) -> SupportInterval:
     O(1/n)); they arise from attaching the band to size n+1 data and are
     exposed for cross-checking scaling behaviour.
     """
-    if n < 1:
-        raise DomainError(f"size must be >= 1, got {n}")
     lo, hi = _endpoints_with_denominator(n, jp, 2)
     return SupportInterval(lo, hi, n, jp)
 

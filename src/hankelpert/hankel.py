@@ -49,7 +49,7 @@ from .errors import DomainError, PrecisionError
 from .jacobi import (JacobiParams, jacobi_moment, jacobi_moment_exact,
                      jacobi_moment_ratios, jacobi_recurrence_table)
 from .precision import (GUARD_DIGITS, KERNEL_GUARD_BITS, BigReal, Precision,
-                        checked_namedtuple, ensure_finite, to_mpf, truncated)
+                        checked_namedtuple, ensure_finite, running_product, to_mpf)
 
 #: Extra decimal digits per matrix row consumed by pivot decay during factorization.
 CONDITIONING_GUARD_PER_ROW = 0.7
@@ -180,42 +180,29 @@ def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
     return MomentSequence(mus, f"perturbed({label})", nus, jp)
 
 
-def _log_det_from_betas(betas) -> BigReal:
-    """ln D_n, n = len(betas), as one log of D_n = prod_{j<n} h_j, h_j = beta_0 ... beta_j.
-
-    The pivots h_j and their product are integer mantissas, truncated to the
-    working bits plus 2 bit_length(n) + 8 (so the n^2/2 + n truncations move
-    ln D_n by under 2^-(prec+7)), with a binary exponent, so D_n ~ 2^(-n^2)
-    does not underflow and costs no log per beta_j. The log is taken of the
-    mantissa normalised to [1/2, 1), so adding exponent * ln 2 cancels no
-    digits.
-    """
-    n = len(betas)
-    keep = mp.prec + 2 * n.bit_length() + 8
-    pivot, det = (1, 0), (1, 0)
-    for b in betas:
-        b = mpf(b)
-        if not b > 0:
-            raise PrecisionError(f"ln det (size {n}) of a nonpositive beta: {b}")
-        man, exp = b.man_exp
-        pivot = truncated(pivot[0] * man, pivot[1] + exp, keep)
-        det = truncated(det[0] * pivot[0], det[1] + pivot[1], keep)
-    man, exp = det
-    bits = man.bit_length()
-    log_det = mpmath.log(mpmath.ldexp(man, -bits)) + (exp + bits) * mpmath.ln2
-    return ensure_finite(log_det, f"ln det (size {n})")
-
-
 def hankel_logdet_leading(betas, n: int, p: Precision) -> HankelResult:
     """ln D_n from the first n positive recurrence coefficients of a factorization of size >= n.
 
     The beta_0..beta_{n-1} of an N x N factorization are those of its
     leading n x n block, whatever the moments past mu_{2n-2}, so a sweep
     factorizes once at its largest size and reads every row from there.
+    D_n = prod_{j<n} beta_0 ... beta_j is one :func:`running_product` cut
+    to the working bits plus 2 bit_length(n) + 8, so its n(n+1)/2 + n cuts
+    move ln D_n by under 2^-(prec+7); its binary exponent keeps D_n ~
+    2^(-n^2) from underflowing, and ln D_n is one log, of the mantissa
+    normalised to [1/2, 1), so adding exponent * ln 2 cancels no digits.
     """
     betas = tuple(betas[:n])
     with p.workdps(_conditioning_guard(n)):
-        return HankelResult(_log_det_from_betas(betas), betas)
+        factors = []
+        for b in map(mpf, betas):
+            if not b > 0:
+                raise PrecisionError(f"ln det (size {n}) of a nonpositive beta: {b}")
+            factors.append(b.man_exp)
+        _, (man, exp) = running_product(factors, mp.prec + 2 * n.bit_length() + 8)
+        bits = man.bit_length()
+        log_det = mpmath.log(mpmath.ldexp(man, -bits)) + (exp + bits) * mpmath.ln2
+        return HankelResult(ensure_finite(log_det, f"ln det (size {n})"), betas)
 
 
 def _factorization(ms: MomentSequence, n: int, p: Precision, moments, basis,

@@ -94,10 +94,25 @@ def exact_fraction(value) -> Fraction | None:
     return None
 
 
-def truncated(man: int, exp: int, bits: int) -> tuple:
-    """man 2^exp with the integer mantissa cut to its leading ``bits`` bits."""
-    drop = max(0, man.bit_length() - bits)
-    return man >> drop, exp + drop
+def running_product(factors, bits: int) -> tuple:
+    """(P_k, P_1 P_2 ... P_k), P_i = f_1 ... f_i the running products of the
+    positive ``factors`` f_i = man 2^exp, given and returned as (man, exp).
+
+    Both products are cut to their leading ``bits`` integer bits after every
+    step, rounding down. One cut lowers a value by a relative amount under
+    2^(1-bits), so P_k is at most N = k cuts, and the product of the
+    running products N = k(k+1)/2 + k cuts, below its exact value: low by
+    less than (1 + 2^(1-bits))^N - 1, relative.
+    """
+    def cut(man, exp):
+        drop = max(0, man.bit_length() - bits)
+        return man >> drop, exp + drop
+
+    run = total = (1, 0)
+    for man, exp in factors:
+        run = cut(run[0] * man, run[1] + exp)
+        total = cut(total[0] * run[0], total[1] + run[1])
+    return run, total
 
 
 def ensure_finite(value: BigReal, what: str = "result") -> BigReal:

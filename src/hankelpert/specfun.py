@@ -35,7 +35,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import DomainError, PrecisionError
-from .precision import BigReal, Precision, ensure_finite, to_mpf, truncated
+from .precision import BigReal, Precision, ensure_finite, running_product, to_mpf
 
 
 def log_gamma(z, p: Precision) -> BigReal:
@@ -93,20 +93,17 @@ def _lift_point() -> int:
 def _lift(z, n: int) -> tuple:
     """(x, k, (z)_k, prod_{j<k} (z+j)^(j+1)) for x = z + k, k = max(0, ceil(n - z)).
 
-    For j = k-1, ..., 0 the loop forms (z+j)(z+j+1)...(z+k-1), the last of
-    which is (z)_k, and multiplies them all into the second product. Both
-    run on integers: z = m 2^e exactly, so each factor z + j is the integer
-    m + j 2^-e times 2^e, and each running product is truncated to its
-    leading prec + 8 bits after every step.
+    The factors z + j, j = k-1, ..., 0, have the running products
+    (z+j)(z+j+1)...(z+k-1), the last of which is (z)_k, and the product of
+    those is the second product. Both run on integers: z = m 2^e exactly, so
+    each factor is the integer m + j 2^-e times 2^e, and
+    :func:`running_product` cuts both to prec + 8 bits.
     """
     k = max(0, int(mpmath.ceil(n - z)))
     _, man, exp, _ = z._mpf_
     base, step, scale = man << max(0, exp), 1 << max(0, -exp), min(0, exp)
-    keep = mp.prec + 8
-    poch, powers = (1, 0), (1, 0)
-    for j in reversed(range(k)):
-        poch = truncated(poch[0] * (base + j * step), poch[1] + scale, keep)
-        powers = truncated(powers[0] * poch[0], powers[1] + poch[1], keep)
+    poch, powers = running_product(
+        ((base + j * step, scale) for j in reversed(range(k))), mp.prec + 8)
     return z + k, k, mpf(poch), mpf(powers)
 
 

@@ -516,7 +516,9 @@ def test_exit_3_when_ratio_misses_ensemble_average(capsys, argv):
 def _fresh(probe: str) -> str:
     """What ``probe`` prints in a fresh interpreter that imports the package from source."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    # src first, then whatever the caller's PYTHONPATH holds (mpmath, say)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True).stdout.strip()
 
@@ -749,7 +751,9 @@ def test_closed_stdout_exits_1_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    # src first, then whatever the caller's PYTHONPATH holds (mpmath, say)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
     try:
         proc = subprocess.run([sys.executable, "-m", "hankelpert", "exact", "--n", "3"],
                               stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)

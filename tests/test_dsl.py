@@ -76,6 +76,25 @@ def test_parse_rejects_unknown_names():
         parse_h("y + 1")
 
 
+@pytest.mark.parametrize("source, message, position, expected", [
+    ("  x @ 1", "unexpected character '@'", 4, ()),
+    ("1 \u00e9", "unexpected character '\u00e9'", 2, ()),
+    (" \t", "expected a value, found 'end of input'", 2, ("number", "x", "("))])
+def test_tokenizer_names_the_offending_character(source, message, position, expected):
+    """A character no token starts with is named at its offset, past any
+    whitespace; input that is all whitespace ends at its length."""
+    with pytest.raises(ParseError) as err:
+        parse_h(source)
+    assert (str(err.value), err.value.position, err.value.expected) == \
+        (message, position, expected)
+
+
+@pytest.mark.parametrize("source, printed", [
+    ("x\t+\n1", "x + 1"), ("x + 1  ", "x + 1"), ("\u0663*x", "3*x")])
+def test_tokenizer_skips_any_whitespace_and_reads_any_decimal_digit(source, printed):
+    assert parse_h(source).source == printed
+
+
 def test_parse_rejects_truncated_input():
     for src in ("exp()", "1 + ", "(", "1 2"):
         with pytest.raises(ParseError):

@@ -147,7 +147,9 @@ def test_import_builds_no_table():
              "    specfun._zeta_prime_minus_one, specfun._half_log_2pi,\n"
              "    jacobi.jacobi_asym_constant)))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    # src first, then whatever the caller's PYTHONPATH holds (mpmath, say)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
