@@ -35,7 +35,6 @@ import os
 import shlex
 import sys
 import time
-from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
@@ -123,11 +122,9 @@ def _warn_if_below_policy(args, ns) -> None:
 
 
 def _fmt(value, digits: int):
-    """JSON-safe form: mpf -> decimal string, Fraction -> ratio string; floats pass."""
+    """JSON-safe form: mpf -> decimal string, anything else (a Fraction) -> str; floats pass."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, mpf):
         return mpmath.nstr(value, digits)
     return str(value)
@@ -385,14 +382,10 @@ def cmd_density(args) -> tuple:
         si = support_endpoints(n, jp)
         density = EquilibriumDensity(si)
         mass = density.mass(p)
-        rows = []
+        rows, last = [], args.points - 1
         for j in range(args.points):
-            x = si.center + si.halfwidth * mpmath.cospi(
-                mpmath.mpf(args.points - 1 - j) / (args.points - 1))
-            if j == 0:
-                x = si.a_n
-            elif j == args.points - 1:
-                x = si.b_n
+            x = (si.a_n if j == 0 else si.b_n if j == last
+                 else si.center + si.halfwidth * mpmath.cospi(mpf(last - j) / last))
             rows.append(_fmt_row({"x": x, "sigma": density(x)}, digits))
         parameters = _parameters(
             jp, n, digits=digits, points=args.points, a_n=_fmt(si.a_n, digits),
@@ -417,22 +410,11 @@ def _emit_csv(report: dict, stream) -> None:
                  f" schema {report['schema_version']}\n")
     for key, value in report["parameters"].items():
         stream.write(f"# {key}: {value}\n")
-    fields = []
-    for row in report["rows"]:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
-    writer = csv.DictWriter(stream, fieldnames=fields, restval="")
+    fields = dict.fromkeys(key for row in report["rows"] for key in row)
+    writer = csv.DictWriter(stream, fieldnames=list(fields), restval="")
     writer.writeheader()
     for row in report["rows"]:
         writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-
-
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "csv":
-        _emit_csv(report, sys.stdout)
-    else:
-        _emit_json(report, sys.stdout)
 
 
 # --- argument plumbing ---
@@ -446,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"hankelpert {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, with_h=False, digits=None):
+    def common(sp, digits=None):
         sp.add_argument("--n", required=True,
                         help="sizes: one integer, a comma list, or start:stop[:step]")
         sp.add_argument("--alpha", default="0", help="exponent of (1-x), > -1")
@@ -455,16 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="working precision in digits "
                              f"(default: {digits or 'size-based policy'})")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        if with_h:
-            sp.add_argument("--h", required=True,
-                            help="perturbation expression in x, e.g. 'exp(0.5*x)'")
 
     sp = sub.add_parser("exact", help="bare-weight ln det by three routes")
     common(sp)
     sp.set_defaults(run=cmd_exact)
 
     sp = sub.add_parser("compare", help="direct perturbed ln det vs prediction")
-    common(sp, with_h=True)
+    common(sp)
+    sp.add_argument("--h", required=True,
+                    help="perturbation expression in x, e.g. 'exp(0.5*x)'")
     sp.add_argument("--quad-order", type=int, default=None,
                     help="Gauss rule order for perturbed moments "
                          "(default and minimum: largest n + 32, shared by every row)")
@@ -528,7 +509,7 @@ def main(argv=None) -> int:
         "rows": rows,
         "total_elapsed_s": round(time.perf_counter() - started, 3),
     }
-    _emit(report, args.format)
+    (_emit_csv if args.format == "csv" else _emit_json)(report, sys.stdout)
     return code
 
 

@@ -12,6 +12,10 @@ NUMBER is a nonnegative integer or decimal literal (stored exactly as a
 rational), NAME is one of exp, log, sqrt, cosh, sinh. Exponents must
 constant-fold to a rational; 'x^x' is rejected at parse time. Parse errors
 carry the byte offset and the token kinds that would have been accepted.
+Number text follows ``precision.exact_fraction``'s digit limit, and the
+parser refuses an expression nested deeper than ``MAX_NESTING`` levels,
+so every accepted tree parses, prints and evaluates inside Python's
+default recursion limit.
 
 One table, ``BINARY_OPS``, keyed by operator symbol, drives the binary
 operators in the parser, the printer and the evaluator, which also folds
@@ -44,7 +48,7 @@ import mpmath
 from mpmath import mpf
 
 from .errors import DomainError, EvalDomainError, ParseError, PositivityError
-from .precision import BigReal, Precision, to_mpf
+from .precision import BigReal, Precision, exact_fraction, to_mpf
 from .quadrature import SAMPLE_GUARD_DIGITS, lobatto_cos_sin
 
 #: name -> (function, domain fault or None, fault message). The fault test
@@ -63,6 +67,13 @@ EXACT_POWER_BITS = 4096
 #: Points of the positivity screen ``validate_positive``: the Chebyshev-Lobatto
 #: nodes of degree SCREEN_POINTS - 1, a power of two.
 SCREEN_POINTS = 257
+#: Deepest level the parser lets an expression reach, and the levels one
+#: pair of parentheses (a call's included) takes. Parsing recurses seven
+#: times per pair, printing and evaluating at most twice per level, so the
+#: deepest accepted input stays inside Python's default recursion limit of
+#: 1000 with room for the caller's frames.
+MAX_NESTING = 300
+PAREN_LEVELS = 3
 
 
 # --- syntax tree: one record per grammar rule ---
@@ -112,21 +123,6 @@ class Call(NamedTuple):
 
 # --- evaluation ---
 
-def _coerce(a, b):
-    """Align operand types: exact stays exact, but mpf contaminates the pair.
-
-    mpmath accepts Fraction in some mixed operations and rejects it in
-    others (notably division), so the conversion is made explicit.
-    """
-    a_is_mp = isinstance(a, mpf)
-    b_is_mp = isinstance(b, mpf)
-    if a_is_mp and not b_is_mp:
-        return a, to_mpf(b)
-    if b_is_mp and not a_is_mp:
-        return to_mpf(a), b
-    return a, b
-
-
 def _fault(message: str, x) -> EvalDomainError:
     """The domain fault ``message`` at x, naming the point unless x is None (constant folding)."""
     if x is not None:
@@ -143,7 +139,10 @@ def evaluate(node, x):
     if isinstance(node, Neg):
         return -evaluate(node.operand, x)
     if isinstance(node, Binary):
-        a, b = _coerce(evaluate(node.left, x), evaluate(node.right, x))
+        a, b = evaluate(node.left, x), evaluate(node.right, x)
+        if isinstance(a, mpf) or isinstance(b, mpf):
+            # mpmath rejects a Fraction in some mixed operations (division)
+            a, b = to_mpf(a), to_mpf(b)
         try:
             return BINARY_OPS[node.op][2](a, b)
         except ZeroDivisionError:
@@ -269,6 +268,12 @@ def _tokenize(source: str):
 
 
 class _Parser:
+    """Recursive descent over the tokens. Each rule takes ``outer``, the
+    levels above it, and returns its tree and ``reach``, the deepest level
+    in it: a binary operator or ``^`` is one level above its operands, the
+    operand of a unary minus and an exponent one below, and a
+    parenthesized group or call argument PAREN_LEVELS below."""
+
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.index = 0
@@ -288,63 +293,77 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {shown!r}", tok.pos, (kind,))
         return self.advance()
 
+    def within(self, tok: _Token, level: int) -> int:
+        """``level``, or ParseError at ``tok`` if it is deeper than MAX_NESTING."""
+        if level > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", tok.pos)
+        return level
+
     def parse(self):
-        node = self.binary(1)
+        node, _ = self.binary(1, 0)
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos,
                              tuple(BINARY_OPS) + ("^",))
         return node
 
-    def binary(self, level: int):
+    def binary(self, level: int, outer: int):
         """A left-associative chain at one precedence level: 1 is expr, 2 is term."""
         def operand():
-            return self.binary(2) if level == 1 else self.unary()
+            return self.binary(2, outer) if level == 1 else self.unary(outer)
 
-        node = operand()
+        node, reach = operand()
         while BINARY_OPS.get(self.peek().kind, (None, 0))[1] == level:
-            node = Binary(self.advance().kind, node, operand())
-        return node
+            tok = self.advance()
+            right, right_reach = operand()
+            node = Binary(tok.kind, node, right)
+            reach = self.within(tok, max(reach, right_reach) + 1)
+        return node, reach
 
-    def unary(self):
-        if self.peek().kind == "-":
+    def unary(self, outer: int):
+        tok = self.peek()
+        if tok.kind == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            operand, reach = self.unary(self.within(tok, outer + 1))
+            return Neg(operand), reach
+        return self.power(outer)
 
-    def power(self):
-        base = self.atom()
+    def power(self, outer: int):
+        base, reach = self.atom(outer)
         if self.peek().kind == "^":
             caret = self.advance()
-            exponent = self.unary()
+            exponent, _ = self.unary(self.within(caret, outer + 1))
             folded = _fold_rational(exponent)
             if folded is None:
                 raise ParseError("exponent must be a rational constant",
                                  caret.pos, ("number",))
-            return Pow(base, folded)
-        return base
+            return Pow(base, folded), self.within(caret, reach + 1)
+        return base, reach
 
-    def atom(self):
+    def atom(self, outer: int):
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Num(Fraction(tok.text))
+            try:
+                return Num(exact_fraction(tok.text)), outer
+            except DomainError as exc:
+                raise ParseError(str(exc), tok.pos) from None
         if tok.kind == "name":
             self.advance()
             if tok.text == "x":
-                return Var()
+                return Var(), outer
             if tok.text in FUNCTION_NAMES:
                 self.expect("(")
-                arg = self.binary(1)
+                arg, reach = self.binary(1, self.within(tok, outer + PAREN_LEVELS))
                 self.expect(")")
-                return Call(tok.text, arg)
+                return Call(tok.text, arg), reach
             raise ParseError(f"unknown name {tok.text!r}", tok.pos,
                              ("x",) + FUNCTION_NAMES)
         if tok.kind == "(":
             self.advance()
-            node = self.binary(1)
+            node, reach = self.binary(1, self.within(tok, outer + PAREN_LEVELS))
             self.expect(")")
-            return node
+            return node, reach
         shown = tok.text or "end of input"
         raise ParseError(f"expected a value, found {shown!r}", tok.pos,
                          ("number", "x", "("))

@@ -62,7 +62,8 @@ class SupportInterval(checked_namedtuple("SupportInterval", [
         return (self.b_n - self.a_n) / 2
 
 
-def _endpoints_with_denominator(n: int, jp: JacobiParams, bump: int):
+def _band_exponents(n: int, jp: JacobiParams) -> tuple:
+    """(alpha, beta, alpha + beta) as mpf; DomainError unless n >= 1 and n + alpha + beta > 0."""
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     if n + jp.alpha + jp.beta <= 0:
@@ -70,7 +71,11 @@ def _endpoints_with_denominator(n: int, jp: JacobiParams, bump: int):
         raise DomainError(f"the band needs n + alpha + beta > 0, got n = {n}, "
                           f"alpha + beta = {jp.alpha + jp.beta}")
     a, b = jp.ab_mpf()
-    s = a + b
+    return a, b, a + b
+
+
+def _endpoints_with_denominator(n: int, jp: JacobiParams, bump: int):
+    a, b, s = _band_exponents(n, jp)
     root = 4 * mpmath.sqrt(n * (n + a) * (n + b) * (n + s))
     den = (2 * n + s + bump) ** 2
     lo = (b * b - a * a - root) / den
@@ -143,8 +148,8 @@ def band_kernel(si: SupportInterval, t) -> tuple:
     return x, right * left
 
 
-def band_integral(si: SupportInterval, f) -> BigReal:
-    """int sigma(x) f(x) dx over the band, at the current working precision.
+def band_integral(si: SupportInterval) -> BigReal:
+    """int sigma(x) dx over the band, at the current working precision.
 
     The substitution x = center + halfwidth * sin(t) removes the square-root
     endpoint singularities of the integrand's derivative.
@@ -153,8 +158,8 @@ def band_integral(si: SupportInterval, f) -> BigReal:
     s = a + b
 
     def g(t):
-        x, kernel = band_kernel(si, t)
-        return (si.n + s / 2) * kernel * f(x) / mpmath.pi
+        _, kernel = band_kernel(si, t)
+        return (si.n + s / 2) * kernel / mpmath.pi
 
     return mpmath.quad(g, [-mpmath.pi / 2, mpmath.pi / 2])
 
@@ -170,7 +175,7 @@ class EquilibriumDensity(NamedTuple):
     def mass(self, p: Precision) -> BigReal:
         """Integral of the density over its band (equals the size n)."""
         with p.workdps():
-            return band_integral(self.si, lambda x: 1)
+            return band_integral(self.si)
 
 
 def fluid_recurrence(n: int, jp: JacobiParams):
@@ -193,10 +198,7 @@ def fluid_recurrence(n: int, jp: JacobiParams):
 
         n^3 (center - alpha_n) = (beta^2 - alpha^2)/4 * (1 - (3s+2)/(2n) + O(n^-2)).
     """
-    if n < 1:
-        raise DomainError(f"size must be >= 1, got {n}")
-    a, b = jp.ab_mpf()
-    s = a + b
+    a, b, s = _band_exponents(n, jp)
     den = (2 * n + s) ** 2
     alpha_tilde = (b * b - a * a) / den
     beta_tilde = 4 * n * (n + a) * (n + b) * (n + s) / (den * den)

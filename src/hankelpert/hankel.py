@@ -191,7 +191,11 @@ def hankel_logdet_leading(betas, n: int, p: Precision) -> HankelResult:
     move ln D_n by under 2^-(prec+7); its binary exponent keeps D_n ~
     2^(-n^2) from underflowing, and ln D_n is one log, of the mantissa
     normalised to [1/2, 1), so adding exponent * ln 2 cancels no digits.
+    Fewer than n coefficients raise DomainError.
     """
+    if len(betas) < n:
+        raise DomainError(f"ln det (size {n}) needs {n} recurrence coefficients, "
+                          f"got {len(betas)}")
     betas = tuple(betas[:n])
     with p.workdps(_conditioning_guard(n)):
         factors = []

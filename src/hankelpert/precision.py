@@ -9,6 +9,7 @@ eight digits to downstream arithmetic and still meet their own targets.
 from __future__ import annotations
 
 import numbers
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -79,6 +80,11 @@ def exact_fraction(value) -> Fraction | None:
     Ints, Fractions, floats (binary rationals) and decimal/ratio strings all
     have one; mpf values are deliberately not treated as exact because they
     normally arrive as rounded computation results.
+
+    Text that writes more digits, counted with the size of its decimal
+    exponent, than ``sys.get_int_max_str_digits()`` allows raises
+    DomainError before any Fraction is built: that count bounds the digits
+    of the exact value, and ``Fraction('1e10000000')`` alone takes seconds.
     """
     if isinstance(value, Fraction):
         return value
@@ -87,6 +93,16 @@ def exact_fraction(value) -> Fraction | None:
     if isinstance(value, float):
         return Fraction(value)
     if isinstance(value, str):
+        mantissa, _, exponent = value.lower().partition("e")
+        power = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        size = sum(ch.isdecimal() for ch in mantissa)
+        if power.isdecimal():
+            size += int(power) if len(power) < 10 else 10 ** 10
+        limit = sys.get_int_max_str_digits()
+        if limit and size > limit:
+            shown = value if len(value) <= 24 else value[:20] + "..."
+            raise DomainError(f"number {shown!r} needs more than {limit} digits, "
+                              "Python's limit for integer text")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -89,6 +89,8 @@ SEED_ITERATIONS = 30
 #: Guard digits at which :func:`cheb_expand` samples f, and ``dsl``'s positivity
 #: screen samples h, so that one memo of h serves both.
 SAMPLE_GUARD_DIGITS = 2 * GUARD_DIGITS
+#: Largest degree :func:`cheb_expand_auto` tries before it gives up.
+CHEB_DEGREE_LIMIT = 8192
 
 
 class QuadratureRule(NamedTuple):
@@ -380,23 +382,23 @@ def cheb_expand(f, M: int, p: Precision) -> ChebExpansion:
         return ChebExpansion(coeffs, max(abs(coeffs[-1]), abs(coeffs[-2])))
 
 
-def cheb_expand_auto(f, p: Precision, limit: int = 8192) -> ChebExpansion:
+def cheb_expand_auto(f, p: Precision) -> ChebExpansion:
     """Smallest power-of-two degree >= 64 whose tail bound clears 10^(-digits/2).
 
     Doubles the resolution until the last two coefficients fall below the
     threshold; analytic sources decay geometrically so this terminates fast.
-    Raises ResolutionError if ``limit`` is reached without convergence.
+    Raises ResolutionError if ``CHEB_DEGREE_LIMIT`` is reached without convergence.
     The nodes of degree M are the even-indexed nodes of degree 2M, so each
     doubling evaluates f only at its M new nodes.
     """
     threshold = mpf(10) ** (-(p.decimal_digits // 2))
     once = functools.cache(f)
     M = 64
-    while M <= limit:
+    while M <= CHEB_DEGREE_LIMIT:
         ce = cheb_expand(once, M, p)
         if ce.tail_bound < threshold:
             return ce
         M *= 2
     raise ResolutionError(
         f"Chebyshev tail bound did not reach {mpmath.nstr(threshold, 3)} "
-        f"by degree {limit}; the source may not be analytic on [-1, 1]")
+        f"by degree {CHEB_DEGREE_LIMIT}; the source may not be analytic on [-1, 1]")

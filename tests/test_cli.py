@@ -606,6 +606,17 @@ def test_csv_output(capsys):
     assert rows[0]["n"] == "2"
 
 
+def test_csv_header_lists_each_field_once_in_order_of_first_appearance(capsys):
+    """An error row first: its error fields come before the value fields of the next row."""
+    code, out, _ = run(["fluid", "--n", "1,5", "--alpha=-0.9", "--beta=-0.9", "--format", "csv"],
+                       capsys)
+    assert code == 2
+    header = next(ln for ln in out.splitlines() if not ln.startswith("#"))
+    assert header == ("n,digits,error,error_type,a_n,b_n,a_n_shifted,b_n_shifted,alpha_n,"
+                      "beta_n,alpha_tilde,beta_tilde,n3_alpha_dev,n2_beta_dev,n2_one_plus_a,"
+                      "n2_one_minus_b,elapsed_s")
+
+
 def test_reports_are_deterministic(capsys):
     argv = ["compare", "--n", "5", "--alpha", "1/2", "--h", "1 + x^2/2"]
     _, rep1, _ = run_json(argv, capsys)
@@ -699,6 +710,45 @@ def test_huge_constant_power_runs_in_seconds(capsys):
     assert code == 2
     assert "exponent must be a rational constant" in err
     assert time.perf_counter() - started < 20
+
+
+LIMIT = sys.get_int_max_str_digits()
+TOO_MANY_DIGITS = f"needs more than {LIMIT} digits, Python's limit for integer text"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["exact", "--alpha", "1e9999999"], f"number '1e9999999' {TOO_MANY_DIGITS}"),
+    (["exact", "--alpha", "1e-9999999"], f"number '1e-9999999' {TOO_MANY_DIGITS}"),
+    (["compare", "--h=" + "9" * 5000 + "+x^2"],
+     f"number '{'9' * 20}...' {TOO_MANY_DIGITS} (at offset 0, expected one of n/a)"),
+    (["compare", "--h=1." + "0" * 5000 + "1+x^2"],
+     f"number '1.{'0' * 18}...' {TOO_MANY_DIGITS} (at offset 0, expected one of n/a)"),
+    (["compare", "--h=" + "(" * 3000 + "x" + ")" * 3000],
+     "expression nests deeper than 300 levels (at offset 100, expected one of n/a)"),
+    (["compare", "--h=" + "-" * 3000 + "x"],
+     "expression nests deeper than 300 levels (at offset 300, expected one of n/a)"),
+    (["compare", "--h=1" + "+x" * 2999],
+     "expression nests deeper than 300 levels (at offset 601, expected one of n/a)"),
+], ids=["huge-exponent", "tiny-exponent", "long-integer", "long-decimal", "parentheses",
+        "minus-signs", "sum"])
+def test_exit_2_on_oversized_or_over_deep_input(capsys, argv, error):
+    """Refused before any Fraction is built or any recursion runs deep: at once,
+    with one error line and no traceback."""
+    started = time.perf_counter()
+    code, out, err = run([*argv, "--n", "2"], capsys)
+    assert time.perf_counter() - started < 5
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("h", [
+    "(" * 99 + "2+x" + ")" * 99, "sqrt(" * 99 + "2+x" + ")" * 99, "2+" + "-" * 298 + "x",
+    "300" + "+x" * 299, "(2+x)" + "^1" * 300],
+    ids=["parentheses", "calls", "minus-signs", "sum", "carets"])
+def test_expressions_at_the_nesting_bound_run(capsys, h):
+    """The deepest inputs the parser accepts parse, print and evaluate inside
+    the default recursion limit, under the test runner's frames too."""
+    code, _, err = run(["compare", "--n", "2", f"--h={h}"], capsys)
+    assert (code, err) == (0, "")
 
 
 def test_negative_fraction_exponent_as_separate_token(capsys):

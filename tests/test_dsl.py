@@ -95,6 +95,22 @@ def test_tokenizer_skips_any_whitespace_and_reads_any_decimal_digit(source, prin
     assert parse_h(source).source == printed
 
 
+@pytest.mark.parametrize("accepted, refused, position", [
+    ("(" * 100 + "x" + ")" * 100, "(" * 101 + "x" + ")" * 101, 100),
+    ("exp(" * 100 + "x" + ")" * 100, "exp(" * 101 + "x" + ")" * 101, 400),
+    ("-" * 300 + "x", "-" * 301 + "x", 300),
+    ("1" + "+x" * 300, "1" + "+x" * 301, 601),
+    ("x" + "^1" * 300, "x" + "^1" * 301, 601)],
+    ids=["parentheses", "calls", "minus-signs", "sum", "carets"])
+def test_nesting_bound_counts_parentheses_three_levels_and_the_rest_one(accepted, refused,
+                                                                        position):
+    assert parse_h(accepted)
+    with pytest.raises(ParseError) as err:
+        parse_h(refused)
+    assert (str(err.value), err.value.position) == \
+        ("expression nests deeper than 300 levels", position)
+
+
 def test_parse_rejects_truncated_input():
     for src in ("exp()", "1 + ", "(", "1 2"):
         with pytest.raises(ParseError):

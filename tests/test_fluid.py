@@ -191,3 +191,14 @@ def test_density_center_value_approaches_limit():
 def test_band_requires_positive_size():
     with pytest.raises(DomainError):
         support_endpoints(0, LEG)
+
+
+@pytest.mark.parametrize("n, exponent, message", [
+    (0, "0", "size must be >= 1, got 0"),
+    (1, "-9/10", "the band needs n + alpha + beta > 0, got n = 1, alpha + beta = -9/5"),
+    (1, "-1/2", "the band needs n + alpha + beta > 0, got n = 1, alpha + beta = -1")])
+def test_recurrence_refuses_a_size_without_a_band(n, exponent, message):
+    """The continuum pair reads the same band: no band, no center or quarter-width."""
+    with pytest.raises(DomainError) as err:
+        fluid_recurrence(n, JacobiParams(exponent, exponent))
+    assert str(err.value) == message

@@ -202,6 +202,12 @@ def test_log_det_from_betas_refuses_nonpositive_beta():
             hankel_logdet_leading([mpmath.mpf(2), mpmath.mpf(bad)], 2, P64)
 
 
+def test_log_det_from_betas_refuses_a_short_list():
+    with pytest.raises(DomainError) as err:
+        hankel_logdet_leading([mpmath.mpf(2)], 3, P64)
+    assert str(err.value) == "ln det (size 3) needs 3 recurrence coefficients, got 1"
+
+
 def generic_modified_chebyshev(nu, aux_alpha, aux_beta, count):
     """The generic loop the fixed-point kernel replaced, kept as its oracle:
     Fractions (with Fraction auxiliaries) run exactly, mpf at the working

@@ -1,10 +1,13 @@
-"""The shared running product of ``precision``: its cuts and its error bound."""
+"""The shared running product of ``precision``, its cuts and its error bound,
+and the size rule for number text."""
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from hankelpert.precision import running_product
+from hankelpert.errors import DomainError
+from hankelpert.precision import exact_fraction, running_product
 
 
 def _value(man_exp) -> Fraction:
@@ -38,3 +41,24 @@ def test_running_product_stays_below_its_bound(bits):
 
 def test_running_product_of_nothing_is_one():
     assert running_product([], 53) == ((1, 0), (1, 0))
+
+
+def test_number_text_up_to_the_int_digit_limit_is_exact():
+    limit = sys.get_int_max_str_digits()
+    assert exact_fraction(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert exact_fraction(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+    assert exact_fraction("9" * limit) == 10 ** limit - 1
+    assert exact_fraction(" 2.5E-3 ") == Fraction(1, 400)
+
+
+@pytest.mark.parametrize("text", [
+    lambda limit: f"1e{limit}", lambda limit: f"1e-{limit}", lambda limit: "9" * (limit + 1),
+    lambda limit: "0." + "0" * limit, lambda limit: "1e" + "9" * limit,
+    lambda limit: "1/" + "3" * limit],
+    ids=["huge", "tiny", "long-integer", "long-decimal", "long-exponent", "long-ratio"])
+def test_number_text_past_the_int_digit_limit_is_refused(text):
+    """Its digits plus its exponent's size exceed the limit: refused before
+    ``Fraction`` is built, which takes seconds for 1e10000000."""
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(DomainError, match=f"needs more than {limit} digits"):
+        exact_fraction(text(limit))

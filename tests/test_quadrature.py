@@ -224,9 +224,10 @@ def test_cheb_auto_evaluates_each_node_once():
     assert len(calls) == len(set(calls)) == ce.degree + 1
 
 
-def test_cheb_auto_rejects_nonanalytic_function():
-    with pytest.raises(ResolutionError):
-        cheb_expand_auto(lambda x: abs(x), Precision(40), limit=512)
+def test_cheb_auto_rejects_nonanalytic_function(monkeypatch):
+    monkeypatch.setattr(quadrature, "CHEB_DEGREE_LIMIT", 512)
+    with pytest.raises(ResolutionError, match="by degree 512"):
+        cheb_expand_auto(lambda x: abs(x), Precision(40))
 
 
 def test_rule_rejects_bad_order():
