@@ -143,14 +143,13 @@ def _fmt_resolved(value, unit) -> str:
 
 
 def _fmt_row(row: dict, digits: int) -> dict:
-    out = {k: _fmt(v, DIFF_DIGITS if k in DIFF_FIELDS else digits) for k, v in row.items()}
-    resolved = {field: reference for field, reference in RESOLVED_BY.items() if field in row}
+    """Each field formatted once: a ``RESOLVED_BY`` field to its reference's
+    last printed digit, a difference to DIFF_DIGITS digits, the rest to ``digits``."""
+    unit = functools.cache(lambda reference: _last_digit_unit(row[reference], digits))
     with mpmath.workdps(digits + GUARD_DIGITS):
-        units = {reference: _last_digit_unit(row[reference], digits)
-                 for reference in set(resolved.values())}
-        for field, reference in resolved.items():
-            out[field] = _fmt_resolved(row[field], units[reference])
-    return out
+        return {k: _fmt_resolved(v, unit(RESOLVED_BY[k])) if k in RESOLVED_BY
+                else _fmt(v, DIFF_DIGITS if k in DIFF_FIELDS else digits)
+                for k, v in row.items()}
 
 
 def _parameters(jp: JacobiParams, n, **extra) -> dict:
@@ -162,33 +161,35 @@ def _digits_param(args):
     return args.digits if args.digits is not None else "auto"
 
 
-def _kept(build):
-    """``build()``, or the PrecisionError it raised kept as its value."""
+def _once(build):
+    """Run ``build()`` now; return a call that gives its result, or raises
+    the PrecisionError it raised again."""
     try:
-        return build()
+        result, failure = build(), None
     except PrecisionError as exc:
-        return exc
+        result, failure = None, exc  # ``exc`` is unbound when the block ends
 
-
-def _read(kept):
-    """The result of a :func:`_kept` build, or its PrecisionError raised again."""
-    if isinstance(kept, PrecisionError):
-        raise kept
-    return kept
+    def read():
+        if failure is not None:
+            raise failure
+        return result
+    return read
 
 
 def _leading(top, n: int, p: Precision):
-    """Row n of a route factorized once at the largest size, kept by :func:`_kept`:
-    that result itself for the largest row, else ln D_n from the first n of its
-    coefficients.
+    """Row n of a route factorized once at the largest size, read by the call
+    ``top`` of :func:`_once`: that result itself for the largest row, else
+    ln D_n from the first n of its coefficients.
 
     A breakdown at index k fails the rows n > k only.
     """
-    if isinstance(top, PrecisionError):
-        if len(top.leading) < n:
-            raise top
-        return hankel_logdet_leading(top.leading, n, p)
-    return top if len(top.betas) == n else hankel_logdet_leading(top.betas, n, p)
+    try:
+        result = top()
+    except PrecisionError as exc:
+        if len(exc.leading) < n:
+            raise
+        return hankel_logdet_leading(exc.leading, n, p)
+    return result if len(result.betas) == n else hankel_logdet_leading(result.betas, n, p)
 
 
 def _run_rows(args, ns, compute) -> tuple:
@@ -231,10 +232,8 @@ def _run_rows(args, ns, compute) -> tuple:
 
 # --- subcommands ---
 
-def cmd_exact(args) -> tuple:
+def cmd_exact(args, jp: JacobiParams, ns: list) -> tuple:
     """Bare-weight ln D_n by closed form, norm product, and direct factorization."""
-    jp = JacobiParams(args.alpha, args.beta)
-    ns = _parse_n_list(args.n)
     _warn_if_below_policy(args, ns)
 
     def row(n, p):
@@ -262,13 +261,11 @@ def cmd_exact(args) -> tuple:
     return _parameters(jp, ns, digits=_digits_param(args)), rows, code
 
 
-def cmd_compare(args) -> tuple:
+def cmd_compare(args, jp: JacobiParams, ns: list) -> tuple:
     """Perturbed determinants, two direct routes vs the asymptotic prediction."""
     from .dsl import parse_h, validate_positive
     from .linstat import assemble_prediction, cheb_log_expand
 
-    jp = JacobiParams(args.alpha, args.beta)
-    ns = _parse_n_list(args.n)
     _warn_if_below_policy(args, ns)
     h = parse_h(args.h)
     # built once, before the first row, at the largest size and its precision;
@@ -278,15 +275,15 @@ def cmd_compare(args) -> tuple:
     # the moment pass, h(+-1) and --heine sample at others and call h itself
     sampled = functools.cache(h)
     h_min = validate_positive(sampled, top_p)
-    moments = _kept(lambda: perturbed_moment_sequence(jp, h, top, top_p, m=args.quad_order))
-    ldl = _kept(lambda: hankel_logdet_ldl(_read(moments), top, top_p))
-    recurrence = _kept(lambda: hankel_logdet_recurrence(_read(moments), top, jp, top_p))
-    expansion = _kept(lambda: cheb_log_expand(sampled, top_p))
+    moments = _once(lambda: perturbed_moment_sequence(jp, h, top, top_p, m=args.quad_order))
+    ldl = _once(lambda: hankel_logdet_ldl(moments(), top, top_p))
+    recurrence = _once(lambda: hankel_logdet_recurrence(moments(), top, jp, top_p))
+    expansion = _once(lambda: cheb_log_expand(sampled, top_p))
 
     def row(n, p):
         direct = _leading(ldl, n, p)
         second = _leading(recurrence, n, p)
-        pred = assemble_prediction(n, jp, h, p, _read(expansion))
+        pred = assemble_prediction(n, jp, h, p, expansion())
         pure = jacobi_logdet_exact(n, jp, p)
         with p.workdps():
             mean_limit = pred.log_mean + pred.boundary_part
@@ -327,12 +324,9 @@ def cmd_compare(args) -> tuple:
         quad_order=args.quad_order), rows, code
 
 
-def cmd_fluid(args) -> tuple:
+def cmd_fluid(args, jp: JacobiParams, ns: list) -> tuple:
     """Continuum band and recurrence estimates against the exact coefficients."""
     from .fluid import fluid_recurrence, support_endpoints, support_endpoints_shifted
-
-    jp = JacobiParams(args.alpha, args.beta)
-    ns = _parse_n_list(args.n)
 
     def row(n, p):
         with p.workdps():
@@ -360,12 +354,10 @@ def cmd_fluid(args) -> tuple:
     return _parameters(jp, ns, digits=args.digits), rows, code
 
 
-def cmd_density(args) -> tuple:
+def cmd_density(args, jp: JacobiParams, ns: list) -> tuple:
     """Continuum density sampled on a Chebyshev grid over its band."""
     from .fluid import EquilibriumDensity, support_endpoints
 
-    jp = JacobiParams(args.alpha, args.beta)
-    ns = _parse_n_list(args.n)
     if len(ns) != 1:
         raise DomainError("density takes a single size, e.g. --n 20")
     n = ns[0]
@@ -464,12 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_signed_exponents(argv) -> list:
-    """'--alpha -9/10' -> '--alpha=-9/10': argparse takes a lone '-9/10' for an option."""
+def _join_signed_values(argv) -> list:
+    """'--h -x^2' -> '--h=-x^2': argparse takes a lone '-x^2' or '-9/10' for an option.
+    A token with one leading '-' after --alpha, --beta or --h is that option's value."""
     out = []
     for tok in argv:
-        if out and out[-1] in ("--alpha", "--beta") and tok[:1] == "-" \
-                and (tok[1:2].isdigit() or tok[1:2] == "."):
+        if out and out[-1] in ("--alpha", "--beta", "--h") and tok[:1] == "-" != tok[1:2]:
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -481,12 +473,13 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(_join_signed_exponents(argv))
+        args = parser.parse_args(_join_signed_values(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     started = time.perf_counter()
     try:
-        parameters, rows, code = args.run(args)
+        parameters, rows, code = args.run(args, JacobiParams(args.alpha, args.beta),
+                                          _parse_n_list(args.n))
     except ParseError as exc:
         print(f"error: {exc} (at offset {exc.position}, expected one of "
               f"{', '.join(exc.expected) or 'n/a'})", file=sys.stderr)

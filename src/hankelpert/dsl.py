@@ -202,16 +202,11 @@ def _precedence(node) -> int:
     return 5
 
 
-def _exponent_repr(q: Fraction) -> str:
-    mag = abs(q)
-    text = _decimal_repr(mag)
-    if text is None:
-        text = f"{mag.numerator}/{mag.denominator}"
-    if q < 0:
-        return f"(-{text})"
-    if "/" in text:
-        return f"({text})"
-    return text
+def _rational_repr(q: Fraction) -> str:
+    """'0.5', '(1/3)', '(-0.5)', '(-1/3)': q as a finite decimal, else n/d, in
+    parentheses when it is negative or a ratio."""
+    text = _decimal_repr(abs(q)) or f"{abs(q.numerator)}/{q.denominator}"
+    return f"({'-' if q < 0 else ''}{text})" if q < 0 or "/" in text else text
 
 
 def to_source(node) -> str:
@@ -223,10 +218,7 @@ def to_source(node) -> str:
     if isinstance(node, Num):
         if node.value < 0:
             raise DomainError("negative literal; wrap it in a unary minus")
-        text = _decimal_repr(node.value)
-        if text is None:
-            return f"({node.value.numerator}/{node.value.denominator})"
-        return text
+        return _rational_repr(node.value)
     if isinstance(node, Var):
         return "x"
     if isinstance(node, Neg):
@@ -235,7 +227,7 @@ def to_source(node) -> str:
         text, prec, _ = BINARY_OPS[node.op]
         return f"{wrap(node.left, prec)}{text}{wrap(node.right, prec + 1)}"
     if isinstance(node, Pow):
-        return f"{wrap(node.base, 5)}^{_exponent_repr(node.exponent)}"
+        return f"{wrap(node.base, 5)}^{_rational_repr(node.exponent)}"
     if isinstance(node, Call):
         return f"{node.name}({to_source(node.argument)})"
     raise DomainError(f"cannot print node {node!r}")
@@ -388,8 +380,7 @@ class PerturbationFn(NamedTuple):
     ast: object
 
     def __call__(self, x) -> BigReal:
-        v = evaluate(self.ast, x)
-        return v if isinstance(v, mpf) else to_mpf(v)
+        return to_mpf(evaluate(self.ast, x))
 
 
 def parse_h(source: str) -> PerturbationFn:

@@ -60,17 +60,16 @@ class Precision(checked_namedtuple("Precision", [("decimal_digits", int)])):
 def to_mpf(value) -> BigReal:
     """Convert ``value`` to mpf at the current working precision.
 
-    Values with an exact rational form (:func:`exact_fraction`) are converted
-    by one division of numerator by denominator, so no decimal-representation
-    error sneaks in; other strings go to mpmath's parser.
+    An mpf is returned unchanged. Values with an exact rational form
+    (:func:`exact_fraction`) are converted by one division of numerator by
+    denominator, so no decimal-representation error sneaks in; anything else,
+    text such as 'inf' included, raises DomainError.
     """
     if isinstance(value, mpf):
         return value
     q = exact_fraction(value)
     if q is not None:
         return mpf(q.numerator) / mpf(q.denominator)
-    if isinstance(value, str):
-        return mpf(value)
     raise DomainError(f"cannot convert {type(value).__name__} to mpf")
 
 
@@ -115,10 +114,10 @@ def running_product(factors, bits: int) -> tuple:
     positive ``factors`` f_i = man 2^exp, given and returned as (man, exp).
 
     Both products are cut to their leading ``bits`` integer bits after every
-    step, rounding down. One cut lowers a value by a relative amount under
-    2^(1-bits), so P_k is at most N = k cuts, and the product of the
-    running products N = k(k+1)/2 + k cuts, below its exact value: low by
-    less than (1 + 2^(1-bits))^N - 1, relative.
+    step, rounding down. One cut multiplies a value by a factor in
+    (1 - 2^(1-bits), 1], so P_k is at most N = k cuts, and the product of
+    the running products N = k(k+1)/2 + k cuts, below its exact value: low
+    by less than N 2^(1-bits), relative.
     """
     def cut(man, exp):
         drop = max(0, man.bit_length() - bits)

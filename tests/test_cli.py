@@ -761,6 +761,25 @@ def test_negative_fraction_exponent_as_separate_token(capsys):
     assert spaced["parameters"] == joined["parameters"]
 
 
+def test_negative_h_as_separate_token(capsys):
+    # argparse alone reads a lone "-x^2+2" as an unknown option
+    code, spaced, err = run_json(["compare", "--n", "2", "--h", "-x^2+2"], capsys)
+    assert (code, err) == (0, "")
+    assert spaced["command"] == "hankelpert compare --n 2 --h '-x^2+2'"
+    _, joined, _ = run_json(["compare", "--n", "2", "--h=-x^2+2"], capsys)
+    assert strip_timing(spaced)["rows"] == strip_timing(joined)["rows"]
+    assert spaced["parameters"] == joined["parameters"]
+
+
+def test_option_like_exponent_gets_the_exponent_error(capsys):
+    """A value with one leading minus after --alpha is read as alpha, so
+    '--alpha -h' names alpha instead of ending in argparse's usage error."""
+    code, out, err = run(["exact", "--n", "3", "--alpha", "-h"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: alpha must be a rational number (a decimal string "
+                   "for an irrational value), got '-h'\n")
+
+
 def test_exit_2_on_bad_parameters(capsys):
     code, _, err = run(["exact", "--n", "4", "--alpha", "-2"], capsys)
     assert code == 2

@@ -7,36 +7,38 @@ from fractions import Fraction
 import pytest
 
 from hankelpert.errors import DomainError
-from hankelpert.precision import exact_fraction, running_product
+from hankelpert.precision import exact_fraction, running_product, to_mpf
 
 
-def _value(man_exp) -> Fraction:
-    man, exp = man_exp
-    return man * Fraction(2) ** exp
+def _below_by_under(got, exact, bits, cuts) -> bool:
+    """got <= exact and (exact - got) 2^(bits-1) < cuts * exact, on the
+    integer mantissas of the two (man, exp) values brought to one exponent."""
+    (man, exp), (exact_man, exact_exp) = got, exact
+    low = min(exp, exact_exp)
+    man, exact_man = man << (exp - low), exact_man << (exact_exp - low)
+    return man <= exact_man and (exact_man - man) << (bits - 1) < cuts * exact_man
 
 
 @pytest.mark.parametrize("bits", [8, 24, 61, 200])
 def test_running_product_stays_below_its_bound(bits):
-    """Against exact Fraction products, for k = 1..64 factors of mixed sizes:
+    """Against exact (man, exp) products, for k = 1..64 factors of mixed sizes:
     every mantissa keeps at most ``bits`` bits, and each product is at most
-    the exact one and low by under (1 + 2^(1-bits))^N - 1, relative, with
-    N = k cuts for the running product and k(k+1)/2 + k for the product of
-    the running products."""
+    the exact one and low by under N 2^(1-bits), relative, with N = k cuts
+    for the running product and k(k+1)/2 + k for the product of the running
+    products."""
     rng = random.Random(bits)
-    eps = Fraction(1, 2 ** (bits - 1))
     for k in range(1, 65):
         factors = [(rng.randrange(1, 2 ** rng.randint(1, 3 * bits)), rng.randint(-300, 300))
                    for _ in range(k)]
         run, total = running_product(factors, bits)
-        exact_run, exact_total = Fraction(1), Fraction(1)
-        for f in factors:
-            exact_run *= _value(f)
-            exact_total *= exact_run
+        exact_run = exact_total = (1, 0)
+        for man, exp in factors:
+            exact_run = (exact_run[0] * man, exact_run[1] + exp)
+            exact_total = (exact_total[0] * exact_run[0], exact_total[1] + exact_run[1])
         for got, exact, cuts in ((run, exact_run, k),
                                  (total, exact_total, k * (k + 1) // 2 + k)):
             assert 0 < got[0].bit_length() <= bits
-            assert _value(got) <= exact
-            assert (exact - _value(got)) / exact < (1 + eps) ** cuts - 1, f"k = {k}"
+            assert _below_by_under(got, exact, bits, cuts), f"k = {k}"
 
 
 def test_running_product_of_nothing_is_one():
@@ -62,3 +64,9 @@ def test_number_text_past_the_int_digit_limit_is_refused(text):
     limit = sys.get_int_max_str_digits()
     with pytest.raises(DomainError, match=f"needs more than {limit} digits"):
         exact_fraction(text(limit))
+
+
+def test_text_without_an_exact_rational_value_is_refused():
+    """'inf' has no exact rational form, and ``to_mpf`` reads text only through one."""
+    with pytest.raises(DomainError, match="cannot convert str to mpf"):
+        to_mpf("inf")
