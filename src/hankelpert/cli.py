@@ -44,7 +44,7 @@ from .errors import (DomainError, EvalDomainError, ParseError,
                      PositivityError, PrecisionError)
 from .precision import GUARD_DIGITS, Precision, to_mpf
 from .jacobi import (JacobiParams, jacobi_alpha_n_exact, jacobi_beta_n_exact,
-                     jacobi_log_hn, jacobi_logdet_asym, jacobi_logdet_exact)
+                     jacobi_logdet_asym, jacobi_logdet_exact)
 from .hankel import (auto_digits, cross_validation_tol, hankel_logdet_ldl,
                      hankel_logdet_leading, hankel_logdet_recurrence, heine_average_small_n,
                      perturbed_moment_sequence, pure_moment_sequence)
@@ -238,12 +238,13 @@ def cmd_exact(args, jp: JacobiParams, ns: list) -> tuple:
 
     def row(n, p):
         closed = jacobi_logdet_exact(n, jp, p)
-        ldl = hankel_logdet_ldl(pure_moment_sequence(jp, n, p), n, p)
+        moments = pure_moment_sequence(jp, n, p)
+        ldl = hankel_logdet_ldl(moments, n, p)
         asym = jacobi_logdet_asym(n, jp, p)
         with p.workdps():
-            # ln D_n = n ln h_0 + sum_{0<j<n} (n-j) ln beta_j, the beta_j exact rationals
-            betas = [mpmath.exp(jacobi_log_hn(0, jp, p)),
-                     *(to_mpf(jacobi_beta_n_exact(j, jp)) for j in range(1, n))]
+            # ln D_n = n ln h_0 + sum_{0<j<n} (n-j) ln beta_j, h_0 = mu_0 of the
+            # moments, the beta_j exact rationals; the closed form reads neither
+            betas = [moments.mu[0], *(to_mpf(jacobi_beta_n_exact(j, jp)) for j in range(1, n))]
             norm_product = hankel_logdet_leading(betas, n, p).log_det
             return {
                 "log_det_closed": closed,

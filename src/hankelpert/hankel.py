@@ -20,10 +20,13 @@ Hankel matrices of smooth positive weights are notoriously ill-conditioned:
 the pivots decay geometrically (like 4^-j here), so a linear-in-n digit
 budget is required. ``auto_digits`` implements the policy
 max(64, ceil(1.4 n) + 32), and the internal arithmetic adds a further
-0.7 n conditioning guard so results still honour the 8-guard-digit contract
-of the requested precision. Breakdown (a nonpositive pivot or recurrence
-coefficient) raises PrecisionError with the failing index; it is detected,
-never masked.
+conditioning guard, 8 + ceil(max(0.7 n, decay + 2)) digits with decay =
+log10(mu_0 / h_{n-1}) the bare weight's exact pivot decay, so results still
+honour the 8-guard-digit contract of the requested precision. The decay is
+about 0.6 n at moderate exponents, and sets the guard only at small n and
+at large exponents (46 digits at alpha = 60 with n = 40). Breakdown (a
+nonpositive pivot or recurrence coefficient) raises PrecisionError with
+the failing index; it is detected, never masked.
 
 The module also evaluates, for n <= 3, the multidimensional-integral form of
 the determinant ratio
@@ -37,6 +40,7 @@ independent oracle for the moment-based routes.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -46,13 +50,15 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import DomainError, PrecisionError
-from .jacobi import (JacobiParams, jacobi_moment, jacobi_moment_exact,
-                     jacobi_moment_ratios, jacobi_recurrence_table)
+from .jacobi import (JacobiParams, jacobi_beta_n_exact, jacobi_moment, jacobi_moment_exact,
+                     jacobi_moment_ratio_terms, jacobi_moment_ratios, jacobi_recurrence_table)
 from .precision import (GUARD_DIGITS, KERNEL_GUARD_BITS, BigReal, Precision,
                         checked_namedtuple, ensure_finite, running_product, to_mpf)
 
 #: Extra decimal digits per matrix row consumed by pivot decay during factorization.
 CONDITIONING_GUARD_PER_ROW = 0.7
+#: Digits over the weight's own pivot decay that the conditioning guard keeps at least.
+DECAY_MARGIN = 2
 #: Gauss rule order above the size for perturbed moments: the default and the minimum.
 QUAD_ORDER_MARGIN = 32
 
@@ -66,8 +72,27 @@ def auto_precision(n: int) -> Precision:
     return Precision(auto_digits(n))
 
 
-def _conditioning_guard(n: int) -> int:
-    return GUARD_DIGITS + math.ceil(CONDITIONING_GUARD_PER_ROW * n)
+def _conditioning_guard(n: int, jp: JacobiParams = None) -> int:
+    """Guard digits of a size-n factorization: 8 + ceil(0.7 n), or, for the
+    weight of exponents ``jp``, 8 + ceil(max(0.7 n, decay + 2)) with decay
+    from :func:`_pivot_decay`."""
+    rows = CONDITIONING_GUARD_PER_ROW * n
+    if jp is not None:
+        rows = max(rows, _pivot_decay(n, jp) + DECAY_MARGIN)
+    return GUARD_DIGITS + math.ceil(rows)
+
+
+@functools.lru_cache
+def _pivot_decay(n: int, jp: JacobiParams) -> float:
+    """log10(mu_0 / h_{n-1}) = -sum_{0<j<n} log10 beta_j, from the exact beta_j.
+
+    The last pivot of the bare weight's n x n moment matrix is this many
+    digits below mu_0, and the moments, rounded relative to mu_0, lose as
+    many. It is about 0.6 n for moderate exponents, under the 0.7 n floor,
+    and 46 at alpha = 60 with n = 40.
+    """
+    betas = (jacobi_beta_n_exact(j, jp) for j in range(1, n))
+    return -sum(math.log10(b.numerator) - math.log10(b.denominator) for b in betas)
 
 
 def cross_validation_tol(n: int, p: Precision) -> BigReal:
@@ -80,12 +105,13 @@ class MomentSequence(checked_namedtuple("MomentSequence", [
     """Moments mu_0..mu_{2n-2} of a weight, with provenance.
 
     ``source`` is "pure" for the bare weight or "perturbed(<expr>)" for a
-    multiplicative perturbation. ``modified`` carries the moments against the
-    monic orthogonal basis of the unperturbed weight ``basis`` (one extra
-    entry, indices 0..2n-1); these are well conditioned, unlike the raw power
-    moments, and the recurrence route reads nothing else.
-    :func:`perturbed_moment_sequence` attaches them; a sequence without them,
-    such as the pure one, serves the ldl route only.
+    multiplicative perturbation, and ``basis`` the exponents of the bare
+    weight, whose pivot decay sizes the factorization's conditioning guard.
+    ``modified`` carries the moments against the monic orthogonal basis of
+    that weight (one extra entry, indices 0..2n-1); these are well
+    conditioned, unlike the raw power moments, and the recurrence route
+    reads nothing else. :func:`perturbed_moment_sequence` attaches them; a
+    sequence without them, such as the pure one, serves the ldl route only.
     """
 
     __slots__ = ()
@@ -116,16 +142,25 @@ class HankelResult(NamedTuple):
 def pure_moment_sequence(jp: JacobiParams, n: int, p: Precision) -> MomentSequence:
     """Moments of the unperturbed weight, for determinants up to size n.
 
-    mu_0 comes from :func:`jacobi_moment`, the rest from the exact moment
-    ratios. The sequence carries no modified moments, so it feeds the ldl
+    mu_0 comes from :func:`jacobi_moment` at digits + 16, the precision of
+    :func:`jacobi_logdet_exact`'s special functions, so a row that asks for
+    both lifts each Gamma argument once. An error delta in mu_0 scales every
+    moment alike: it moves beta_0 = mu_0 alone, and ln D_n by n delta. The
+    rest are mu_0 N_k / D_k from the exact integer ratio terms, each one
+    integer division on the working bits plus 8, scaled to mu_0 as the
+    factorization's fixed point is (|mu_k| <= mu_0), at the conditioning
+    guard. The sequence carries no modified moments, so it feeds the ldl
     route only.
     """
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
-    with p.workdps(_conditioning_guard(n)):
-        mass = jacobi_moment(0, jp, Precision(mp.dps))
-        mus = tuple(mass * to_mpf(r) for r in jacobi_moment_ratios(2 * n - 1, jp))
-    return MomentSequence(mus, "pure")
+    mass = jacobi_moment(0, jp, Precision(p.decimal_digits + GUARD_DIGITS))
+    with p.workdps(_conditioning_guard(n, jp)):
+        shift = mp.prec + 8 - mpmath.mag(mass)
+        scaled = int(mpmath.ldexp(mass, shift))
+        mus = tuple(mpmath.ldexp(scaled * num // den, -shift)
+                    for num, den in jacobi_moment_ratio_terms(2 * n - 1, jp))
+    return MomentSequence(mus, "pure", basis=jp)
 
 
 def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
@@ -153,7 +188,7 @@ def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
     if m < n + QUAD_ORDER_MARGIN:
         raise DomainError(f"rule order {m} cannot resolve moments for size {n}: "
                           f"the minimum is {n + QUAD_ORDER_MARGIN}")
-    with p.workdps(_conditioning_guard(n)):
+    with p.workdps(_conditioning_guard(n, jp)):
         rule = gauss_jacobi_rule(m, jp, Precision(mp.dps))
         count = 2 * n - 1
         bits, two_alpha, four_beta = scaled_recurrence(
@@ -213,6 +248,7 @@ def _factorization(ms: MomentSequence, n: int, p: Precision, moments, basis,
                    breakdown) -> HankelResult:
     """The size-n result of :func:`modified_chebyshev` on ``moments(2n)`` against
     the basis coefficients ``basis(2n)``; beta_0 = nu_0 = mu_0 in either basis.
+    It runs at the conditioning guard of ``ms.basis``, the bare weight.
 
     A breakdown at index k, a nonpositive beta_k (``breakdown(k, betas)``
     words it) or a zero denominator at step k, raises PrecisionError
@@ -222,7 +258,7 @@ def _factorization(ms: MomentSequence, n: int, p: Precision, moments, basis,
         raise DomainError(f"size must be >= 1, got {n}")
     if ms.max_order() < n:
         raise DomainError(f"moment sequence covers size {ms.max_order()}, need {n}")
-    with p.workdps(_conditioning_guard(n)):
+    with p.workdps(_conditioning_guard(n, ms.basis)):
         try:
             _, betas = modified_chebyshev(moments(2 * n), *basis(2 * n), n)
             stopped = None
@@ -278,7 +314,10 @@ def modified_chebyshev(nu, aux_alpha, aux_beta, count: int):
     denominator of beta_{k+1}, again carries F bits. The 3 count guard
     bits are for raw moments, where an error in sigma_{k,l} reaches a later
     diagonal amplified about 2^(l-k): 2 count bits plus a slowly growing
-    excess (about 9 digits at count = 100).
+    excess (about 9 digits at count = 100). They do not cover the raw
+    moments' own rounding, which costs about log10(mu_0 / h_{count-1})
+    digits; the caller's working precision carries that guard
+    (:func:`_conditioning_guard`).
     """
     length = 2 * count
     if len(nu) < length:

@@ -140,18 +140,31 @@ def jacobi_recurrence_table(count: int, jp: JacobiParams) -> tuple:
     return alphas, betas
 
 
-def jacobi_moment_ratios(count: int, jp: JacobiParams) -> list:
-    """mu_k/mu_0 for k < count by (a+b+k+2) mu_{k+1} = (b-a) mu_k + k mu_{k-1}.
+def jacobi_moment_ratio_terms(count: int, jp: JacobiParams):
+    """(N_k, D_k) with mu_k/mu_0 = N_k / D_k for k < count, unreduced integers.
 
-    The recurrence integrates d/dx[(1-x)^(a+1) (1+x)^(b+1) x^k] over [-1, 1];
-    both of its solutions decay like powers of k, so the forward run is
-    stable. The ratios are exact Fractions.
+    The ratios obey (a+b+k+2) mu_{k+1} = (b-a) mu_k + k mu_{k-1}, which
+    integrates d/dx[(1-x)^(a+1) (1+x)^(b+1) x^k] over [-1, 1]; both of its
+    solutions decay like powers of k, so the forward run is stable. With
+    a = A/q and b = B/q, D_k = prod_{j<k} c_j, c_j = A + B + (j+2) q, and
+
+        N_{k+1} = (B-A) N_k + k q c_{k-1} N_{k-1},
+
+    so the run takes no gcd.
     """
-    a, b = jp.alpha, jp.beta
-    ratios = [Fraction(1), (b - a) / (a + b + 2)]
-    for k in range(1, count - 1):
-        ratios.append(((b - a) * ratios[k] + k * ratios[k - 1]) / (a + b + k + 2))
-    return ratios[:count]
+    A, B, q = _over_common_denominator(jp)
+    previous, numerator, denominator = 0, 1, 1
+    for k in range(count):
+        yield numerator, denominator
+        c = A + B + (k + 2) * q
+        previous, numerator = numerator, (B - A) * numerator + k * q * (c - q) * previous
+        denominator *= c
+
+
+def jacobi_moment_ratios(count: int, jp: JacobiParams) -> list:
+    """mu_k/mu_0 for k < count as exact Fractions, each reduced once
+    (:func:`jacobi_moment_ratio_terms`)."""
+    return [Fraction(*terms) for terms in jacobi_moment_ratio_terms(count, jp)]
 
 
 def jacobi_moment_exact(k: int, jp: JacobiParams) -> Fraction:

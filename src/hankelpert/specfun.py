@@ -25,6 +25,10 @@ absolute, a few units of 10^-(dps + 8). They are the single point through
 which the rest of the package touches these special functions, so the
 difference-equation and doubling invariants in the test suite certify
 every downstream consumer.
+
+The lift, ln x and both series of one argument at one kernel precision are
+memoized together (:func:`_lifted`), so ln Gamma(z) after ln G(z), or either
+one again, costs at most one log.
 """
 from __future__ import annotations
 
@@ -43,9 +47,8 @@ def log_gamma(z, p: Precision) -> BigReal:
     with p.workdps():
         zv = _positive(z, "log_gamma")
         with _kernel_precision(zv):
-            n = _lift_point()
-            x, k, poch, _ = _lift(zv, n)
-            value = _series_gamma(x, mpmath.log(x), n) - (mpmath.log(poch) if k else 0)
+            point = _lifted(zv, mp.prec, _lift_point())
+            value = point.series_gamma - (mpmath.log(point.poch) if point.k else 0)
         return ensure_finite(+value, "log_gamma")
 
 
@@ -59,10 +62,10 @@ def log_barnes_g(z, p: Precision) -> BigReal:
         zv = _positive(z, "log_barnes_g")
         with _kernel_precision(zv):
             n = _lift_point()
-            x, k, _, powers = _lift(zv, n)
-            log_x = mpmath.log(x)
-            value = (_series_g(x, log_x, n) + _zeta_prime_minus_one(mp.prec, n)
-                     - (k + 1) * _series_gamma(x, log_x, n) + (mpmath.log(powers) if k else 0))
+            point = _lifted(zv, mp.prec, n)
+            value = (point.series_g + _zeta_prime_minus_one(mp.prec, n)
+                     - (point.k + 1) * point.series_gamma
+                     + (mpmath.log(point.powers) if point.k else 0))
         return ensure_finite(+value, "log_barnes_g")
 
 
@@ -105,6 +108,35 @@ def _lift(z, n: int) -> tuple:
     poch, powers = running_product(
         ((base + j * step, scale) for j in reversed(range(k))), mp.prec + 8)
     return z + k, k, mpf(poch), mpf(powers)
+
+
+class _Lifted:
+    """One argument's lift, ln x and series at the precision it was made at.
+
+    Both functions read S_Gamma; S_G, which only ln G reads, is summed on first use.
+    """
+
+    def __init__(self, z, n: int):
+        self.n = n
+        self.x, self.k, self.poch, self.powers = _lift(z, n)
+        self.log_x = mpmath.log(self.x)
+        self.series_gamma = _series_gamma(self.x, self.log_x, n)
+
+    @functools.cached_property
+    def series_g(self) -> BigReal:
+        return _series_g(self.x, self.log_x, self.n)
+
+
+@functools.lru_cache(maxsize=64)
+def _lifted(z, prec: int, n: int) -> _Lifted:
+    """The kernel's work at z, for the caller's ``prec`` = mp.prec and lift point n.
+
+    Memoized (the 64 most recent) so that ln Gamma and ln G at one argument
+    and precision lift and sum once: an exact row asks for both at a+1, b+1
+    and s+2 (the closed form's head and mu_0) and at n+(s+1)/2. A memoized
+    value is the one a fresh call computes, bit for bit.
+    """
+    return _Lifted(z, n)
 
 
 def _series_gamma(x, log_x, n: int) -> BigReal:

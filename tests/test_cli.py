@@ -330,6 +330,42 @@ def test_exact_row_evaluates_barnes_g_head_once(capsys, monkeypatch):
     assert len(calls) == 11
 
 
+def test_exact_row_lifts_each_argument_once_at_one_precision(capsys, monkeypatch):
+    """mu_0, the closed form and its head run their ln Gamma and ln G at one kernel
+    precision and lift each argument once: the head's 5 (a + 1, b + 1 and s + 2 among
+    them, mu_0's three) and the 6 n-dependent ones, fewer where two coincide."""
+    jacobi.jacobi_asym_constant.cache_clear()
+    specfun._lifted.cache_clear()
+    lifts, lift = [], specfun._lift
+    monkeypatch.setattr(specfun, "_lift",
+                        lambda z, n: lifts.append((z, mpmath.mp.prec)) or lift(z, n))
+    code, _, _ = run_json(["exact", "--n", "55", "--alpha", "1/2"], capsys)
+    assert code == 0
+    assert 0 < len(lifts) <= 11
+    assert len(set(lifts)) == len(lifts)
+    assert len({prec for _, prec in lifts}) == 1
+
+
+@pytest.mark.parametrize("alpha, beta, n", [(60, 0, 20), (40, 0, 30), (60, 3, 30),
+                                            (100, 3, 20), (60, 0, 40), (100, 0, 20)])
+def test_exact_large_exponents_print_right_digits(capsys, alpha, beta, n):
+    """The factorization's guard covers the weight's pivot decay log10(mu_0 / h_{n-1}),
+    which outgrows 0.7 n at large exponents (46 digits at (60, 0) with n = 40). Under
+    a 0.7 n guard the first four rows exit 0 with up to 12 wrong LDL digits and the
+    last two exit 3; every log_det_* must be within 10^(1 - digits), relative, of the
+    exact rational ln D_n."""
+    code, rep, err = run_json(["exact", "--n", str(n), f"--alpha={alpha}", f"--beta={beta}"],
+                              capsys)
+    assert code == 0, err
+    row = rep["rows"][0]
+    d_n = hankel.rational_hankel_minors(jacobi.JacobiParams(alpha, beta), n)[-1]
+    with mpmath.workdps(row["digits"] + 20):
+        exact = mpmath.log(d_n.numerator) - mpmath.log(d_n.denominator)
+        tol = mpmath.mpf(10) ** (1 - row["digits"]) * abs(exact)
+        for key in ("log_det_closed", "log_det_norm_product", "log_det_ldl"):
+            assert abs(mpmath.mpf(row[key]) - exact) <= tol, key
+
+
 class _Forbidden:
     """Stands in for an mpmath value or function that no run may read."""
 
@@ -355,7 +391,8 @@ def test_runs_use_neither_mpmath_barnesg_nor_glaisher(capsys, monkeypatch):
     monkeypatch.setattr(specfun, "_TANGENT", [])
     monkeypatch.setattr(specfun, "_PASSES", [])
     for cached in (jacobi.jacobi_asym_constant, specfun._zeta_prime_minus_one,
-                   specfun._gamma_coefficients, specfun._tail_coefficients):
+                   specfun._gamma_coefficients, specfun._tail_coefficients,
+                   specfun._lifted, hankel._pivot_decay):
         cached.cache_clear()
     for argv in (["exact", "--n", "10", "--alpha", "1/2", "--beta", "3/2"],
                  ["exact", "--n", "12", "--alpha", "1/3", "--beta", "2"],

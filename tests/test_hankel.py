@@ -150,6 +150,25 @@ def test_ldl_against_dense_determinant():
             assert float(abs(got.log_det - mpmath.log(mpmath.det(H)))) < 1e-48, f"n={n}"
 
 
+def test_scaling_the_moments_moves_beta_0_alone():
+    """Every moment times (1 + 1e-40) leaves beta_1..beta_{n-1} as they were and
+    moves ln D_n by n 1e-40: an error in mu_0 costs n times itself, so one mu_0
+    at the closed form's precision serves the ldl route and the norm product."""
+    jp, n = JacobiParams("1/2", 0), 30
+    p = auto_precision(n)
+    ms = pure_moment_sequence(jp, n, p)
+    with p.workdps(_conditioning_guard(n, jp)):
+        factor = 1 + mpmath.mpf(10) ** -40
+        scaled = ms._replace(mu=tuple(mu * factor for mu in ms.mu))
+    base, moved = hankel_logdet_ldl(ms, n, p), hankel_logdet_ldl(scaled, n, p)
+    with p.workdps():
+        tol = mpmath.mpf(10) ** -p.decimal_digits
+        assert abs(moved.betas[0] / base.betas[0] - factor) < tol
+        for j in range(1, n):
+            assert abs(moved.betas[j] / base.betas[j] - 1) < tol, j
+        assert abs(moved.log_det - base.log_det - n * mpmath.log(factor)) < tol
+
+
 def test_precision_policy_values():
     assert auto_digits(1) == 64
     assert auto_digits(10) == 64

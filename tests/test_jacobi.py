@@ -12,13 +12,33 @@ from hankelpert.hankel import MomentSequence
 from hankelpert.jacobi import (JacobiParams, jacobi_alpha_n_exact,
                                jacobi_asym_constant, jacobi_beta_n_exact, jacobi_log_hn,
                                jacobi_logdet_asym, jacobi_logdet_exact,
-                               jacobi_moment, jacobi_moment_exact,
+                               jacobi_moment, jacobi_moment_exact, jacobi_moment_ratios,
                                jacobi_recurrence_table, jacobi_structure_exact)
 from hankelpert.precision import Precision, to_mpf
 from hankelpert.specfun import log_barnes_g, log_gamma
 
 P64 = Precision(64)
 HALF = Fraction(1, 2)
+
+
+def _ratios_by_fractions(count, jp):
+    """mu_k/mu_0 by the moment recurrence on Fractions, one reduced division a step."""
+    a, b = jp.alpha, jp.beta
+    ratios = [Fraction(1), (b - a) / (a + b + 2)]
+    for k in range(1, count - 1):
+        ratios.append(((b - a) * ratios[k] + k * ratios[k - 1]) / (a + b + k + 2))
+    return ratios[:count]
+
+
+@pytest.mark.parametrize("alpha, beta", [(0, 0), ("1/2", 0), ("1/3", 2), ("-2/3", "1/2"),
+                                         ("-9/10", 3), (60, 0)])
+def test_moment_ratios_match_plain_fraction_recurrence(alpha, beta):
+    """The integer recurrence over a common denominator gives the Fractions the plain
+    recurrence gives, at every count up to 200."""
+    jp = JacobiParams(alpha, beta)
+    want = _ratios_by_fractions(200, jp)
+    for count in (0, 1, 2, 3, 199, 200):
+        assert jacobi_moment_ratios(count, jp) == want[:count], count
 
 
 def test_params_normalize_to_fractions():

@@ -65,6 +65,31 @@ def test_barnes_g_recurrence_ladder():
         assert float(abs(acc - log_barnes_g(z + 20, P80))) < 1e-70
 
 
+@pytest.mark.parametrize("digits", (40, 200))
+def test_memoized_values_are_bit_identical_to_cold_values(digits):
+    """ln Gamma and ln G read from the memo, after the other function or after
+    themselves, in either order and with entries of the neighbouring precisions
+    present (one of which shares the lift point), equal a cold call's value bit
+    for bit."""
+    p, others = Precision(digits), (Precision(digits - 1), Precision(digits + 1))
+    zs = (Fraction(1, 3), Fraction(5, 2), Fraction(229, 4), 300)
+    funcs = (log_gamma, log_barnes_g)
+
+    def cold(f, z):
+        specfun._lifted.cache_clear()
+        return f(z, p)._mpf_
+
+    want = {(f, z): cold(f, z) for f in funcs for z in zs}
+    for order in (funcs, funcs[::-1]):
+        specfun._lifted.cache_clear()
+        for z in zs:
+            for f in order:
+                for other in others:
+                    f(z, other)
+                assert f(z, p)._mpf_ == want[f, z], (f.__name__, z)
+                assert f(z, p)._mpf_ == want[f, z], (f.__name__, z)
+
+
 ORACLE_Z = (Fraction(1, 100), Fraction(1, 3), Fraction(1, 2), Fraction(7, 6), Fraction(5, 3),
             Fraction(5, 2), Fraction(37, 3), Fraction(101, 2), Fraction(1001, 3))
 
