@@ -20,11 +20,14 @@ Hankel matrices of smooth positive weights are notoriously ill-conditioned:
 the pivots decay geometrically (like 4^-j here), so a linear-in-n digit
 budget is required. ``auto_digits`` implements the policy
 max(64, ceil(1.4 n) + 32), and the internal arithmetic adds a further
-conditioning guard, 8 + ceil(max(0.7 n, decay + 2)) digits with decay =
-log10(mu_0 / h_{n-1}) the bare weight's exact pivot decay, so results still
-honour the 8-guard-digit contract of the requested precision. The decay is
-about 0.6 n at moderate exponents, and sets the guard only at small n and
-at large exponents (46 digits at alpha = 60 with n = 40). Breakdown (a
+conditioning guard, 8 + ceil(max(0.7 n, decay + 2 + max(0, 2 growth - 8)))
+digits with decay = log10(mu_0 / h_{n-1}) the bare weight's exact pivot
+decay and growth = log10 max |P_{n-1}(x)| over x = 1, -1, i, P its monic
+orthogonal polynomial, so results still honour the 8-guard-digit contract
+of the requested precision. The decay is about 0.6 n at moderate
+exponents, and sets the guard only at small n and at large exponents (46
+digits at alpha = 60 with n = 40); growth adds to it at large exponents
+and, from n of about 100, at every exponent. Breakdown (a
 nonpositive pivot or recurrence coefficient) raises PrecisionError with
 the failing index; it is detected, never masked.
 
@@ -50,8 +53,8 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import DomainError, PrecisionError
-from .jacobi import (JacobiParams, jacobi_beta_n_exact, jacobi_moment, jacobi_moment_exact,
-                     jacobi_moment_ratio_terms, jacobi_moment_ratios, jacobi_recurrence_table)
+from .jacobi import (JacobiParams, jacobi_moment, jacobi_moment_exact, jacobi_moment_ratio_terms,
+                     jacobi_moment_ratios, jacobi_recurrence_table)
 from .precision import (GUARD_DIGITS, KERNEL_GUARD_BITS, BigReal, Precision,
                         checked_namedtuple, ensure_finite, running_product, to_mpf)
 
@@ -74,25 +77,49 @@ def auto_precision(n: int) -> Precision:
 
 def _conditioning_guard(n: int, jp: JacobiParams = None) -> int:
     """Guard digits of a size-n factorization: 8 + ceil(0.7 n), or, for the
-    weight of exponents ``jp``, 8 + ceil(max(0.7 n, decay + 2)) with decay
-    from :func:`_pivot_decay`."""
+    weight of exponents ``jp``, 8 + ceil(max(0.7 n, decay + 2 + max(0, 2 growth - 8)))
+    with decay and growth from :func:`_pivot_decay`.
+
+    The rounding of the raw moments reaches ln D_n about decay + 2 growth
+    digits below mu_0 (measured: decay plus 1.0-1.9 growth at n = 20-200
+    and alpha up to 10^4), so once 2 growth passes the 8 guard digits the
+    guard covers that loss and keeps 2 digits to spare."""
     rows = CONDITIONING_GUARD_PER_ROW * n
     if jp is not None:
-        rows = max(rows, _pivot_decay(n, jp) + DECAY_MARGIN)
+        decay, growth = _pivot_decay(n, jp)
+        rows = max(rows, decay + DECAY_MARGIN + max(0, 2 * growth - GUARD_DIGITS))
     return GUARD_DIGITS + math.ceil(rows)
 
 
 @functools.lru_cache
-def _pivot_decay(n: int, jp: JacobiParams) -> float:
-    """log10(mu_0 / h_{n-1}) = -sum_{0<j<n} log10 beta_j, from the exact beta_j.
+def _pivot_decay(n: int, jp: JacobiParams) -> tuple:
+    """(decay, growth), decay = log10(mu_0 / h_{n-1}) = -sum_{0<j<n} log10 beta_j
+    and growth = log10 max |P_{n-1}(x)| over x = 1, -1, i, P monic, both from
+    the exact recurrence.
 
-    The last pivot of the bare weight's n x n moment matrix is this many
-    digits below mu_0, and the moments, rounded relative to mu_0, lose as
-    many. It is about 0.6 n for moderate exponents, under the 0.7 n floor,
-    and 46 at alpha = 60 with n = 40.
+    The last pivot of the bare weight's n x n moment matrix is decay digits
+    below mu_0, and the moments, rounded relative to mu_0, lose as many. It
+    is about 0.6 n for moderate exponents, under the 0.7 n floor, and 46 at
+    alpha = 60 with n = 40. The factorization's multipliers are the
+    monomial coefficients of the P_k, whose absolute sum is at least
+    |P_k(x)| for |x| = 1: equal at x = 1 or -1 when the zeros crowd to one
+    end, as at one large exponent, and at x = i when they are symmetric.
+    growth is about 0.08 n at moderate exponents and nears 0.3 n as one
+    exponent grows.
     """
-    betas = (jacobi_beta_n_exact(j, jp) for j in range(1, n))
-    return -sum(math.log10(b.numerator) - math.log10(b.denominator) for b in betas)
+    alphas, betas = jacobi_recurrence_table(n, jp)
+    decay = -sum(math.log10(b.numerator) - math.log10(b.denominator) for b in betas[1:])
+    steps = [(float(a), float(b)) for a, b in zip(alphas[:-1], betas)]
+    growth = 0.0  # |P(i)| >= 1, the zeros being real
+    for x in (1, -1, 1j):
+        digits, previous, value = 0, 0, 1
+        for a, b in steps:
+            previous, value = value, (x - a) * value - b * previous
+            if abs(value) > 1e100:
+                digits, previous, value = digits + 100, previous / 1e100, value / 1e100
+        if value:
+            growth = max(growth, digits + math.log10(abs(value)))
+    return decay, growth
 
 
 def cross_validation_tol(n: int, p: Precision) -> BigReal:

@@ -18,8 +18,10 @@ The exponents are exact rationals (``JacobiParams`` refuses any other
 value), so the recurrence coefficients and the moment ratios mu_k/mu_0 (and,
 for nonnegative integer parameters, the moments) are exact ``Fraction``
 values, rounded once where a working-precision value is asked for; they are
-also the bit-exact ground truth of the tests. An irrational exponent is
-passed as a decimal string carrying the digits it needs.
+also the bit-exact ground truth of the tests. The closed forms pass their
+Gamma and Barnes-G arguments to ``specfun`` as exact Fractions, so only
+their elementary terms are rounded here. An irrational exponent is passed
+as a decimal string carrying the digits it needs.
 """
 from __future__ import annotations
 
@@ -197,25 +199,25 @@ def jacobi_log_hn(n: int, jp: JacobiParams, p: Precision) -> BigReal:
     """
     if n < 0:
         raise DomainError(f"norm index must be nonnegative, got {n}")
+    a, b = jp.alpha, jp.beta
+    s = a + b
     with p.workdps():
-        a, b = jp.ab_mpf()
-        s = a + b
         inner = Precision(mp.dps)
         if n == 0:
             # h_0 = mu_0 = 2^(s+1) B(a+1, b+1); written with Gamma(s+2) so the
             # s=-1 case stays finite (the generic formula pairs Gamma(s+1)
             # with a 1/(s+1) and is 0/0 there)
-            value = ((s + 1) * mpmath.log(2) + log_gamma(a + 1, inner)
+            value = (to_mpf(s + 1) * mpmath.log(2) + log_gamma(a + 1, inner)
                      + log_gamma(b + 1, inner) - log_gamma(s + 2, inner))
             return ensure_finite(value, "ln h_0")
-        value = ((2 * n + s + 1) * mpmath.log(2)
+        value = (to_mpf(2 * n + s + 1) * mpmath.log(2)
                  + log_gamma(n + 1, inner) + log_gamma(n + a + 1, inner)
                  + log_gamma(n + b + 1, inner) + log_gamma(n + s + 1, inner)
-                 - mpmath.log(2 * n + s + 1) - 2 * log_gamma(2 * n + s + 1, inner))
+                 - mpmath.log(to_mpf(2 * n + s + 1)) - 2 * log_gamma(2 * n + s + 1, inner))
         return ensure_finite(value, f"ln h_{n}")
 
 
-def _log_gamma_g_ratio(s, p: Precision) -> BigReal:
+def _log_gamma_g_ratio(s: Fraction, p: Precision) -> BigReal:
     """ln[Gamma(eps) G(eps)^2 / G(2 eps)], eps = (s+1)/2, for every s > -2.
 
     Shifted by G(z+1) = Gamma(z) G(z) to
@@ -253,16 +255,17 @@ def jacobi_logdet_exact(n: int, jp: JacobiParams, p: Precision) -> BigReal:
 
     The n-independent head, the second and third lines, is the memoized
     :func:`jacobi_asym_constant`, which keeps every argument positive down
-    to s > -2.
+    to s > -2. Every argument is an exact Fraction, rounded only inside the
+    special-function kernel.
     """
     if n < 1:
         raise DomainError(f"determinant order must be >= 1, got {n}")
+    a, b = jp.alpha, jp.beta
+    s = a + b
     with p.workdps(2 * GUARD_DIGITS):
-        a, b = jp.ab_mpf()
-        s = a + b
         inner = Precision(mp.dps)
         lG = lambda z: log_barnes_g(z, inner)
-        value = (-n * (n + s) * mpmath.log(2) + n * mpmath.log(2 * mpmath.pi)
+        value = (-to_mpf(n * (n + s)) * mpmath.log(2) + n * mpmath.log(2 * mpmath.pi)
                  + jacobi_asym_constant(jp, p)
                  + lG(n + 1) + lG(n + a + 1) + lG(n + b + 1) + lG(n + s + 1)
                  - 2 * lG(n + (s + 1) / 2) - 2 * lG(n + s / 2 + 1)
@@ -283,9 +286,9 @@ def jacobi_asym_constant(jp: JacobiParams, p: Precision) -> BigReal:
     working precision, so rows of equal precision evaluate its five Barnes
     G terms once.
     """
+    a, b = jp.alpha, jp.beta
+    s = a + b
     with p.workdps(2 * GUARD_DIGITS):
-        a, b = jp.ab_mpf()
-        s = a + b
         inner = Precision(mp.dps)
         value = (_log_gamma_g_ratio(s, inner) + 2 * log_barnes_g(s / 2 + 1, inner)
                  - log_barnes_g(a + 1, inner) - log_barnes_g(b + 1, inner))

@@ -4,7 +4,8 @@ The Barnes G-function is the entire function satisfying
 
     G(z+1) = Gamma(z) * G(z),    G(1) = 1.
 
-Both functions lift z by k = max(0, ceil(N - z)) Pochhammer steps to
+Both functions take z exactly, as a Fraction (an mpf is one, man 2^exp),
+lift it by k = max(0, ceil(N - z)) Pochhammer steps to the exact lift point
 x = z + k >= N, N = dps/2 + 4, where their large-argument series converge,
 and sum the series there:
 
@@ -26,29 +27,33 @@ which the rest of the package touches these special functions, so the
 difference-equation and doubling invariants in the test suite certify
 every downstream consumer.
 
-The lift, ln x and both series of one argument at one kernel precision are
-memoized together (:func:`_lifted`), so ln Gamma(z) after ln G(z), or either
-one again, costs at most one log.
+Below N, x depends only on z mod 1. Each argument's lift (:func:`_lifted`)
+and each lift point's series (:func:`_series_gamma`, :func:`_series_g`, whose
+memo zeta'(-1) reads at N) are memoized per kernel precision, so arguments
+equal mod 1 share one sum of each series, and z is rounded only in the kernel.
 """
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from .errors import DomainError, PrecisionError
-from .precision import BigReal, Precision, ensure_finite, running_product, to_mpf
+from .precision import BigReal, Precision, ensure_finite, exact_fraction, running_product, to_mpf
 
 
 def log_gamma(z, p: Precision) -> BigReal:
     """ln Gamma(z) for real z > 0."""
     with p.workdps():
-        zv = _positive(z, "log_gamma")
-        with _kernel_precision(zv):
-            point = _lifted(zv, mp.prec, _lift_point())
-            value = point.series_gamma - (mpmath.log(point.poch) if point.k else 0)
+        q = _positive(z, "log_gamma")
+        with _kernel_precision(q):
+            n = _lift_point()
+            x, k, poch, _ = _lifted(q, mp.prec, n)
+            value = _series_gamma(x, mp.prec, n)[1] - (mpmath.log(poch) if k else 0)
         return ensure_finite(+value, "log_gamma")
 
 
@@ -59,32 +64,34 @@ def log_barnes_g(z, p: Precision) -> BigReal:
     give the module's formula, whose two series share x and ln x.
     """
     with p.workdps():
-        zv = _positive(z, "log_barnes_g")
-        with _kernel_precision(zv):
+        q = _positive(z, "log_barnes_g")
+        with _kernel_precision(q):
             n = _lift_point()
-            point = _lifted(zv, mp.prec, n)
-            value = (point.series_g + _zeta_prime_minus_one(mp.prec, n)
-                     - (point.k + 1) * point.series_gamma
-                     + (mpmath.log(point.powers) if point.k else 0))
+            x, k, _, powers = _lifted(q, mp.prec, n)
+            value = (_series_g(x, mp.prec, n) + _zeta_prime_minus_one(mp.prec, n)
+                     - (k + 1) * _series_gamma(x, mp.prec, n)[1]
+                     + (mpmath.log(powers) if k else 0))
         return ensure_finite(+value, "log_barnes_g")
 
 
-def _positive(z, name: str) -> BigReal:
-    zv = to_mpf(z)
-    if not zv > 0:
-        raise DomainError(f"{name} requires z > 0, got {zv}")
-    return zv
+def _positive(z, name: str) -> Fraction:
+    """z as an exact Fraction, an mpf being one (man 2^exp); DomainError unless z > 0."""
+    finite_mpf = isinstance(z, mpf) and mpmath.isfinite(z)
+    q = Fraction(*to_rational(z._mpf_)) if finite_mpf else exact_fraction(z)
+    if q is None or not q > 0:
+        raise DomainError(f"{name} requires z > 0, got {z}")
+    return q
 
 
-def _kernel_precision(z):
+def _kernel_precision(z: Fraction):
     """Guard digits for the kernel's cancellation at the current precision.
 
     The series and the lift are of size up to x^2 ln x, x the series
-    argument, and cancel to the result; x^2 ln x < 2^(2e) e for
-    e = mag(max(z, dps)), so about log10 of that many digits keep the
-    caller's guard digits intact.
+    argument, and cancel to the result; x^2 ln x < 2^(2e) e for e the bit
+    length of max(floor(z), dps), so about log10 of that many digits keep
+    the caller's guard digits intact.
     """
-    e = mpmath.mag(max(z, mp.dps))
+    e = max(math.floor(z), mp.dps).bit_length()
     return mpmath.extradps(int((2 * e + e.bit_length()) * math.log10(2)) + 1)
 
 
@@ -93,67 +100,51 @@ def _lift_point() -> int:
     return mp.dps // 2 + 4
 
 
-def _lift(z, n: int) -> tuple:
-    """(x, k, (z)_k, prod_{j<k} (z+j)^(j+1)) for x = z + k, k = max(0, ceil(n - z)).
+def _lift(z: Fraction, n: int) -> tuple:
+    """(x, k, (z)_k, prod_{j<k} (z+j)^(j+1)) for the exact x = z + k, k = max(0, ceil(n - z)).
 
     The factors z + j, j = k-1, ..., 0, have the running products
     (z+j)(z+j+1)...(z+k-1), the last of which is (z)_k, and the product of
-    those is the second product. Both run on integers: z = m 2^e exactly, so
-    each factor is the integer m + j 2^-e times 2^e, and
-    :func:`running_product` cuts both to prec + 8 bits.
+    those is the second product. Both run on integers: z = a/d with
+    d = d' 2^t and d' odd, so each factor is the integer a + j d times 2^-t,
+    and :func:`running_product` cuts both to prec + 8 bits. Each product is
+    then divided once by its power of d', which is 1 for an mpf z.
     """
-    k = max(0, int(mpmath.ceil(n - z)))
-    _, man, exp, _ = z._mpf_
-    base, step, scale = man << max(0, exp), 1 << max(0, -exp), min(0, exp)
-    poch, powers = running_product(
-        ((base + j * step, scale) for j in reversed(range(k))), mp.prec + 8)
-    return z + k, k, mpf(poch), mpf(powers)
-
-
-class _Lifted:
-    """One argument's lift, ln x and series at the precision it was made at.
-
-    Both functions read S_Gamma; S_G, which only ln G reads, is summed on first use.
-    """
-
-    def __init__(self, z, n: int):
-        self.n = n
-        self.x, self.k, self.poch, self.powers = _lift(z, n)
-        self.log_x = mpmath.log(self.x)
-        self.series_gamma = _series_gamma(self.x, self.log_x, n)
-
-    @functools.cached_property
-    def series_g(self) -> BigReal:
-        return _series_g(self.x, self.log_x, self.n)
+    k = max(0, math.ceil(n - z))
+    a, d = z.numerator, z.denominator
+    t = (d & -d).bit_length() - 1
+    poch, powers = running_product(((a + j * d, -t) for j in reversed(range(k))), mp.prec + 8)
+    return z + k, k, mpf(poch) / (d >> t) ** k, mpf(powers) / (d >> t) ** (k * (k + 1) // 2)
 
 
 @functools.lru_cache(maxsize=64)
-def _lifted(z, prec: int, n: int) -> _Lifted:
-    """The kernel's work at z, for the caller's ``prec`` = mp.prec and lift point n.
-
-    Memoized (the 64 most recent) so that ln Gamma and ln G at one argument
-    and precision lift and sum once: an exact row asks for both at a+1, b+1
-    and s+2 (the closed form's head and mu_0) and at n+(s+1)/2. A memoized
-    value is the one a fresh call computes, bit for bit.
-    """
-    return _Lifted(z, n)
+def _lifted(z: Fraction, prec: int, n: int) -> tuple:
+    """:func:`_lift` at the caller's ``prec`` = mp.prec, memoized (the 64 most recent): an
+    exact row asks for ln Gamma and ln G at a+1, b+1, s+2 (its head and mu_0) and n+(s+1)/2."""
+    return _lift(z, n)
 
 
-def _series_gamma(x, log_x, n: int) -> BigReal:
-    """ln Gamma(x) for x >= n (DLMF 5.11.1), the Bernoulli sum in fixed point."""
-    bits = mp.prec
-    u = int(mpmath.ldexp(n / x, bits))
-    tail = _power_sum(_gamma_coefficients(bits, n), u, (u * u) >> bits, bits)
-    return (x - mpf(0.5)) * log_x - x + _half_log_2pi(bits) + mpmath.ldexp(tail, -bits)
+@functools.lru_cache(maxsize=64)
+def _series_gamma(x: Fraction, prec: int, n: int) -> tuple:
+    """(ln x, ln Gamma(x)) for exact x >= n at ``prec`` = mp.prec bits (DLMF 5.11.1), the
+    Bernoulli sum in fixed point; memoized (the 64 most recent) per lift point."""
+    x = to_mpf(x)
+    log_x = mpmath.log(x)
+    u = int(mpmath.ldexp(n / x, prec))
+    tail = _power_sum(_gamma_coefficients(prec, n), u, (u * u) >> prec, prec)
+    return log_x, (x - mpf(0.5)) * log_x - x + _half_log_2pi(prec) + mpmath.ldexp(tail, -prec)
 
 
-def _series_g(x, log_x, n: int) -> BigReal:
-    """ln G(x+1) - zeta'(-1) for x >= n (DLMF 5.17.5), the Bernoulli sum in fixed point."""
+@functools.lru_cache(maxsize=64)
+def _series_g(x: Fraction, prec: int, n: int) -> BigReal:
+    """ln G(x+1) - zeta'(-1) for exact x >= n at ``prec`` = mp.prec bits (DLMF 5.17.5),
+    the Bernoulli sum in fixed point; memoized as :func:`_series_gamma`, whose ln x it reads."""
+    log_x = _series_gamma(x, prec, n)[0]
+    x = to_mpf(x)
     x2 = x * x
-    bits = mp.prec
-    value = x * _half_log_2pi(bits) + (x2 / 2 - mpf(1) / 12) * log_x - 3 * x2 / 4
-    v = int(mpmath.ldexp(n * n / x2, bits))
-    return value + mpmath.ldexp(_power_sum(_tail_coefficients(bits, n), v, v, bits), -bits)
+    value = x * _half_log_2pi(prec) + (x2 / 2 - mpf(1) / 12) * log_x - 3 * x2 / 4
+    v = int(mpmath.ldexp(n * n / x2, prec))
+    return value + mpmath.ldexp(_power_sum(_tail_coefficients(prec, n), v, v, prec), -prec)
 
 
 @functools.cache
@@ -241,4 +232,4 @@ def _zeta_prime_minus_one(prec: int, n: int) -> BigReal:
     """zeta'(-1) = 1/12 - ln A at ``prec`` bits, fixed by G(n+1) = prod_{j<n} j!."""
     with mp.workprec(prec):
         log_g = mpmath.log(math.prod(math.factorial(j) for j in range(n)))
-        return log_g - _series_g(mpf(n), mpmath.log(n), n)
+        return log_g - _series_g(n, prec, n)

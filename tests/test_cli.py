@@ -334,8 +334,9 @@ def test_exact_row_lifts_each_argument_once_at_one_precision(capsys, monkeypatch
     """mu_0, the closed form and its head run their ln Gamma and ln G at one kernel
     precision and lift each argument once: the head's 5 (a + 1, b + 1 and s + 2 among
     them, mu_0's three) and the 6 n-dependent ones, fewer where two coincide."""
-    jacobi.jacobi_asym_constant.cache_clear()
-    specfun._lifted.cache_clear()
+    for memo in (jacobi.jacobi_asym_constant, specfun._lifted, specfun._series_gamma,
+                 specfun._series_g):
+        memo.cache_clear()
     lifts, lift = [], specfun._lift
     monkeypatch.setattr(specfun, "_lift",
                         lambda z, n: lifts.append((z, mpmath.mp.prec)) or lift(z, n))
@@ -346,21 +347,45 @@ def test_exact_row_lifts_each_argument_once_at_one_precision(capsys, monkeypatch
     assert len({prec for _, prec in lifts}) == 1
 
 
+def test_exact_row_sums_one_series_per_lift_point(capsys):
+    """At (1/3, 2) and n = 45 the closed form, its head and mu_0 take ln Gamma and ln G at
+    11 arguments, which fall in 4 classes mod 1 (0, 1/3, 2/3 and 1/6) and so lift to 4
+    points: each point sums one Gamma and one G series, and zeta'(-1) reads the G series
+    of the integer class."""
+    for memo in (jacobi.jacobi_asym_constant, specfun._zeta_prime_minus_one, specfun._lifted,
+                 specfun._series_gamma, specfun._series_g):
+        memo.cache_clear()
+    code, _, _ = run_json(["exact", "--n", "45", "--alpha", "1/3", "--beta", "2"], capsys)
+    assert code == 0
+    assert specfun._lifted.cache_info().misses == 11
+    assert specfun._series_gamma.cache_info().misses == 4
+    assert specfun._series_g.cache_info().misses == 4
+
+
 @pytest.mark.parametrize("alpha, beta, n", [(60, 0, 20), (40, 0, 30), (60, 3, 30),
-                                            (100, 3, 20), (60, 0, 40), (100, 0, 20)])
+                                            (100, 3, 20), (60, 0, 40), (100, 0, 20),
+                                            (200, 0, 60), (300, 0, 60), (400, 0, 60),
+                                            (600, 0, 60), (1000, 0, 40), (400, 3, 40),
+                                            (1000, 0, 60)])
 def test_exact_large_exponents_print_right_digits(capsys, alpha, beta, n):
     """The factorization's guard covers the weight's pivot decay log10(mu_0 / h_{n-1}),
     which outgrows 0.7 n at large exponents (46 digits at (60, 0) with n = 40). Under
     a 0.7 n guard the first four rows exit 0 with up to 12 wrong LDL digits and the
-    last two exit 3; every log_det_* must be within 10^(1 - digits), relative, of the
-    exact rational ln D_n."""
+    fifth and sixth exit 3. From alpha = 200 the guard also needs twice the growth of
+    the monic P_{n-1} at x = 1: under decay + 2 alone the next six rows exit 0 with
+    3-12 wrong LDL digits and the last exits 3. Every log_det_* must be within
+    10^(1 - digits), relative, of ln D_n = n ln mu_0 + sum_{0<j<n} (n-j) ln beta_j from
+    the exact rational mu_0 and beta_j."""
     code, rep, err = run_json(["exact", "--n", str(n), f"--alpha={alpha}", f"--beta={beta}"],
                               capsys)
     assert code == 0, err
     row = rep["rows"][0]
-    d_n = hankel.rational_hankel_minors(jacobi.JacobiParams(alpha, beta), n)[-1]
+    jp = jacobi.JacobiParams(alpha, beta)
+    _, betas = jacobi.jacobi_recurrence_table(n, jp)
     with mpmath.workdps(row["digits"] + 20):
-        exact = mpmath.log(d_n.numerator) - mpmath.log(d_n.denominator)
+        log = lambda q: mpmath.log(q.numerator) - mpmath.log(q.denominator)
+        exact = n * log(jacobi.jacobi_moment_exact(0, jp))
+        exact += mpmath.fsum((n - j) * log(b) for j, b in enumerate(betas) if j)
         tol = mpmath.mpf(10) ** (1 - row["digits"]) * abs(exact)
         for key in ("log_det_closed", "log_det_norm_product", "log_det_ldl"):
             assert abs(mpmath.mpf(row[key]) - exact) <= tol, key
@@ -384,22 +409,60 @@ def test_runs_use_neither_mpmath_barnesg_nor_glaisher(capsys, monkeypatch):
     """ln Gamma and ln G come from the package's kernel, with tables built from scratch
     here: mpmath's loggamma and bernoulli rebuild a table at every new precision,
     its barnesg lifts with one Gamma call per step, and its Glaisher constant alone
-    takes tens of ms in a fresh process."""
+    takes tens of ms in a fresh process. Before each run every memo and table is
+    cleared, and the run must build every entry it reads: the Gamma coefficients at
+    every kernel precision it lifts at, the G coefficients and zeta'(-1) at every one
+    it sums a G series at, and the tangent numbers up to the last it reads. The third
+    run reads only entries that the first, at the same exponents, size and precision,
+    also reads, and fewer tangent numbers, so each clear that is left out fails here."""
     for target in (mpmath, mpmath.mp):
         for name in ("barnesg", "glaisher", "loggamma", "gamma", "bernoulli"):
             monkeypatch.setattr(target, name, _Forbidden(f"mpmath.{name}"))
-    monkeypatch.setattr(specfun, "_TANGENT", [])
-    monkeypatch.setattr(specfun, "_PASSES", [])
-    for cached in (jacobi.jacobi_asym_constant, specfun._zeta_prime_minus_one,
-                   specfun._gamma_coefficients, specfun._tail_coefficients,
-                   specfun._lifted, hankel._pivot_decay):
-        cached.cache_clear()
-    for argv in (["exact", "--n", "10", "--alpha", "1/2", "--beta", "3/2"],
+    memos = (jacobi.jacobi_asym_constant, hankel._pivot_decay, specfun._zeta_prime_minus_one,
+             specfun._gamma_coefficients, specfun._tail_coefficients, specfun._half_log_2pi,
+             specfun._lifted, specfun._series_gamma, specfun._series_g)
+    log = []
+    for memo in memos:
+        _log_builds(monkeypatch, memo, log)
+    tangents = _counting(monkeypatch, specfun, "_tangent_number")
+    for argv in (["compare", "--n", "10", "--alpha", "1/2", "--beta", "3/2", "--h", "exp(x)"],
                  ["exact", "--n", "12", "--alpha", "1/3", "--beta", "2"],
-                 ["compare", "--n", "10", "--h", "exp(x)"]):
+                 ["exact", "--n", "10", "--alpha", "1/2", "--beta", "3/2"]):
+        monkeypatch.setattr(specfun, "_TANGENT", [])
+        monkeypatch.setattr(specfun, "_PASSES", [])
+        for memo in memos:
+            memo.cache_clear()
+        log.clear()
+        tangents.clear()
         code, _, err = run(argv, capsys)
         assert code == 0, (argv, err)
-    assert len(specfun._TANGENT) > 0
+        read = {(name, args) for name, args, _ in log}
+        built = {(name, args) for name, args, fresh in log if fresh}
+        assert read == built, (argv, sorted(read - built, key=str)[:3])
+
+        def precisions(memo, index):
+            return {args[index] for name, args in built if name == memo}
+
+        gamma = precisions("_gamma_coefficients", 0)
+        assert gamma == precisions("_series_gamma", 1) == precisions("_lifted", 1), argv
+        tail = precisions("_tail_coefficients", 0)
+        assert tail == precisions("_zeta_prime_minus_one", 0) == precisions("_series_g", 1), argv
+        assert len(specfun._TANGENT) == max(k for (k,) in tangents), argv
+
+
+def _log_builds(monkeypatch, memo, log):
+    """Rebind the memoized ``memo`` in every package module that binds it to a wrapper
+    logging (name, args, built) per call, built when the call missed the cache."""
+    def logged(*args):
+        misses = memo.cache_info().misses
+        value = memo(*args)
+        log.append((memo.__name__, args, memo.cache_info().misses > misses))
+        return value
+
+    for module in (cli, hankel, jacobi, linstat, quadrature, specfun):
+        for name, value in list(vars(module).items()):
+            if value is memo:
+                monkeypatch.setattr(module, name, logged)
 
 
 def test_compare_gap_falls_as_one_over_n_below_half(capsys):

@@ -75,13 +75,17 @@ def test_memoized_values_are_bit_identical_to_cold_values(digits):
     zs = (Fraction(1, 3), Fraction(5, 2), Fraction(229, 4), 300)
     funcs = (log_gamma, log_barnes_g)
 
+    memos = (specfun._lifted, specfun._series_gamma, specfun._series_g)
+
     def cold(f, z):
-        specfun._lifted.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
         return f(z, p)._mpf_
 
     want = {(f, z): cold(f, z) for f in funcs for z in zs}
     for order in (funcs, funcs[::-1]):
-        specfun._lifted.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
         for z in zs:
             for f in order:
                 for other in others:
@@ -100,13 +104,15 @@ def test_barnes_g_against_independent_references(digits):
     from Glaisher's A), G(1/2) = 2^(1/24) e^(1/8) pi^(-1/4) A^(-3/2) and
     G(101) = prod_{k<100} k!. The bound is 10^6 below the contract bound 10^(8 - digits):
     the kernel's own guard digits keep the result within 100 units of its working
-    precision, digits + GUARD_DIGITS, and dropping them fails here."""
+    precision, digits + GUARD_DIGITS, and dropping them fails here. ORACLE_Z is passed
+    both as mpf and as exact Fractions, whose lift divides by powers of 3."""
     p = Precision(digits)
     bound = mpmath.mpf(10) ** (2 - digits - GUARD_DIGITS)
     with mpmath.workdps(digits + 60):
         args = [mpmath.mpf(z.numerator) / z.denominator for z in ORACLE_Z]
         args.append(mpmath.sqrt(2) * mpmath.e)  # irrational, lifted across a non-integer range
         cases = [(z, mpmath.log(mpmath.barnesg(z))) for z in args]
+        cases += [(q, want) for q, (_, want) in zip(ORACLE_Z, cases)]
         cases.append((Fraction(1, 2), mpmath.log(2) / 24 + mpmath.mpf(1) / 8
                       - mpmath.log(mpmath.pi) / 4 - 3 * mpmath.log(mpmath.glaisher) / 2))
         cases.append((101, mpmath.log(math.prod(math.factorial(k) for k in range(100)))))
@@ -149,15 +155,17 @@ def test_tangent_bernoulli_numbers_match_bernfrac(monkeypatch):
 @pytest.mark.parametrize("digits", (32, 111, 320, 600))
 def test_log_gamma_against_mpmath_loggamma(digits):
     """The kernel against mpmath's loggamma at digits + 60, within the bound of the Barnes G
-    reference test; relative, or absolute where |ln Gamma| < 1 (it vanishes at 1 and 2)."""
+    reference test; relative, or absolute where |ln Gamma| < 1 (it vanishes at 1 and 2).
+    ORACLE_Z is passed both as mpf and as exact Fractions."""
     p = Precision(digits)
     bound = mpmath.mpf(10) ** (2 - digits - GUARD_DIGITS)
     with mpmath.workdps(digits + 60):
         args = [mpmath.mpf(z.numerator) / z.denominator for z in ORACLE_Z]
         args.append(mpmath.sqrt(2) * mpmath.e)
         args += [1, 2, 3, 10, 101, 1000]
-        for z in args:
-            want = mpmath.loggamma(z)
+        cases = [(z, mpmath.loggamma(z)) for z in args]
+        cases += [(q, want) for q, (_, want) in zip(ORACLE_Z, cases)]
+        for z, want in cases:
             got = log_gamma(z, p)
             assert abs(got - want) <= bound * max(abs(want), 1), f"z = {z}"
 
