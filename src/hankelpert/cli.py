@@ -110,17 +110,6 @@ def _row_digits(args, n: int) -> int:
     return auto_digits(n)
 
 
-def _warn_if_below_policy(args, ns) -> None:
-    if args.digits is None:
-        return
-    Precision(args.digits)  # a value Precision refuses gets its error, not the warning
-    policy = max(auto_digits(n) for n in ns)
-    if args.digits < policy:
-        print(f"warning: --digits {args.digits} is below the size-based "
-              f"policy of {policy} for n = {max(ns)}; results may lose "
-              f"precision or abort", file=sys.stderr)
-
-
 def _fmt(value, digits: int):
     """JSON-safe form: mpf -> decimal string, anything else (a Fraction) -> str; floats pass."""
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -234,8 +223,6 @@ def _run_rows(args, ns, compute) -> tuple:
 
 def cmd_exact(args, jp: JacobiParams, ns: list) -> tuple:
     """Bare-weight ln D_n by closed form, norm product, and direct factorization."""
-    _warn_if_below_policy(args, ns)
-
     def row(n, p):
         closed = jacobi_logdet_exact(n, jp, p)
         moments = pure_moment_sequence(jp, n, p)
@@ -267,11 +254,11 @@ def cmd_compare(args, jp: JacobiParams, ns: list) -> tuple:
     from .dsl import parse_h, validate_positive
     from .linstat import assemble_prediction, cheb_log_expand
 
-    _warn_if_below_policy(args, ns)
-    h = parse_h(args.h)
     # built once, before the first row, at the largest size and its precision;
-    # every row reads them, and a build's PrecisionError fails each row that does
+    # every row reads them, and a build's PrecisionError fails each row that does.
+    # A refused --digits is reported before a refused h.
     top, top_p = max(ns), Precision(_row_digits(args, max(ns)))
+    h = parse_h(args.h)
     # the screen and the ln h expansion sample h on one table at one precision;
     # the moment pass, h(+-1) and --heine sample at others and call h itself
     sampled = functools.cache(h)

@@ -17,10 +17,11 @@ by fraction-free (Bareiss) elimination, for integer weight exponents and
 polynomial perturbations.
 
 Hankel matrices of smooth positive weights are notoriously ill-conditioned:
-the pivots decay geometrically (like 4^-j here), so a linear-in-n digit
-budget is required. ``auto_digits`` implements the policy
-max(64, ceil(1.4 n) + 32), and the internal arithmetic adds a further
-conditioning guard, 8 + ceil(max(0.7 n, decay + 2 + max(0, 2 growth - 8)))
+the pivots decay geometrically (like 4^-j here), so the internal arithmetic
+needs a linear-in-n digit guard. It adds, on top of whatever precision is
+requested (``auto_digits``' default max(64, ceil(1.4 n) + 32), or any
+override of at least 32 digits), a conditioning
+guard, 8 + ceil(max(0.7 n, decay + 2 + max(0, 2 growth - 8)))
 digits with decay = log10(mu_0 / h_{n-1}) the bare weight's exact pivot
 decay and growth = log10 max |P_{n-1}(x)| over x = 1, -1, i, P its monic
 orthogonal polynomial, so results still honour the 8-guard-digit contract

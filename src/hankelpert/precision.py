@@ -28,7 +28,9 @@ GUARD_DIGITS = 8
 #: the bits of ``quadrature._small_value_bits``, in the perturbed moment pass
 #: plus 1 per bit of the rule order and the same small-value bits, in the
 #: modified Chebyshev kernel plus 3 per coefficient pair, in the Chebyshev
-#: transform below the largest sample.
+#: transform below the largest sample. The Gauss rule and the moment pass take
+#: their exact recurrence coefficients, and the rule its structure constants,
+#: at that width F by one integer division each, within one unit of 2^-F.
 KERNEL_GUARD_BITS = 16
 
 
@@ -78,7 +80,9 @@ def exact_fraction(value) -> Fraction | None:
 
     Ints, Fractions, floats (binary rationals) and decimal/ratio strings all
     have one; mpf values are deliberately not treated as exact because they
-    normally arrive as rounded computation results.
+    normally arrive as rounded computation results. Text with ``_`` has
+    none: ``Fraction`` reads '1_0' as 10 from Python 3.11 but refuses it on
+    3.10, and the ``--h`` grammar refuses it too.
 
     Text that writes more digits, counted with the size of its decimal
     exponent, than ``sys.get_int_max_str_digits()`` allows raises
@@ -92,8 +96,10 @@ def exact_fraction(value) -> Fraction | None:
     if isinstance(value, float):
         return Fraction(value)
     if isinstance(value, str):
+        if "_" in value:
+            return None
         mantissa, _, exponent = value.lower().partition("e")
-        power = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        power = exponent.strip().lstrip("+-").lstrip("0")
         size = sum(ch.isdecimal() for ch in mantissa)
         if power.isdecimal():
             size += int(power) if len(power) < 10 else 10 ** 10

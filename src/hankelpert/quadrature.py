@@ -168,14 +168,15 @@ def _small_value_bits(two_alpha, four_beta) -> int:
 def scaled_recurrence(ca, cb, spare_bits: int) -> tuple:
     """(F, 2 alpha_k, 4 beta_k) of the scaled recurrence on fixed-point integers scaled by 2^F.
 
-    The exact ``ca``, ``cb`` of :func:`jacobi_recurrence_table` are rounded here, once.
     F is the working bits plus ``KERNEL_GUARD_BITS``, ``spare_bits`` for the caller's
-    rounding count, and the bits of :func:`_small_value_bits` for their Q_k.
+    rounding count, and the bits of :func:`_small_value_bits` for their Q_k. Each exact
+    entry of :func:`jacobi_recurrence_table` enters at F bits by one integer division,
+    rounded down: within one unit of 2^-F.
     """
     bits = (mp.prec + KERNEL_GUARD_BITS + spare_bits
-            + _small_value_bits([float(2 * a) for a in ca], [float(4 * b) for b in cb]))
-    return (bits, [int(mpmath.ldexp(2 * to_mpf(a), bits)) for a in ca],
-            [int(mpmath.ldexp(4 * to_mpf(b), bits)) for b in cb])
+            + _small_value_bits([2 * float(a) for a in ca], [4 * float(b) for b in cb]))
+    return (bits, [(2 * a.numerator << bits) // a.denominator for a in ca],
+            [(4 * b.numerator << bits) // b.denominator for b in cb])
 
 
 def _eval_fixed(x: int, two_alpha, four_beta, bits: int) -> tuple:

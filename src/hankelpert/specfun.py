@@ -100,8 +100,11 @@ def _lift_point() -> int:
     return mp.dps // 2 + 4
 
 
-def _lift(z: Fraction, n: int) -> tuple:
-    """(x, k, (z)_k, prod_{j<k} (z+j)^(j+1)) for the exact x = z + k, k = max(0, ceil(n - z)).
+@functools.lru_cache(maxsize=64)
+def _lifted(z: Fraction, prec: int, n: int) -> tuple:
+    """(x, k, (z)_k, prod_{j<k} (z+j)^(j+1)) for the exact x = z + k, k = max(0, ceil(n - z)),
+    at ``prec`` = mp.prec bits; memoized (the 64 most recent), as an exact row asks for
+    ln Gamma and ln G at a+1, b+1, s+2 (its head and mu_0) and n+(s+1)/2.
 
     The factors z + j, j = k-1, ..., 0, have the running products
     (z+j)(z+j+1)...(z+k-1), the last of which is (z)_k, and the product of
@@ -113,15 +116,8 @@ def _lift(z: Fraction, n: int) -> tuple:
     k = max(0, math.ceil(n - z))
     a, d = z.numerator, z.denominator
     t = (d & -d).bit_length() - 1
-    poch, powers = running_product(((a + j * d, -t) for j in reversed(range(k))), mp.prec + 8)
+    poch, powers = running_product(((a + j * d, -t) for j in reversed(range(k))), prec + 8)
     return z + k, k, mpf(poch) / (d >> t) ** k, mpf(powers) / (d >> t) ** (k * (k + 1) // 2)
-
-
-@functools.lru_cache(maxsize=64)
-def _lifted(z: Fraction, prec: int, n: int) -> tuple:
-    """:func:`_lift` at the caller's ``prec`` = mp.prec, memoized (the 64 most recent): an
-    exact row asks for ln Gamma and ln G at a+1, b+1, s+2 (its head and mu_0) and n+(s+1)/2."""
-    return _lift(z, n)
 
 
 @functools.lru_cache(maxsize=64)

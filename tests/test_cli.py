@@ -337,13 +337,13 @@ def test_exact_row_lifts_each_argument_once_at_one_precision(capsys, monkeypatch
     for memo in (jacobi.jacobi_asym_constant, specfun._lifted, specfun._series_gamma,
                  specfun._series_g):
         memo.cache_clear()
-    lifts, lift = [], specfun._lift
-    monkeypatch.setattr(specfun, "_lift",
-                        lambda z, n: lifts.append((z, mpmath.mp.prec)) or lift(z, n))
+    log = []
+    _log_builds(monkeypatch, specfun._lifted, log)
     code, _, _ = run_json(["exact", "--n", "55", "--alpha", "1/2"], capsys)
     assert code == 0
+    lifts = [(z, prec) for _, (z, prec, _), built in log if built]
     assert 0 < len(lifts) <= 11
-    assert len(set(lifts)) == len(lifts)
+    assert len({z for z, _ in lifts}) == len(lifts)
     assert len({prec for _, prec in lifts}) == 1
 
 
@@ -778,13 +778,35 @@ def test_digits_help_names_the_default(capsys, subcommand, default):
     assert f"--digits DIGITS working precision in digits (default: {default})" in help_text
 
 
-def test_low_digit_override_warns(capsys):
-    code, out, err = run(["exact", "--n", "40", "--digits", "32"], capsys)
-    assert code == 0
-    assert "below" in err
+def test_digits_below_the_default_are_right_and_silent(capsys):
+    """The conditioning guard is added on top of any --digits, so a run below the
+    size-based default prints that many right digits and writes no warning."""
+    code, rep, err = run_json(["exact", "--n", "40", "--digits", "32"], capsys)
+    assert code == 0 and err == ""
+    assert rep["rows"][0]["log_det_ldl"] == rep["rows"][0]["log_det_closed"]
+    argv = ["compare", "--n", "60", "--alpha=1/2", "--h", "exp(x)", "--digits"]
+    code, low, err = run_json([*argv, "64"], capsys)
+    assert code == 0 and err == ""
+    code, high, err = run_json([*argv, "116"], capsys)
+    assert code == 0 and err == ""
+    with mpmath.workdps(130):
+        rounded = mpmath.nstr(mpmath.mpf(high["rows"][0]["log_det_ldl"]), 64)
+    assert low["rows"][0]["log_det_ldl"] == rounded
 
 
-@pytest.mark.parametrize("argv", [["exact"], ["compare", "--h", "exp(x)"]])
+@pytest.mark.parametrize("option, text", [("--alpha", "1_0"), ("--beta", "0.5_0"),
+                                          ("--alpha", "1e1_0")])
+def test_number_text_with_an_underscore_is_refused(capsys, option, text):
+    """Fraction reads '1_0' as 10 from Python 3.11 and refuses it on 3.10; every
+    version refuses it here, as the --h grammar does."""
+    code, out, err = run(["exact", "--n", "3", option, text], capsys)
+    assert code == 2
+    assert out == ""
+    assert "must be a rational number" in err
+
+
+@pytest.mark.parametrize("argv", [["exact"], ["compare", "--h", "exp(x)"],
+                                  ["compare", "--h", "2*(1-x"]])
 def test_digits_below_the_floor_get_the_error_without_the_warning(capsys, argv):
     code, out, err = run([*argv, "--n", "3", "--digits", "31"], capsys)
     assert code == 2

@@ -293,6 +293,19 @@ def test_fixed_point_kernel_matches_mpf_newton(m, digits, a_s, b_s):
             f"weight {i}"
 
 
+@pytest.mark.parametrize("a_s, b_s", [("1/3", "2"), ("100", "-99/100")])
+def test_scaled_recurrence_is_within_one_unit_of_the_exact_entries(a_s, b_s):
+    """Each 2 alpha_k and 4 beta_k of the order-62 rule at 103 digits enters at F bits
+    within one unit of its exact value times 2^F, checked in Fractions."""
+    m, jp = 62, JacobiParams(a_s, b_s)
+    ca, cb = jacobi_recurrence_table(m, jp)
+    with Precision(103).workdps(2 * GUARD_DIGITS):
+        bits, two_alpha, four_beta = quadrature.scaled_recurrence(ca, cb, 5 * m.bit_length())
+    for k, (a, b) in enumerate(zip(ca, cb)):
+        assert abs(two_alpha[k] - 2 * a * 2 ** bits) <= 1, f"2 alpha_{k}"
+        assert abs(four_beta[k] - 4 * b * 2 ** bits) <= 1, f"4 beta_{k}"
+
+
 def _kernel_calls(monkeypatch, m, jp, p) -> int:
     """Calls of ``_eval_fixed`` while the order-m rule is built afresh."""
     calls = 0
