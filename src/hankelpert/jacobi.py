@@ -9,8 +9,8 @@ weight w(x) = (1-x)^alpha (1+x)^beta on [-1, 1] with alpha, beta > -1:
 * square norms   h_n = integral of P_n(x)^2 w(x) dx,
 * determinants   D_n = det(mu_{j+k})_{j,k<n} = prod_{j<n} h_j,
 
-plus the closed form of ln D_n in terms of Gamma and Barnes-G functions and
-its large-n asymptotic. Determinants underflow like 2^(-n^2), so every
+plus the closed form of ln D_n in Barnes-G functions and its large-n
+asymptotic. Determinants underflow like 2^(-n^2), so every
 product of Gammas is assembled in log space; exponentiation happens only at
 the API boundary.
 
@@ -217,21 +217,6 @@ def jacobi_log_hn(n: int, jp: JacobiParams, p: Precision) -> BigReal:
         return ensure_finite(value, f"ln h_{n}")
 
 
-def _log_gamma_g_ratio(s: Fraction, p: Precision) -> BigReal:
-    """ln[Gamma(eps) G(eps)^2 / G(2 eps)], eps = (s+1)/2, for every s > -2.
-
-    Shifted by G(z+1) = Gamma(z) G(z) to
-
-        2 ln G(eps+1) - ln Gamma(eps+1) + ln Gamma(2 eps+1) - ln G(2 eps+1) - ln 2,
-
-    whose arguments stay positive for eps > -1/2; the unshifted form needs
-    eps > 0 (s > -1) and is 0/0 at s = -1, where this gives -ln 2.
-    """
-    eps = (s + 1) / 2
-    return (2 * log_barnes_g(eps + 1, p) - log_gamma(eps + 1, p) + log_gamma(2 * eps + 1, p)
-            - log_barnes_g(2 * eps + 1, p) - mpmath.log(2))
-
-
 def jacobi_log_leading(n: int, jp: JacobiParams) -> BigReal:
     """-n(n+s) ln 2 + ((a^2+b^2)/2 - 1/4) ln n + n ln 2pi, the n-dependent part of the
     large-n asymptotic of ln D_n, at the current working precision."""
@@ -242,21 +227,17 @@ def jacobi_log_leading(n: int, jp: JacobiParams) -> BigReal:
 
 
 def jacobi_logdet_exact(n: int, jp: JacobiParams, p: Precision) -> BigReal:
-    """ln D_n of the unperturbed weight from its Gamma/Barnes-G closed form.
+    """ln D_n of the unperturbed weight from its Barnes-G closed form.
 
-    D_n is the n x n Hankel determinant of the moments; the closed form is
-    the product formula D_n = prod_{j<n} h_j telescoped into Barnes-G ratios:
+    The product D_n = prod_{j<n} h_j of :func:`jacobi_log_hn`, whose
+    (2j+s+1) Gamma(2j+s+1)^2 is Gamma(2j+s+1) Gamma(2j+s+2), telescopes by
+    G(z+1) = Gamma(z) G(z) (the two G(s+1) cancel) into
 
-    ln D_n = -n(n+s) ln 2 + n ln 2pi
-             + ln Gamma((s+1)/2) + 2 ln G((s+1)/2) + 2 ln G(s/2+1)
-             - ln G(s+1) - ln G(a+1) - ln G(b+1)
-             + ln G(n+1) + ln G(n+a+1) + ln G(n+b+1) + ln G(n+s+1)
-             - 2 ln G(n+(s+1)/2) - 2 ln G(n+s/2+1) - ln Gamma(n+(s+1)/2).
+    ln D_n = n(n+s) ln 2 + ln G(n+1) + ln G(n+a+1) + ln G(n+b+1) + ln G(n+s+1)
+             - ln G(2n+s+1) - ln G(a+1) - ln G(b+1),
 
-    The n-independent head, the second and third lines, is the memoized
-    :func:`jacobi_asym_constant`, which keeps every argument positive down
-    to s > -2. Every argument is an exact Fraction, rounded only inside the
-    special-function kernel.
+    whose arguments are exact Fractions, positive for n >= 1 and a, b > -1,
+    rounded only inside the special-function kernel.
     """
     if n < 1:
         raise DomainError(f"determinant order must be >= 1, got {n}")
@@ -265,32 +246,31 @@ def jacobi_logdet_exact(n: int, jp: JacobiParams, p: Precision) -> BigReal:
     with p.workdps(2 * GUARD_DIGITS):
         inner = Precision(mp.dps)
         lG = lambda z: log_barnes_g(z, inner)
-        value = (-to_mpf(n * (n + s)) * mpmath.log(2) + n * mpmath.log(2 * mpmath.pi)
-                 + jacobi_asym_constant(jp, p)
+        value = (to_mpf(n * (n + s)) * mpmath.log(2)
                  + lG(n + 1) + lG(n + a + 1) + lG(n + b + 1) + lG(n + s + 1)
-                 - 2 * lG(n + (s + 1) / 2) - 2 * lG(n + s / 2 + 1)
-                 - log_gamma(n + (s + 1) / 2, inner))
+                 - lG(2 * n + s + 1) - lG(a + 1) - lG(b + 1))
         return ensure_finite(value, f"ln D_{n}")
 
 
 @functools.lru_cache
 def jacobi_asym_constant(jp: JacobiParams, p: Precision) -> BigReal:
-    """The n-independent constant of the large-n determinant asymptotic (log form).
+    """The n-independent constant of the large-n determinant asymptotic (log form),
 
-    ln [ G((s+1)/2)^2 G(s/2+1)^2 Gamma((s+1)/2) / (G(s+1) G(a+1) G(b+1)) ].
+    2 ln G(1/2) + ln(pi)/2 + (s/2) ln 2pi - (s^2/2) ln 2 - ln G(a+1) - ln G(b+1),
 
-    It is also the head of the closed form in :func:`jacobi_logdet_exact`,
-    so the closed form, the asymptotic and the perturbed prediction of one
-    row share it. Memoized on the frozen (jp, p) (the 128 most recent): it
-    is computed at p.decimal_digits + 16 digits whatever the caller's
-    working precision, so rows of equal precision evaluate its five Barnes
-    G terms once.
+    what remains of :func:`jacobi_logdet_exact` minus :func:`jacobi_log_leading`
+    as n grows, by the large-argument expansion of its ln G terms (DLMF
+    5.17.5); G(1/2) carries the zeta'(-1) of that expansion (DLMF 5.17).
+    Memoized on the frozen (jp, p) (the 128 most recent): it is computed at
+    p.decimal_digits + 16 digits whatever the caller's working precision,
+    so the asymptotic and the perturbed prediction of one row share it.
     """
     a, b = jp.alpha, jp.beta
     s = a + b
     with p.workdps(2 * GUARD_DIGITS):
         inner = Precision(mp.dps)
-        value = (_log_gamma_g_ratio(s, inner) + 2 * log_barnes_g(s / 2 + 1, inner)
+        value = (2 * log_barnes_g(Fraction(1, 2), inner) + mpmath.log(mp.pi) / 2
+                 + to_mpf(s / 2) * mpmath.log(2 * mp.pi) - to_mpf(s * s / 2) * mpmath.log(2)
                  - log_barnes_g(a + 1, inner) - log_barnes_g(b + 1, inner))
         return ensure_finite(value, "asymptotic constant")
 

@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -125,6 +126,28 @@ def test_compare_exponential_perturbation(capsys):
     assert float(rep["parameters"]["h_min_sampled"]) > 0.36
     assert rep["parameters"]["h"] == "exp(x)"
     assert row["method_tol"] == "1.0e-47"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1 stage A: nothing bounds what the "
+                   "Gauss rule misses of h, so both routes print one wrong value")
+def test_compare_steep_entire_h_exits_3_or_prints_right_digits(capsys):
+    """compare --n 3 --h "exp(1000*x)" exits 0 with log_det_ldl 20.97 below ln D_3 and a
+    method_diff of 1.29e-60: both routes read one default Gauss rule, which misses most
+    of h. The reference integrates by parts, mu_k = [x^k e^(tx)/t] from -1 to 1 minus
+    (k/t) mu_{k-1} with t = 1000, at 200 digits, and takes the 3 x 3 determinant."""
+    code, rep, err = run_json(["compare", "--n", "3", "--h", "exp(1000*x)"], capsys)
+    if code == 3:
+        return
+    assert code == 0, err
+    row = rep["rows"][0]
+    with mpmath.workdps(200):
+        t = mpmath.mpf(1000)
+        mu = []
+        for k in range(5):
+            edges = (mpmath.exp(t) - (-1) ** k * mpmath.exp(-t)) / t
+            mu.append(edges - k / t * mu[k - 1] if k else edges)
+        exact = mpmath.log(mpmath.det(mpmath.matrix([mu[j:j + 3] for j in range(3)])))
+        assert abs(mpmath.mpf(row["log_det_ldl"]) - exact) <= mpmath.mpf(row["method_tol"])
 
 
 def _counting(monkeypatch, module, name):
@@ -319,21 +342,29 @@ def _assert_resolved_by(row, reference, fields):
             assert int(exponent or 0) - places >= last, (row["n"], field, value)
 
 
-def test_exact_row_evaluates_barnes_g_head_once(capsys, monkeypatch):
-    """The closed form and the asymptotic share the memoized n-independent constant."""
-    jacobi.jacobi_asym_constant.cache_clear()
-    calls = _counting(monkeypatch, jacobi, "log_barnes_g")
-    code, rep, _ = run_json(["exact", "--n", "10", "--alpha", "1/2", "--beta", "3/2"], capsys)
-    assert code == 0
-    assert rep["rows"][0]["log_det_asym"] is not None
-    # 6 n-dependent terms, plus the 5 of the head, once
-    assert len(calls) == 11
+def test_closed_form_takes_seven_barnes_g_terms_and_the_constant_three(monkeypatch):
+    """ln D_n telescopes from prod h_j into 7 ln G terms: no ln Gamma and no asymptotic
+    constant. The constant takes ln G at 1/2, a + 1 and b + 1."""
+    constant = jacobi.jacobi_asym_constant
+    constant.cache_clear()
+    g_args = _counting(monkeypatch, jacobi, "log_barnes_g")
+    gamma_args = _counting(monkeypatch, jacobi, "log_gamma")
+    monkeypatch.setattr(jacobi, "jacobi_asym_constant", _Forbidden("jacobi_asym_constant"))
+    jp, p = jacobi.JacobiParams("1/2", "3/2"), cli.Precision(40)
+    jacobi.jacobi_logdet_exact(10, jp, p)
+    # n + 1, n + a + 1, n + b + 1, n + s + 1, 2n + s + 1, a + 1, b + 1 at n = 10
+    assert [z for z, _ in g_args] == [11, Fraction(23, 2), Fraction(25, 2), 13, 23,
+                                      Fraction(3, 2), Fraction(5, 2)]
+    g_args.clear()
+    constant(jp, p)
+    assert [z for z, _ in g_args] == [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
+    assert gamma_args == []
 
 
 def test_exact_row_lifts_each_argument_once_at_one_precision(capsys, monkeypatch):
-    """mu_0, the closed form and its head run their ln Gamma and ln G at one kernel
-    precision and lift each argument once: the head's 5 (a + 1, b + 1 and s + 2 among
-    them, mu_0's three) and the 6 n-dependent ones, fewer where two coincide."""
+    """mu_0, the closed form and the asymptotic constant run their ln Gamma and ln G at
+    one kernel precision and lift each argument once: at (1/2, 0) the closed form's
+    n + 1, n + 3/2, 2n + 5/2, 3/2 and 1, the constant's 1/2 and mu_0's 5/2."""
     for memo in (jacobi.jacobi_asym_constant, specfun._lifted, specfun._series_gamma,
                  specfun._series_g):
         memo.cache_clear()
@@ -342,22 +373,22 @@ def test_exact_row_lifts_each_argument_once_at_one_precision(capsys, monkeypatch
     code, _, _ = run_json(["exact", "--n", "55", "--alpha", "1/2"], capsys)
     assert code == 0
     lifts = [(z, prec) for _, (z, prec, _), built in log if built]
-    assert 0 < len(lifts) <= 11
+    assert len(lifts) == 7
     assert len({z for z, _ in lifts}) == len(lifts)
     assert len({prec for _, prec in lifts}) == 1
 
 
 def test_exact_row_sums_one_series_per_lift_point(capsys):
-    """At (1/3, 2) and n = 45 the closed form, its head and mu_0 take ln Gamma and ln G at
-    11 arguments, which fall in 4 classes mod 1 (0, 1/3, 2/3 and 1/6) and so lift to 4
-    points: each point sums one Gamma and one G series, and zeta'(-1) reads the G series
-    of the integer class."""
+    """At (1/3, 2) and n = 45 the closed form, the asymptotic constant and mu_0 take ln Gamma
+    and ln G at 9 arguments. Those below the lift point fall in 3 classes mod 1 (0, 1/3
+    and 1/2) and 2n + s + 1 = 280/3 is above it, so they take 4 points: each point sums
+    one Gamma and one G series, and zeta'(-1) reads the G series of the integer class."""
     for memo in (jacobi.jacobi_asym_constant, specfun._zeta_prime_minus_one, specfun._lifted,
                  specfun._series_gamma, specfun._series_g):
         memo.cache_clear()
     code, _, _ = run_json(["exact", "--n", "45", "--alpha", "1/3", "--beta", "2"], capsys)
     assert code == 0
-    assert specfun._lifted.cache_info().misses == 11
+    assert specfun._lifted.cache_info().misses == 9
     assert specfun._series_gamma.cache_info().misses == 4
     assert specfun._series_g.cache_info().misses == 4
 
@@ -917,6 +948,20 @@ def test_exit_2_on_malformed_size_range(capsys, sizes):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["exact", "--n", "1:2:3:4"], "range must be start:stop[:step], got '1:2:3:4'"),
+    (["exact", "--n", "5:1"], "empty range '5:1'"),
+    (["exact", "--n", "1:5:0"], "range step must be >= 1, got 0"),
+    (["exact", "--n", "1,x"], "sizes must be integers, got '1,x'"),
+    (["exact", "--n", ","], "no sizes given"),
+    (["density", "--n", "1,2"], "density takes a single size, e.g. --n 20"),
+    (["density", "--n", "5", "--points", "2"], "need at least 3 grid points, got 2"),
+])
+def test_exit_2_names_the_refused_sizes_or_grid(capsys, argv, error):
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_exit_4_when_h_dips_between_screening_points(capsys):

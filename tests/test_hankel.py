@@ -1,5 +1,6 @@
 """Determinant routes: triangular factorization, moment-map recurrence, exact
 rational minors, and the small-n ensemble-average identity."""
+import math
 from fractions import Fraction
 
 import mpmath
@@ -7,7 +8,7 @@ import pytest
 
 from hankelpert.dsl import h_exp_cheb2, h_exp_linear, parse_h
 from hankelpert.errors import DomainError, PositivityError, PrecisionError
-from hankelpert.hankel import (MomentSequence, _conditioning_guard, auto_digits,
+from hankelpert.hankel import (MomentSequence, _conditioning_guard, _pivot_decay, auto_digits,
                                auto_precision, cross_validation_tol, hankel_logdet_ldl,
                                hankel_logdet_leading, hankel_logdet_recurrence,
                                heine_average_small_n, modified_chebyshev,
@@ -175,6 +176,22 @@ def test_precision_policy_values():
     assert auto_digits(40) == 88
     assert auto_digits(100) == 172
     assert auto_precision(40).decimal_digits == 88
+
+
+def test_pivot_growth_past_1e100_is_rescaled():
+    """At (0, 0) with n = 1300 the monic P_1299 reaches 10^106 at x = i, so the
+    growth term runs through the 1e100 rescale. Every alpha_k is 0 there, so
+    P_k(i) = i^k q_k with q_{k+1} = q_k + beta_k q_{k-1}, q_0 = q_1 = 1, whose
+    exact log10 q_1299 the growth must match."""
+    n = 1300
+    _, betas = jacobi_recurrence_table(n - 1, LEG)
+    previous, q = Fraction(1), Fraction(1)
+    for b in betas[1:]:
+        previous, q = q, q + b * previous
+    want = math.log10(q.numerator) - math.log10(q.denominator)
+    _, growth = _pivot_decay(n, LEG)
+    assert 106 < want < 107
+    assert abs(growth - want) < 1e-12 * want
 
 
 def test_degraded_moments_are_detected_not_masked():

@@ -233,11 +233,12 @@ def test_logdet_hand_values():
 
 
 def test_logdet_equals_norm_product():
-    """The Gamma/Barnes-G closed form equals sum of ln h_j up to n = 50."""
+    """The Barnes-G closed form equals sum of ln h_j up to n = 50."""
     with mpmath.workdps(80):
-        # the last two pairs have alpha + beta < -1
+        # the last three pairs have alpha + beta < -1; at (-0.999, -0.999) and n = 1
+        # the closed form's smallest argument n + s + 1 is 0.002
         for a_s, b_s in (("0", "0"), ("1/2", "3/2"), ("2", "1/4"),
-                         ("-2/3", "-3/4"), ("-9/10", "-9/10")):
+                         ("-2/3", "-3/4"), ("-9/10", "-9/10"), ("-0.999", "-0.999")):
             jp = JacobiParams(a_s, b_s)
             acc = mpmath.mpf(0)
             for j in range(50):
