@@ -55,7 +55,7 @@ from mpmath import mp, mpf
 
 from .errors import DomainError, PrecisionError
 from .jacobi import (JacobiParams, jacobi_moment, jacobi_moment_exact, jacobi_moment_ratio_terms,
-                     jacobi_moment_ratios, jacobi_recurrence_table)
+                     jacobi_moment_ratios, jacobi_recurrence_table, recurrence_frexp)
 from .precision import (GUARD_DIGITS, KERNEL_GUARD_BITS, BigReal, Precision,
                         checked_namedtuple, ensure_finite, running_product, to_mpf)
 
@@ -110,16 +110,10 @@ def _pivot_decay(n: int, jp: JacobiParams) -> tuple:
     """
     alphas, betas = jacobi_recurrence_table(n, jp)
     decay = -sum(math.log10(b.numerator) - math.log10(b.denominator) for b in betas[1:])
-    steps = [(float(a), float(b)) for a, b in zip(alphas[:-1], betas)]
     growth = 0.0  # |P(i)| >= 1, the zeros being real
     for x in (1, -1, 1j):
-        digits, previous, value = 0, 0, 1
-        for a, b in steps:
-            previous, value = value, (x - a) * value - b * previous
-            if abs(value) > 1e100:
-                digits, previous, value = digits + 100, previous / 1e100, value / 1e100
-        if value:
-            growth = max(growth, digits + math.log10(abs(value)))
+        m, e = recurrence_frexp(alphas[:-1], betas, x)[-1]
+        growth = max(growth, (e + math.log2(abs(m))) * math.log10(2))
     return decay, growth
 
 
@@ -441,13 +435,13 @@ def rational_hankel_minors(jp: JacobiParams, n: int, h_coeffs=None):
 
     Requires nonnegative integer weight exponents; ``h_coeffs`` are optional
     rational polynomial coefficients (constant first) of a perturbation, whose
-    moments reduce to shifted moments of the bare weight.
+    moments reduce to shifted moments of the bare weight. D_k is mu_0^k times the
+    minor of the ratios mu_k / mu_0, so no elimination step multiplies mu_0's digits.
     """
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     extra = 0 if h_coeffs is None else len(h_coeffs) - 1
-    mass = jacobi_moment_exact(0, jp)
-    base = [mass * r for r in jacobi_moment_ratios(2 * n - 1 + extra, jp)]
+    base = jacobi_moment_ratios(2 * n - 1 + extra, jp)
     if h_coeffs is None:
         mus = base
     else:
@@ -455,7 +449,8 @@ def rational_hankel_minors(jp: JacobiParams, n: int, h_coeffs=None):
         mus = [sum(c * base[k + i] for i, c in enumerate(coeffs))
                for k in range(2 * n - 1)]
     H = [[mus[j + k] for k in range(n)] for j in range(n)]
-    return _bareiss_leading_minors(H)
+    mass = jacobi_moment_exact(0, jp)
+    return [mass ** k * minor for k, minor in enumerate(_bareiss_leading_minors(H), 1)]
 
 
 def heine_average_small_n(n: int, jp: JacobiParams, h, p: Precision) -> BigReal:

@@ -142,6 +142,22 @@ def jacobi_recurrence_table(count: int, jp: JacobiParams) -> tuple:
     return alphas, betas
 
 
+def recurrence_frexp(alphas, betas, x) -> list:
+    """[(m_k, e_k)] for k = 0..len(alphas), P_k(x) = m_k 2^e_k with 1/2 <= |m_k| < 1 (a zero
+    is (0.0, -inf)): the monic recurrence of an exact table run in floats at a real or
+    complex x. Each step divides both running values by the power of two that brings the
+    newest into [1/2, 1), exact in binary, so nothing over- or underflows and each m_k is
+    that of a float run without exponent limits."""
+    sizes, exponent, previous, value = [(0.5, 1)], 1, 0.0, 0.5
+    for a, b in zip(alphas, betas):
+        previous, value = value, (x - float(a)) * value - float(b) * previous
+        shift = math.frexp(abs(value))[1]
+        scale, exponent = math.ldexp(1.0, -shift), exponent + shift
+        previous, value = previous * scale, value * scale
+        sizes.append((value, exponent) if value else (0.0, -math.inf))
+    return sizes
+
+
 def jacobi_moment_ratio_terms(count: int, jp: JacobiParams):
     """(N_k, D_k) with mu_k/mu_0 = N_k / D_k for k < count, unreduced integers.
 
@@ -177,8 +193,8 @@ def jacobi_moment_exact(k: int, jp: JacobiParams) -> Fraction:
         raise DomainError("exact moments require nonnegative integer parameters")
     a = int(jp.alpha)
     b = int(jp.beta)
-    mass = Fraction(2 ** (a + b + 1) * math.factorial(a) * math.factorial(b),
-                    math.factorial(a + b + 1))
+    # a! b! / (a+b+1)! = 1 / ((a+b+1) C(a+b, a))
+    mass = Fraction(2 ** (a + b + 1), (a + b + 1) * math.comb(a + b, a))
     return mass * jacobi_moment_ratios(k + 1, jp)[k]
 
 
@@ -263,7 +279,8 @@ def jacobi_asym_constant(jp: JacobiParams, p: Precision) -> BigReal:
     5.17.5); G(1/2) carries the zeta'(-1) of that expansion (DLMF 5.17).
     Memoized on the frozen (jp, p) (the 128 most recent): it is computed at
     p.decimal_digits + 16 digits whatever the caller's working precision,
-    so the asymptotic and the perturbed prediction of one row share it.
+    so rows of one run at one precision share it (rows 10 and 20, both at 64
+    digits, of ``compare --n 10:30:10``; no one-row ``exact``).
     """
     a, b = jp.alpha, jp.beta
     s = a + b

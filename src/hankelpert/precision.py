@@ -25,7 +25,7 @@ GUARD_DIGITS = 8
 #: Fixed-point guard bits on top of the working precision, read by the integer
 #: kernels of ``quadrature`` and ``hankel``: in the Gauss rule plus 5 per bit
 #: of the rule order (3 for the rounding count, 2 for 1 - x^2 near +-1) and
-#: the bits of ``quadrature._small_value_bits``, in the perturbed moment pass
+#: the bits by which |Q_k| falls below 1 at x = +-1 and the mean, in the perturbed moment pass
 #: plus 1 per bit of the rule order and the same small-value bits, in the
 #: modified Chebyshev kernel plus 3 per coefficient pair, in the Chebyshev
 #: transform below the largest sample. The Gauss rule and the moment pass take

@@ -40,17 +40,17 @@ steps and the accepting evaluation, three evaluations per node, reach
 working precision up to about 95 requested digits, and four beyond that
 up to about 330. Fixed point resolves small values only absolutely, so
 the guard grows with m (1 - x^2 near +-1 falls like 1/m^2) and with the
-bits by which the smallest |Q_k(+-1)| falls below 1 (large exponents).
-The same loop safeguards the
-node: it keeps a bracket, from the midpoints between neighbouring seeds,
-whose ends each evaluation moves by the measured sign of Q_m. A step that
-would leave it, or a zero step, takes its midpoint instead, unless two
-measured values of opposite sign already pin the node within 2^-(prec-16):
-then that node is accepted, as where Halley steps stall at the rounding
-level of Q_m short of the one-unit test (at exponents (100, 60), a few
-nodes near the weight's peak, where |Q_m| is about 2^-58). A bracket that
-finds no sign change within the step cap raises with diagnostics rather
-than returning silently.
+bits by which the smallest |Q_k| falls below 1 at large exponents,
+screened at x = +-1 and at the weight's mean, near its peak, where the
+zeros crowd (about 2^-58 at (100, 60), m = 120). The same loop
+safeguards the node: it keeps a bracket, from the midpoints between
+neighbouring seeds, whose ends each evaluation moves by the measured sign
+of Q_m. A step that would leave it, or a zero step, takes its midpoint
+instead, unless two measured values of opposite sign already pin the node
+within 2^-(prec-16): then that node is accepted, as where Halley steps
+would stall at the rounding level of Q_m short of the one-unit test. A
+bracket that finds no sign change within the step cap raises with
+diagnostics rather than returning silently.
 
 Weights use the classical Christoffel formula for monic polynomials, with
 Q'_m from the structure relation,
@@ -80,7 +80,7 @@ from mpmath import mp, mpf
 
 from .errors import DomainError, ResolutionError, RootFindError
 from .jacobi import (JacobiParams, jacobi_log_hn, jacobi_recurrence_table,
-                     jacobi_structure_exact)
+                     jacobi_structure_exact, recurrence_frexp)
 from .precision import (GUARD_DIGITS, KERNEL_GUARD_BITS, BigReal, Precision,
                         ensure_finite, to_mpf)
 
@@ -149,32 +149,20 @@ def _seed_nodes(diag, off) -> list:
     return sorted(d)
 
 
-def _small_value_bits(two_alpha, four_beta) -> int:
-    """Bits to add for |Q_k| < 1, which fixed point resolves only absolutely.
-
-    The recurrence values are smallest at the endpoints (for large exponents
-    the far endpoint's Q_k fall far below 1), so the smallest |Q_k(+-1)|,
-    k <= m, measured in floats, sets the count.
-    """
-    smallest = 1.0
-    for x in (-1.0, 1.0):
-        qm1, q = 0.0, 1.0
-        for a, b in zip(two_alpha, four_beta):
-            qm1, q = q, (2 * x - a) * q - b * qm1
-            smallest = min(smallest, abs(q))
-    return 1 - math.frexp(smallest)[1]
-
-
 def scaled_recurrence(ca, cb, spare_bits: int) -> tuple:
     """(F, 2 alpha_k, 4 beta_k) of the scaled recurrence on fixed-point integers scaled by 2^F.
 
     F is the working bits plus ``KERNEL_GUARD_BITS``, ``spare_bits`` for the caller's
-    rounding count, and the bits of :func:`_small_value_bits` for their Q_k. Each exact
-    entry of :func:`jacobi_recurrence_table` enters at F bits by one integer division,
-    rounded down: within one unit of 2^-F.
+    rounding count, and the bits by which the smallest |Q_k|, k <= m, falls below 1, read
+    by :func:`recurrence_frexp` at x = +-1 and at the weight's mean alpha_0, where a Q_k
+    may vanish and the larger of |Q_k| and |Q_{k-1}| counts. Each exact entry enters at
+    F bits by one integer division, rounded down: within one unit of 2^-F.
     """
+    # Q_k = 2^k P_k, so k + e_k is the binary exponent of Q_k
+    low, high, mean = ([k + e for k, (_, e) in enumerate(recurrence_frexp(ca, cb, x))]
+                       for x in (-1.0, 1.0, float(ca[0])))
     bits = (mp.prec + KERNEL_GUARD_BITS + spare_bits
-            + _small_value_bits([2 * float(a) for a in ca], [4 * float(b) for b in cb]))
+            + 1 - min(*low, *high, *map(max, mean, mean[1:])))
     return (bits, [(2 * a.numerator << bits) // a.denominator for a in ca],
             [(4 * b.numerator << bits) // b.denominator for b in cb])
 

@@ -103,8 +103,8 @@ def _lift_point() -> int:
 @functools.lru_cache(maxsize=64)
 def _lifted(z: Fraction, prec: int, n: int) -> tuple:
     """(x, k, (z)_k, prod_{j<k} (z+j)^(j+1)) for the exact x = z + k, k = max(0, ceil(n - z)),
-    at ``prec`` = mp.prec bits; memoized (the 64 most recent), as an exact row asks for
-    ln Gamma and ln G at a+1, b+1, s+2 (its head and mu_0) and n+(s+1)/2.
+    at ``prec`` = mp.prec bits; memoized (the 64 most recent). An exact row lifts n+1, n+a+1,
+    n+b+1, n+s+1, 2n+s+1, a+1 and b+1 for ln G, 1/2 for the constant and s+2 for mu_0.
 
     The factors z + j, j = k-1, ..., 0, have the running products
     (z+j)(z+j+1)...(z+k-1), the last of which is (z)_k, and the product of

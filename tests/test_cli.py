@@ -393,6 +393,29 @@ def test_exact_row_sums_one_series_per_lift_point(capsys):
     assert specfun._series_g.cache_info().misses == 4
 
 
+@pytest.mark.parametrize("alpha, beta, order", [(10 ** 5, 0, 120), (1000, 1000, 200),
+                                                (1000, 1000, 300), (10 ** 4, 10 ** 4, 100),
+                                                (10 ** 4, 10 ** 4, 200)])
+def test_compare_sized_up_rule_at_large_exponents_prints_right_digits(capsys, alpha, beta,
+                                                                       order):
+    """A Gauss rule of more than the default n + 32 nodes keeps ln D_8 of h = 1 + x^2/2
+    right at large exponents. Its fixed-point width counts the bits by which |Q_k| falls
+    below 1 at x = +-1 and at the weight's mean. Counted by a float run that underflows,
+    at +-1 alone, (10^5, 0) at order 120 and (10^4, 10^4) at order 200 exit 3 and the
+    other rows exit 0 with method_diff 0.0, 1.2e-28 to 4.0e-19 off. log_det_ldl must
+    be within one unit of its last printed digit of ln D_8 from the exact rational
+    minors."""
+    code, rep, err = run_json(["compare", "--n", "8", f"--alpha={alpha}", f"--beta={beta}",
+                               "--h", "1+x^2/2", "--quad-order", str(order)], capsys)
+    assert code == 0, err
+    text = rep["rows"][0]["log_det_ldl"]
+    d8 = hankel.rational_hankel_minors(jacobi.JacobiParams(alpha, beta), 8,
+                                       [1, 0, Fraction(1, 2)])[-1]
+    with mpmath.workdps(120):
+        exact = mpmath.log(d8.numerator) - mpmath.log(d8.denominator)
+        assert abs(mpmath.mpf(text) - exact) <= mpmath.mpf(10) ** -len(text.split(".")[1])
+
+
 @pytest.mark.parametrize("alpha, beta, n", [(60, 0, 20), (40, 0, 30), (60, 3, 30),
                                             (100, 3, 20), (60, 0, 40), (100, 0, 20),
                                             (200, 0, 60), (300, 0, 60), (400, 0, 60),

@@ -179,8 +179,9 @@ def test_precision_policy_values():
 
 
 def test_pivot_growth_past_1e100_is_rescaled():
-    """At (0, 0) with n = 1300 the monic P_1299 reaches 10^106 at x = i, so the
-    growth term runs through the 1e100 rescale. Every alpha_k is 0 there, so
+    """At (0, 0) with n = 1300 the monic P_1299 reaches 10^106 at x = i. The float
+    screen divides its running values by a power of two after every step, so growth
+    passes 10^100 without a rounded rescale. Every alpha_k is 0 there, so
     P_k(i) = i^k q_k with q_{k+1} = q_k + beta_k q_{k-1}, q_0 = q_1 = 1, whose
     exact log10 q_1299 the growth must match."""
     n = 1300

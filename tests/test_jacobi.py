@@ -13,7 +13,8 @@ from hankelpert.jacobi import (JacobiParams, jacobi_alpha_n_exact,
                                jacobi_asym_constant, jacobi_beta_n_exact, jacobi_log_hn,
                                jacobi_logdet_asym, jacobi_logdet_exact,
                                jacobi_moment, jacobi_moment_exact, jacobi_moment_ratios,
-                               jacobi_recurrence_table, jacobi_structure_exact)
+                               jacobi_recurrence_table, jacobi_structure_exact,
+                               recurrence_frexp)
 from hankelpert.precision import Precision, to_mpf
 from hankelpert.specfun import log_barnes_g, log_gamma
 
@@ -208,6 +209,24 @@ def test_recurrence_coeffs_shape():
     assert betas == [0] + [jacobi_beta_n_exact(k, jp) for k in range(1, 6)]
     assert all(type(v) is Fraction for v in alphas + betas)
     assert all(b > 0 for b in betas[1:])
+
+
+def test_recurrence_frexp_has_no_exponent_limit():
+    """At (10^4, 0) the zeros crowd to x = -1, where Q_k = 2^k P_k falls to 2^-1663
+    by k = 400, far below the smallest float, so a plain float run of the recurrence
+    underflows to 0. The screen's log2 |Q_k| = k + e_k + log2 |m_k| must match the same
+    recurrence run in mpmath, which has no exponent limit, to 1e-9 for every k."""
+    alphas, betas = jacobi_recurrence_table(400, JacobiParams(10 ** 4, 0))
+    sizes = recurrence_frexp(alphas, betas, -1.0)
+    assert len(sizes) == 401
+    with mpmath.workdps(40):
+        previous, q, want = 0, mpmath.mpf(1), [0]
+        for a, b in zip(alphas, betas):
+            previous, q = q, (-2 - 2 * to_mpf(a)) * q - 4 * to_mpf(b) * previous
+            want.append(mpmath.log(abs(q), 2))
+    assert want[-1] < -1662
+    for k, ((m, e), log2_q) in enumerate(zip(sizes, want)):
+        assert abs(k + e + math.log2(abs(m)) - log2_q) < 1e-9, k
 
 
 def test_norm_links_to_beta_product():
