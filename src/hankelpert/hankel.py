@@ -11,7 +11,9 @@ Two routes are implemented at working precision:
 Both run one body, ``_factorization``, around :func:`modified_chebyshev`
 (Gautschi, *Orthogonal Polynomials: Computation and Approximation*, 2004),
 the modified Chebyshev algorithm on fixed-point integers with a scale per
-column and per row; only moments, basis and failure message differ. The
+column and per row, which reads 2n - 1 moments and basis entries, each
+floored to fixed point once, and returns beta_0..beta_{n-1} alone; only
+moments, basis and failure message differ. The
 exact oracle ``rational_hankel_minors`` gives D_1..D_n over the rationals
 by fraction-free (Bareiss) elimination, for integer weight exponents and
 polynomial perturbations.
@@ -28,8 +30,8 @@ orthogonal polynomial, so results still honour the 8-guard-digit contract
 of the requested precision. The decay is about 0.6 n at moderate
 exponents, and sets the guard only at small n and at large exponents (46
 digits at alpha = 60 with n = 40); growth adds to it at large exponents
-and, from n of about 100, at every exponent. Breakdown (a
-nonpositive pivot or recurrence coefficient) raises PrecisionError with
+and, from n of about 100, at every exponent. Breakdown, the kernel's first
+nonpositive pivot or recurrence coefficient, raises PrecisionError with
 the failing index; it is detected, never masked.
 
 The module also evaluates, for n <= 3, the multidimensional-integral form of
@@ -57,7 +59,7 @@ from .errors import DomainError, PrecisionError
 from .jacobi import (JacobiParams, jacobi_moment, jacobi_moment_exact, jacobi_moment_ratio_terms,
                      jacobi_moment_ratios, jacobi_recurrence_table, recurrence_frexp)
 from .precision import (GUARD_DIGITS, KERNEL_GUARD_BITS, BigReal, Precision,
-                        checked_namedtuple, ensure_finite, running_product, to_mpf)
+                        checked_namedtuple, ensure_finite, running_product, to_fixed)
 
 #: Extra decimal digits per matrix row consumed by pivot decay during factorization.
 CONDITIONING_GUARD_PER_ROW = 0.7
@@ -268,58 +270,50 @@ def hankel_logdet_leading(betas, n: int, p: Precision) -> HankelResult:
 
 def _factorization(ms: MomentSequence, n: int, p: Precision, moments, basis,
                    breakdown) -> HankelResult:
-    """The size-n result of :func:`modified_chebyshev` on ``moments(2n)`` against
-    the basis coefficients ``basis(2n)``; beta_0 = nu_0 = mu_0 in either basis.
-    It runs at the conditioning guard of ``ms.basis``, the bare weight.
+    """The size-n result of :func:`modified_chebyshev` on ``moments(2n - 1)`` and
+    ``basis(2n - 1)``; beta_0 = nu_0 = mu_0 in either basis. It runs at the
+    conditioning guard of ``ms.basis``, the bare weight.
 
-    A breakdown at index k, a nonpositive beta_k (``breakdown(k, betas)``
-    words it) or a zero denominator at step k, raises PrecisionError
-    carrying beta_0..beta_{k-1}: positive, so they still give D_1..D_k.
+    A last beta_k <= 0, where the kernel stops, is a breakdown at index k
+    (``breakdown(k, betas)`` words it): PrecisionError carrying
+    beta_0..beta_{k-1}, positive, so they still give D_1..D_k.
     """
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     if ms.max_order() < n:
         raise DomainError(f"moment sequence covers size {ms.max_order()}, need {n}")
     with p.workdps(_conditioning_guard(n, ms.basis)):
-        try:
-            _, betas = modified_chebyshev(moments(2 * n), *basis(2 * n), n)
-            stopped = None
-        except PrecisionError as exc:
-            betas, stopped = exc.leading, exc
-        for k, b in enumerate(betas):
-            if not b > 0:
-                raise PrecisionError(breakdown(k, betas), betas[:k])
-        if stopped is not None:
-            raise stopped
+        betas = modified_chebyshev(moments(2 * n - 1), *basis(2 * n - 1), n)
+        if not betas[-1] > 0:
+            raise PrecisionError(breakdown(len(betas) - 1, betas), betas[:-1])
         return hankel_logdet_leading(betas, n, p)
 
 
 def hankel_logdet_ldl(ms: MomentSequence, n: int, p: Precision) -> HankelResult:
     """ln det of the n x n Hankel matrix (mu_{j+k}) from its LDL pivots h_j = D_{j+1}/D_j.
 
-    h_j = beta_0 ... beta_j in O(n^2) by the classical Chebyshev algorithm
-    (zero auxiliary coefficients); the padded mu_{2n-1} feeds only
-    alpha_{n-1}. The matrix is positive definite for any positive weight; a
-    nonpositive pivot therefore identifies precision exhaustion (or an
-    invalid weight) and raises with the failing index.
+    h_j = beta_0 ... beta_j in O(n^2) by the classical Chebyshev algorithm:
+    the kernel on mu_0..mu_{2n-2} with zero auxiliary coefficients. The
+    matrix is positive definite for any positive weight; a nonpositive
+    pivot therefore identifies precision exhaustion (or an invalid weight)
+    and raises with the failing index.
     """
     return _factorization(
-        ms, n, p, lambda length: [*ms.mu[:length - 1], mpf(0)],
-        lambda length: ((mpf(0),) * length,) * 2,
+        ms, n, p, lambda length: ms.mu[:length], lambda length: ((0,) * length,) * 2,
         lambda i, betas: f"matrix not positive definite at requested precision: "
                          f"pivot {i} = {mpmath.nstr(math.prod(betas[:i + 1]), 6)} "
                          f"at {p.decimal_digits} digits")
 
 
-def modified_chebyshev(nu, aux_alpha, aux_beta, count: int):
-    """Recurrence coefficients from moments against an auxiliary orthogonal basis.
+def modified_chebyshev(nu, aux_alpha, aux_beta, count: int) -> list:
+    """Recurrence coefficients beta_0..beta_{count-1} from moments against a basis.
 
     ``nu[l]`` are the modified moments of the target weight against monic
     auxiliary polynomials with recurrence coefficients ``aux_alpha[l]``,
-    ``aux_beta[l]`` (aux_beta[0] unused); 2*count moment entries produce
-    ``count`` coefficient pairs (alpha_k, beta_k), beta_0 = nu_0, as mpf
-    lists. A zero denominator at step k raises PrecisionError carrying
-    beta_0..beta_{k-1}.
+    ``aux_beta[l]`` (aux_beta[0] unused); entries 0..2 count - 2 of each,
+    ints, Fractions or mpf, give the betas as an mpf list, beta_0 = nu_0.
+    It stops right after the first beta_k <= 0 (a zero sigma_{k,k} gives
+    beta_k = 0): a list ending in a nonpositive beta is a breakdown.
 
     The rows sigma_k of the algorithm (Gautschi, *Orthogonal Polynomials:
     Computation and Approximation*, 2004, section 2.1.7) run on F-bit
@@ -329,53 +323,50 @@ def modified_chebyshev(nu, aux_alpha, aux_beta, count: int):
     polynomial: a modified moment nu_l is of that polynomial's norm times
     a Fourier coefficient, so every column keeps its own precision however
     fast the norms fall (zero auxiliaries, the raw-moment map, leave the
-    columns unscaled). The scaled inputs are placed so that the largest
-    sits at 2^F, alpha_{k-1} - a_l, beta_{k-1} and b_l 2^(d_l) are held
-    times 2^F, and each row of products is shifted back by F. After each
-    row the two live rows shift left until the diagonal sigma_{k,k}, the
-    denominator of beta_{k+1}, again carries F bits. The 3 count guard
-    bits are for raw moments, where an error in sigma_{k,l} reaches a later
-    diagonal amplified about 2^(l-k): 2 count bits plus a slowly growing
-    excess (about 9 digits at count = 100). They do not cover the raw
-    moments' own rounding, which costs about log10(mu_0 / h_{count-1})
-    digits; the caller's working precision carries that guard
-    (:func:`_conditioning_guard`).
+    columns unscaled). Each input is floored to fixed point once
+    (:func:`to_fixed`): the scaled moments so that the largest sits at
+    2^F, a_l and b_l 2^(d_l) times 2^F. alpha_{k-1}, formed at step k from
+    the live rows, and beta_{k-1} are held times 2^F too, and each row of
+    products is shifted back by F. After each row the two live rows shift
+    left until the diagonal sigma_{k,k}, the denominator of beta_{k+1},
+    again carries F bits. The 3 count guard bits are for raw moments, where
+    an error in sigma_{k,l} reaches a later diagonal amplified about
+    2^(l-k): 2 count bits plus a slowly growing excess (about 9 digits at
+    count = 100). They do not cover the raw moments' own rounding, about
+    log10(mu_0 / h_{count-1}) digits; the caller's working precision
+    carries that guard (:func:`_conditioning_guard`).
     """
-    length = 2 * count
+    length = 2 * count - 1
     if len(nu) < length:
         raise DomainError(f"need {length} modified moments, got {len(nu)}")
     bits = mp.prec + KERNEL_GUARD_BITS + 3 * count
-    aux_b = [to_mpf(v) for v in aux_beta[:length]]
-    steps = [0] + [max(0, (1 - mpmath.mag(b)) // 2) if b else 0 for b in aux_b[1:]]
-    nu = [mpmath.ldexp(to_mpf(v), e) for v, e in zip(nu, itertools.accumulate(steps))]
-    shift = bits - mpmath.mag(max(abs(v) for v in nu))
-    sig = [int(mpmath.ldexp(v, shift)) for v in nu]
-    aux_a = [int(mpmath.ldexp(to_mpf(v), bits)) for v in aux_alpha[:length]]
-    aux_b = [int(mpmath.ldexp(b, bits + d)) for b, d in zip(aux_b, steps)]
+    steps = [0] + [max(0, (1 - mpmath.mag(b)) // 2) if b else 0 for b in aux_beta[1:length]]
+    scales = list(itertools.accumulate(steps))
+    shift = bits - max(mpmath.mag(v) + e for v, e in zip(nu, scales))
+    sig = [to_fixed(v, shift + e) for v, e in zip(nu, scales)]
+    aux_a = [to_fixed(v, bits) for v in aux_alpha[:length]]
+    aux_b = [to_fixed(b, bits + d) for b, d in zip(aux_beta, steps)]
     sig_prev = [0] * length
-    ratio = (sig[1] << (bits - steps[1])) // sig[0]
-    alphas = [aux_a[0] + ratio]
-    betas = [nu[0]]
-    beta = 0
+    betas = [mpmath.ldexp(mpf(sig[0]), -shift)]
+    ratio = beta = 0
     for k in range(1, count):
-        alpha = alphas[-1]
+        if sig[k - 1] <= 0:
+            break
+        previous, ratio = ratio, (sig[k] << (bits - steps[k])) // sig[k - 1]
+        alpha = aux_a[k - 1] + ratio - previous
         fresh = [0] * length
         for l in range(k, length - k):
             fresh[l] = (sig[l + 1] >> steps[l + 1]) - (
                 ((alpha - aux_a[l]) * sig[l] + beta * sig_prev[l] - aux_b[l] * sig[l - 1]) >> bits)
         diag = fresh[k]
-        if diag == 0:
-            raise PrecisionError(f"moment map breakdown at step {k}: zero denominator", betas)
         betas.append(mpmath.ldexp(mpf(diag) / sig[k - 1], -steps[k]))
         beta = (diag << (bits - steps[k])) // sig[k - 1]
-        previous, ratio = ratio, (fresh[k + 1] << (bits - steps[k + 1])) // diag
-        alphas.append(aux_a[k] + ratio - previous)
         up = bits - diag.bit_length()
         if up > 0:
             sig = [v << up for v in sig]
             fresh = [v << up for v in fresh]
         sig_prev, sig = sig, fresh
-    return [mpmath.ldexp(a, -bits) for a in alphas], betas
+    return betas
 
 
 def hankel_logdet_recurrence(ms: MomentSequence, n: int, jp: JacobiParams,
@@ -383,8 +374,9 @@ def hankel_logdet_recurrence(ms: MomentSequence, n: int, jp: JacobiParams,
     """ln det via the norm product: ln D_n = sum_{j<n} (n-j) ln beta_j, beta_0 = mu_0.
 
     beta_1..beta_{n-1} come from :func:`modified_chebyshev` on
-    ``ms.modified``, the moments against the unperturbed orthogonal basis
-    ``jp``, which keeps the map well conditioned for smooth perturbations.
+    nu_0..nu_{2n-2} of ``ms.modified``, the moments against the unperturbed
+    orthogonal basis ``jp``, and the exact table of that basis, which keeps
+    the map well conditioned for smooth perturbations.
     A sequence without modified moments against ``jp`` raises DomainError
     after the size checks.
     """
@@ -409,10 +401,7 @@ def _bareiss_leading_minors(rows):
     undoes the scaling.
     """
     n = len(rows)
-    scale = 1
-    for row in rows:
-        for v in row:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
     A = [[int(v * scale) for v in row] for row in rows]
     minors = []
     prev = 1

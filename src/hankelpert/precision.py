@@ -28,9 +28,10 @@ GUARD_DIGITS = 8
 #: the bits by which |Q_k| falls below 1 at x = +-1 and the mean, in the perturbed moment pass
 #: plus 1 per bit of the rule order and the same small-value bits, in the
 #: modified Chebyshev kernel plus 3 per coefficient pair, in the Chebyshev
-#: transform below the largest sample. The Gauss rule and the moment pass take
-#: their exact recurrence coefficients, and the rule its structure constants,
-#: at that width F by one integer division each, within one unit of 2^-F.
+#: transform below the largest sample. The Gauss rule, the moment pass and the
+#: modified Chebyshev kernel (its 2 count - 1 moments and basis entries) take
+#: each exact input, int, Fraction or mpf, at that width F by one floor
+#: division, :func:`to_fixed`, within one unit of 2^-F.
 KERNEL_GUARD_BITS = 16
 
 
@@ -73,6 +74,16 @@ def to_mpf(value) -> BigReal:
     if q is not None:
         return mpf(q.numerator) / mpf(q.denominator)
     raise DomainError(f"cannot convert {type(value).__name__} to mpf")
+
+
+def to_fixed(value, bits: int) -> int:
+    """floor(value 2^bits) of an int, Fraction or finite mpf by one floor division: an
+    mpf is the exact rational man 2^exp, so each kind is rounded once, down."""
+    if isinstance(value, mpf):
+        sign, man, exp, _ = ensure_finite(value, "fixed-point input")._mpf_
+        value, bits = -man if sign else man, bits + exp
+    num, den = value.numerator, value.denominator
+    return (num << bits) // den if bits >= 0 else num // (den << -bits)
 
 
 def exact_fraction(value) -> Fraction | None:

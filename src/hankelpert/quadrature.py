@@ -82,7 +82,7 @@ from .errors import DomainError, ResolutionError, RootFindError
 from .jacobi import (JacobiParams, jacobi_log_hn, jacobi_recurrence_table,
                      jacobi_structure_exact, recurrence_frexp)
 from .precision import (GUARD_DIGITS, KERNEL_GUARD_BITS, BigReal, Precision,
-                        ensure_finite, to_mpf)
+                        ensure_finite, to_fixed, to_mpf)
 
 #: Implicit QL sweeps allowed per eigenvalue of the Jacobi matrix (the seeds).
 SEED_ITERATIONS = 30
@@ -163,8 +163,7 @@ def scaled_recurrence(ca, cb, spare_bits: int) -> tuple:
                        for x in (-1.0, 1.0, float(ca[0])))
     bits = (mp.prec + KERNEL_GUARD_BITS + spare_bits
             + 1 - min(*low, *high, *map(max, mean, mean[1:])))
-    return (bits, [(2 * a.numerator << bits) // a.denominator for a in ca],
-            [(4 * b.numerator << bits) // b.denominator for b in cb])
+    return bits, [to_fixed(2 * a, bits) for a in ca], [to_fixed(4 * b, bits) for b in cb]
 
 
 def _eval_fixed(x: int, two_alpha, four_beta, bits: int) -> tuple:
@@ -193,9 +192,8 @@ def gauss_jacobi_rule(m: int, jp: JacobiParams, p: Precision) -> QuadratureRule:
         one = 1 << bits
         s = jp.alpha + jp.beta
         b_fixed, c_fixed, b_minus_a, s_plus_2, lam = (
-            v.numerator * one // v.denominator
-            for v in (*jacobi_structure_exact(m, jp), jp.beta - jp.alpha, s + 2,
-                      m * (m + s + 1)))
+            to_fixed(v, bits) for v in (*jacobi_structure_exact(m, jp), jp.beta - jp.alpha,
+                                        s + 2, m * (m + s + 1)))
 
         def newton_terms(x):
             """(Q_m, (1 - x^2) Q'_m, Q_{m-1}, 1 - x^2) at x, each scaled by 2^bits."""

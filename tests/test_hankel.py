@@ -15,7 +15,7 @@ from hankelpert.hankel import (MomentSequence, _conditioning_guard, _pivot_decay
                                perturbed_moment_sequence, pure_moment_sequence,
                                rational_hankel_minors)
 from hankelpert.jacobi import JacobiParams, jacobi_logdet_exact, jacobi_recurrence_table
-from hankelpert.precision import Precision
+from hankelpert.precision import Precision, to_mpf
 from hankelpert.quadrature import gauss_jacobi_rule
 
 P40 = Precision(40)
@@ -248,7 +248,10 @@ def test_log_det_from_betas_refuses_a_short_list():
 def generic_modified_chebyshev(nu, aux_alpha, aux_beta, count):
     """The generic loop the fixed-point kernel replaced, kept as its oracle:
     Fractions (with Fraction auxiliaries) run exactly, mpf at the working
-    precision. Same contract as :func:`modified_chebyshev`."""
+    precision. It reads 2 count moments and returns (alphas, betas), count
+    of each, raising PrecisionError on a zero denominator at step k with
+    beta_0..beta_{k-1}; :func:`modified_chebyshev` reads 2 count - 1 and
+    returns the betas alone, stopping after the first beta_k <= 0."""
     zero = nu[0] * 0
     sig_prev = [zero] * (2 * count)
     sig = list(nu)
@@ -268,17 +271,42 @@ def generic_modified_chebyshev(nu, aux_alpha, aux_beta, count):
 
 
 def test_moment_map_breakdown_raises():
-    """A zero denominator at step k carries exactly beta_0..beta_{k-1}: the one-point
-    measure 2 delta_0 breaks at step 1, the two-point (delta_{-1/2} + delta_{1/2})/2
-    at step 2, exactly on both the kernel and its oracle."""
+    """The kernel stops at the first zero beta_k, k = len(leading): the one-point
+    measure 2 delta_0 at k = 1, the two-point (delta_{-1/2} + delta_{1/2})/2 at
+    k = 2, exactly; its oracle raises at that step with the same leading betas."""
     zero = (Fraction(0),) * 6
     for values, leading in (((2, 0, 0, 0, 0, 0), (2,)),
                             ((1, 0, Fraction(1, 4), 0, Fraction(1, 16), 0), (1, Fraction(1, 4)))):
         nu = tuple(Fraction(v) for v in values)
-        for factorize in (modified_chebyshev, generic_modified_chebyshev):
-            with pytest.raises(PrecisionError, match=f"step {len(leading)}") as err:
-                factorize(nu, zero, zero, 3)
-            assert err.value.leading == leading
+        assert modified_chebyshev(nu, zero, zero, 3) == [*leading, 0]
+        with pytest.raises(PrecisionError, match=f"step {len(leading)}") as err:
+            generic_modified_chebyshev(nu, zero, zero, 3)
+        assert err.value.leading == leading
+
+
+def test_kernel_reads_two_count_minus_one_moments():
+    """2 count - 1 moments and basis entries are enough, and one fewer is refused."""
+    nu = tuple(Fraction(2, k + 1 + k % 2) for k in range(5))  # moments of 1 + x
+    zero = (0,) * 5
+    assert len(modified_chebyshev(nu, zero, zero, 3)) == 3
+    with pytest.raises(DomainError, match="need 5 modified moments, got 4"):
+        modified_chebyshev(nu[:4], zero, zero, 3)
+
+
+@pytest.mark.parametrize("a, b, n", [("1/3", "2", 30), ("1/2", "0", 30), ("60", "0", 20)])
+def test_exact_basis_enters_the_kernel_once_rounded(a, b, n):
+    """The exact Fraction basis table and that table rounded to mpf at four times
+    the working bits give bit-identical betas: each entry is floored to the
+    kernel's width once, not rounded to the working precision first."""
+    jp, p = JacobiParams(a, b), auto_precision(n)
+    nu = perturbed_moment_sequence(jp, parse_h("exp(x)"), n, p).modified
+    with p.workdps(_conditioning_guard(n, jp)):
+        table = jacobi_recurrence_table(2 * n - 1, jp)
+        with mpmath.workprec(4 * mpmath.mp.prec):
+            rounded = [[to_mpf(v) for v in column] for column in table]
+        exact = modified_chebyshev(nu, *table, n)
+        assert len(exact) == n
+        assert modified_chebyshev(nu, *rounded, n) == exact
 
 
 @pytest.mark.parametrize("a, b, source, n", [
@@ -304,7 +332,7 @@ def test_fixed_point_kernel_matches_generic_loop(a, b, source, n):
         else:
             nu = perturbed_moment_sequence(jp, parse_h(source), n, p).modified
             aux_a, aux_b = jacobi_recurrence_table(2 * n, jp)
-        _, betas = modified_chebyshev(nu, aux_a, aux_b, n)
+        betas = modified_chebyshev(nu, aux_a, aux_b, n)
         dps = mpmath.mp.dps
     with mpmath.workdps(3 * dps):
         _, oracle = generic_modified_chebyshev(nu, aux_a, aux_b, n)

@@ -1,13 +1,14 @@
 """The shared running product of ``precision``, its cuts and its error bound,
-and the size rule for number text."""
+the fixed-point conversion, and the size rule for number text."""
 import random
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from hankelpert.errors import DomainError
-from hankelpert.precision import exact_fraction, running_product, to_mpf
+from hankelpert.errors import DomainError, PrecisionError
+from hankelpert.precision import exact_fraction, running_product, to_fixed, to_mpf
 
 
 def _below_by_under(got, exact, bits, cuts) -> bool:
@@ -70,3 +71,33 @@ def test_text_without_an_exact_rational_value_is_refused():
     """'inf' has no exact rational form, and ``to_mpf`` reads text only through one."""
     with pytest.raises(DomainError, match="cannot convert str to mpf"):
         to_mpf("inf")
+
+
+@pytest.mark.parametrize("value, bits, want", [
+    (5, 0, 5), (-5, -1, -3), (5, -1, 2), (-1, -3, -1), (3, 2, 12),
+    (Fraction(7, 3), 0, 2), (Fraction(-7, 3), 0, -3), (Fraction(-7, 3), 2, -10),
+    (Fraction(-1, 3), -2, -1), (Fraction(1, 3), -2, 0),
+    (mpmath.mpf(-2.75), 0, -3), (mpmath.mpf(-2.75), 1, -6), (mpmath.mpf(2.75), 1, 5),
+    (mpmath.mpf(-2.75), -1, -2), (mpmath.mpf(-0.5), -4, -1), (mpmath.mpf(0), 9, 0),
+])
+def test_to_fixed_floors(value, bits, want):
+    """floor(value 2^bits), not truncation toward zero: negative values round
+    down, for negative ``bits`` too, on int, Fraction and mpf input."""
+    assert to_fixed(value, bits) == want
+
+
+def test_to_fixed_reads_an_mpf_exactly():
+    """An mpf of 400 bits is the rational man 2^exp, floored at any width
+    whatever the working precision: mpmath's floor of the exact ldexp agrees."""
+    with mpmath.workprec(400):
+        value = -mpmath.mpf(1) / 3
+    for bits in (-3, 0, 17, 300, 500):
+        with mpmath.workprec(1000):
+            want = int(mpmath.floor(mpmath.ldexp(value, bits)))
+        assert to_fixed(value, bits) == want
+
+
+def test_to_fixed_refuses_a_nonfinite_mpf():
+    for bad in (mpmath.inf, -mpmath.inf, mpmath.nan):
+        with pytest.raises(PrecisionError, match="fixed-point input is not finite"):
+            to_fixed(bad, 8)
