@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .errors import DomainError
 from .precision import BigReal, Precision, checked_namedtuple, to_mpf
@@ -87,14 +87,13 @@ def support_endpoints(n: int, jp: JacobiParams) -> SupportInterval:
     """Band endpoints satisfying the field conditions exactly.
 
     b_n = 1 exactly when alpha = 0 and a_n = -1 exactly when beta = 0; the
-    closed form lands within an ulp of those values, so they are snapped.
+    exponents are exact and the closed form lands within an ulp of those
+    values, so they are snapped.
     """
     lo, hi = _endpoints_with_denominator(n, jp, 0)
-    a, b = jp.ab_mpf()
-    eps = mpf(10) ** (4 - mp.dps)
-    if a == 0 and abs(hi - 1) < eps:
+    if jp.alpha == 0:
         hi = mpf(1)
-    if b == 0 and abs(lo + 1) < eps:
+    if jp.beta == 0:
         lo = mpf(-1)
     return SupportInterval(lo, hi, n, jp)
 

@@ -6,7 +6,7 @@ weight w(x) = (1-x)^alpha (1+x)^beta on [-1, 1] with alpha, beta > -1:
 * moments        mu_k = integral of x^k w(x) dx, by a three-term recurrence,
 * recurrence     x P_n = P_{n+1} + alpha_n P_n + beta_n P_{n-1}  (monic P_n),
 * structure      (1-x^2) P_n' as a combination of P_n, x P_n and P_{n-1},
-* square norms   h_n = integral of P_n(x)^2 w(x) dx,
+* square norms   h_n = integral of P_n(x)^2 w(x) dx = mu_0 beta_1 ... beta_n,
 * determinants   D_n = det(mu_{j+k})_{j,k<n} = prod_{j<n} h_j,
 
 plus the closed form of ln D_n in Barnes-G functions and its large-n
@@ -25,7 +25,6 @@ as a decimal string carrying the digits it needs.
 """
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -210,26 +209,24 @@ def jacobi_moment(k: int, jp: JacobiParams, p: Precision) -> BigReal:
 def jacobi_log_hn(n: int, jp: JacobiParams, p: Precision) -> BigReal:
     """ln h_n, h_n the square norm of the degree-n monic orthogonal polynomial.
 
-    h_n = 2^(2n+s+1) n! Gamma(n+a+1) Gamma(n+b+1) Gamma(n+s+1)
-          / ((2n+s+1) Gamma(2n+s+1)^2),   s = a + b.
+    h_n = mu_0 beta_1 ... beta_n (Gautschi, *Orthogonal Polynomials*, 2004, sec. 1.3),
+    mu_0 = h_0 = 2^(s+1) Gamma(a+1) Gamma(b+1) / Gamma(s+2), s = a + b. Written with
+    Gamma(s+2), mu_0 stays finite at s = -1, where a form pairing Gamma(s+1) with
+    1/(s+1) is 0/0. The exact beta_j of :func:`jacobi_beta_n_exact` are multiplied on
+    integers and rounded by one division, so ln Gamma is read only at a+1, b+1 and s+2.
     """
     if n < 0:
         raise DomainError(f"norm index must be nonnegative, got {n}")
     a, b = jp.alpha, jp.beta
     s = a + b
+    betas = [jacobi_beta_n_exact(j, jp) for j in range(1, n + 1)]
+    numerator = math.prod(q.numerator for q in betas)
+    denominator = math.prod(q.denominator for q in betas)
     with p.workdps():
         inner = Precision(mp.dps)
-        if n == 0:
-            # h_0 = mu_0 = 2^(s+1) B(a+1, b+1); written with Gamma(s+2) so the
-            # s=-1 case stays finite (the generic formula pairs Gamma(s+1)
-            # with a 1/(s+1) and is 0/0 there)
-            value = (to_mpf(s + 1) * mpmath.log(2) + log_gamma(a + 1, inner)
-                     + log_gamma(b + 1, inner) - log_gamma(s + 2, inner))
-            return ensure_finite(value, "ln h_0")
-        value = (to_mpf(2 * n + s + 1) * mpmath.log(2)
-                 + log_gamma(n + 1, inner) + log_gamma(n + a + 1, inner)
-                 + log_gamma(n + b + 1, inner) + log_gamma(n + s + 1, inner)
-                 - mpmath.log(to_mpf(2 * n + s + 1)) - 2 * log_gamma(2 * n + s + 1, inner))
+        value = (to_mpf(s + 1) * mpmath.log(2) + log_gamma(a + 1, inner)
+                 + log_gamma(b + 1, inner) - log_gamma(s + 2, inner)
+                 + mpmath.log(mpf(numerator) / mpf(denominator)))
         return ensure_finite(value, f"ln h_{n}")
 
 
@@ -245,8 +242,12 @@ def jacobi_log_leading(n: int, jp: JacobiParams) -> BigReal:
 def jacobi_logdet_exact(n: int, jp: JacobiParams, p: Precision) -> BigReal:
     """ln D_n of the unperturbed weight from its Barnes-G closed form.
 
-    The product D_n = prod_{j<n} h_j of :func:`jacobi_log_hn`, whose
-    (2j+s+1) Gamma(2j+s+1)^2 is Gamma(2j+s+1) Gamma(2j+s+2), telescopes by
+    The product D_n = prod_{j<n} h_j of the Gamma forms
+
+    h_j = 2^(2j+s+1) j! Gamma(j+a+1) Gamma(j+b+1) Gamma(j+s+1)
+          / ((2j+s+1) Gamma(2j+s+1)^2),   s = a + b,
+
+    whose (2j+s+1) Gamma(2j+s+1)^2 is Gamma(2j+s+1) Gamma(2j+s+2), telescopes by
     G(z+1) = Gamma(z) G(z) (the two G(s+1) cancel) into
 
     ln D_n = n(n+s) ln 2 + ln G(n+1) + ln G(n+a+1) + ln G(n+b+1) + ln G(n+s+1)
@@ -268,7 +269,6 @@ def jacobi_logdet_exact(n: int, jp: JacobiParams, p: Precision) -> BigReal:
         return ensure_finite(value, f"ln D_{n}")
 
 
-@functools.lru_cache
 def jacobi_asym_constant(jp: JacobiParams, p: Precision) -> BigReal:
     """The n-independent constant of the large-n determinant asymptotic (log form),
 
@@ -277,10 +277,8 @@ def jacobi_asym_constant(jp: JacobiParams, p: Precision) -> BigReal:
     what remains of :func:`jacobi_logdet_exact` minus :func:`jacobi_log_leading`
     as n grows, by the large-argument expansion of its ln G terms (DLMF
     5.17.5); G(1/2) carries the zeta'(-1) of that expansion (DLMF 5.17).
-    Memoized on the frozen (jp, p) (the 128 most recent): it is computed at
-    p.decimal_digits + 16 digits whatever the caller's working precision,
-    so rows of one run at one precision share it (rows 10 and 20, both at 64
-    digits, of ``compare --n 10:30:10``; no one-row ``exact``).
+    It is computed at p.decimal_digits + 16 digits whatever the caller's
+    working precision.
     """
     a, b = jp.alpha, jp.beta
     s = a + b

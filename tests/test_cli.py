@@ -344,7 +344,6 @@ def test_closed_form_takes_seven_barnes_g_terms_and_the_constant_three(monkeypat
     """ln D_n telescopes from prod h_j into 7 ln G terms: no ln Gamma and no asymptotic
     constant. The constant takes ln G at 1/2, a + 1 and b + 1."""
     constant = jacobi.jacobi_asym_constant
-    constant.cache_clear()
     g_args = _counting(monkeypatch, jacobi, "log_barnes_g")
     gamma_args = _counting(monkeypatch, jacobi, "log_gamma")
     monkeypatch.setattr(jacobi, "jacobi_asym_constant", _Forbidden("jacobi_asym_constant"))
@@ -363,8 +362,7 @@ def test_exact_row_lifts_each_argument_once_at_one_precision(capsys, monkeypatch
     """mu_0, the closed form and the asymptotic constant run their ln Gamma and ln G at
     one kernel precision and lift each argument once: at (1/2, 0) the closed form's
     n + 1, n + 3/2, 2n + 5/2, 3/2 and 1, the constant's 1/2 and mu_0's 5/2."""
-    for memo in (jacobi.jacobi_asym_constant, specfun._lifted, specfun._series_gamma,
-                 specfun._series_g):
+    for memo in (specfun._lifted, specfun._series_gamma, specfun._series_g):
         memo.cache_clear()
     log = []
     _log_builds(monkeypatch, specfun._lifted, log)
@@ -381,8 +379,8 @@ def test_exact_row_sums_one_series_per_lift_point(capsys):
     and ln G at 9 arguments. Those below the lift point fall in 3 classes mod 1 (0, 1/3
     and 1/2) and 2n + s + 1 = 280/3 is above it, so they take 4 points: each point sums
     one Gamma and one G series, and zeta'(-1) reads the G series of the integer class."""
-    for memo in (jacobi.jacobi_asym_constant, specfun._zeta_prime_minus_one, specfun._lifted,
-                 specfun._series_gamma, specfun._series_g):
+    for memo in (specfun._zeta_prime_minus_one, specfun._lifted, specfun._series_gamma,
+                 specfun._series_g):
         memo.cache_clear()
     code, _, _ = run_json(["exact", "--n", "45", "--alpha", "1/3", "--beta", "2"], capsys)
     assert code == 0
@@ -470,9 +468,9 @@ def test_runs_use_neither_mpmath_barnesg_nor_glaisher(capsys, monkeypatch):
     for target in (mpmath, mpmath.mp):
         for name in ("barnesg", "glaisher", "loggamma", "gamma", "bernoulli"):
             monkeypatch.setattr(target, name, _Forbidden(f"mpmath.{name}"))
-    memos = (jacobi.jacobi_asym_constant, hankel._pivot_decay, specfun._zeta_prime_minus_one,
-             specfun._gamma_coefficients, specfun._tail_coefficients, specfun._half_log_2pi,
-             specfun._lifted, specfun._series_gamma, specfun._series_g)
+    memos = (hankel._pivot_decay, specfun._zeta_prime_minus_one, specfun._gamma_coefficients,
+             specfun._tail_coefficients, specfun._half_log_2pi, specfun._lifted,
+             specfun._series_gamma, specfun._series_g)
     log = []
     for memo in memos:
         _log_builds(monkeypatch, memo, log)

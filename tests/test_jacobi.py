@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 import hankelpert.cli as cli
+import hankelpert.jacobi as jacobi
 from hankelpert.errors import DomainError
 from hankelpert.fluid import SupportInterval
 from hankelpert.hankel import MomentSequence
@@ -237,6 +238,50 @@ def test_norm_links_to_beta_product():
         for n in range(1, 12):
             acc += mpmath.log(to_mpf(jacobi_beta_n_exact(n, jp)))
             assert float(abs(acc - jacobi_log_hn(n, jp, P64))) < 1e-55, f"n={n}"
+
+
+def test_norm_reads_log_gamma_only_at_mu_0_arguments(monkeypatch):
+    """Every h_n is mu_0 times exact betas: ln Gamma is read at a + 1, b + 1 and s + 2,
+    for n = 61 as for n = 0."""
+    calls = []
+
+    def counted(z, p):
+        calls.append(z)
+        return log_gamma(z, p)
+
+    monkeypatch.setattr(jacobi, "log_gamma", counted)
+    jp = JacobiParams("1/3", 2)
+    for n in (0, 61):
+        calls.clear()
+        jacobi_log_hn(n, jp, P64)
+        assert calls == [Fraction(4, 3), 3, Fraction(13, 3)], n
+
+
+def _log_hn_by_gamma(n, jp):
+    """ln h_n from its Gamma form at the current precision: for n >= 1
+    2^(2n+s+1) n! Gamma(n+a+1) Gamma(n+b+1) Gamma(n+s+1) / ((2n+s+1) Gamma(2n+s+1)^2),
+    and mu_0 = 2^(s+1) Gamma(a+1) Gamma(b+1) / Gamma(s+2) at n = 0."""
+    a, b = to_mpf(jp.alpha), to_mpf(jp.beta)
+    s = a + b
+    lg = mpmath.loggamma
+    if n == 0:
+        return (s + 1) * mpmath.log(2) + lg(a + 1) + lg(b + 1) - lg(s + 2)
+    return ((2 * n + s + 1) * mpmath.log(2) + lg(n + 1) + lg(n + a + 1) + lg(n + b + 1)
+            + lg(n + s + 1) - mpmath.log(2 * n + s + 1) - 2 * lg(2 * n + s + 1))
+
+
+@pytest.mark.parametrize("digits", [40, 111])
+@pytest.mark.parametrize("alpha, beta", [("-1/2", "-1/2"), ("-999/1000", "-999/1000"),
+                                         ("1/3", 2), (60, 0), (10 ** 4, 10 ** 4)])
+def test_norm_matches_gamma_form(alpha, beta, digits):
+    """mu_0 times the exact beta product is the Gamma form of h_n, to 10^-(digits + 4)
+    relative, from n = 0 to n = 799."""
+    jp, p = JacobiParams(alpha, beta), Precision(digits)
+    for n in (0, 1, 2, 7, 61, 123, 799):
+        got = jacobi_log_hn(n, jp, p)
+        with mpmath.workdps(2 * digits):
+            want = _log_hn_by_gamma(n, jp)
+            assert abs(got - want) <= mpmath.mpf(10) ** -(digits + 4) * abs(want), n
 
 
 def test_logdet_hand_values():

@@ -174,11 +174,10 @@ def test_import_builds_no_table():
     """Importing the CLI builds no tangent-number, coefficient or constant table:
     each is built by the first evaluation that needs it."""
     probe = ("import hankelpert.cli\n"
-             "from hankelpert import jacobi, specfun\n"
+             "from hankelpert import specfun\n"
              "print(len(specfun._TANGENT), *(f.cache_info().currsize for f in (\n"
              "    specfun._gamma_coefficients, specfun._tail_coefficients,\n"
-             "    specfun._zeta_prime_minus_one, specfun._half_log_2pi,\n"
-             "    jacobi.jacobi_asym_constant)))\n")
+             "    specfun._zeta_prime_minus_one, specfun._half_log_2pi)))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     # src first, then whatever the caller's PYTHONPATH holds (mpmath, say)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -186,7 +185,7 @@ def test_import_builds_no_table():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0"] * 6
+    assert result.stdout.split() == ["0"] * 5
 
 
 def test_rejects_nonpositive_arguments():
