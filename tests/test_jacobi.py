@@ -19,6 +19,8 @@ from hankelpert.jacobi import (JacobiParams, jacobi_alpha_n_exact,
 from hankelpert.precision import Precision, to_mpf
 from hankelpert.specfun import log_barnes_g, log_gamma
 
+from gamma_oracle import log_hn_by_gamma
+
 P64 = Precision(64)
 HALF = Fraction(1, 2)
 
@@ -231,13 +233,18 @@ def test_recurrence_frexp_has_no_exponent_limit():
 
 
 def test_norm_links_to_beta_product():
-    """h_n = h_0 * prod_{k<=n} beta_k."""
-    with mpmath.workdps(70):
-        jp = JacobiParams(HALF, Fraction(3, 2))
-        acc = jacobi_log_hn(0, jp, P64)
-        for n in range(1, 12):
-            acc += mpmath.log(to_mpf(jacobi_beta_n_exact(n, jp)))
-            assert float(abs(acc - jacobi_log_hn(n, jp, P64))) < 1e-55, f"n={n}"
+    """h_n = h_0 * prod_{k<=n} beta_k, as `jacobi_log_hn` takes it, is the Gamma form of
+    h_n to 10^-(digits + 4) relative, from n = 0 to n = 799, at 40 and 111 digits."""
+    for alpha, beta in [("-1/2", "-1/2"), ("-999/1000", "-999/1000"), ("1/3", 2), (60, 0),
+                        (10 ** 4, 10 ** 4)]:
+        jp = JacobiParams(alpha, beta)
+        for digits in (40, 111):
+            for n in (0, 1, 2, 7, 61, 123, 799):
+                got = jacobi_log_hn(n, jp, Precision(digits))
+                with mpmath.workdps(2 * digits):
+                    want = log_hn_by_gamma(n, jp)
+                    assert abs(got - want) <= mpmath.mpf(10) ** -(digits + 4) * abs(want), \
+                        (alpha, beta, digits, n)
 
 
 def test_norm_reads_log_gamma_only_at_mu_0_arguments(monkeypatch):
@@ -255,33 +262,6 @@ def test_norm_reads_log_gamma_only_at_mu_0_arguments(monkeypatch):
         calls.clear()
         jacobi_log_hn(n, jp, P64)
         assert calls == [Fraction(4, 3), 3, Fraction(13, 3)], n
-
-
-def _log_hn_by_gamma(n, jp):
-    """ln h_n from its Gamma form at the current precision: for n >= 1
-    2^(2n+s+1) n! Gamma(n+a+1) Gamma(n+b+1) Gamma(n+s+1) / ((2n+s+1) Gamma(2n+s+1)^2),
-    and mu_0 = 2^(s+1) Gamma(a+1) Gamma(b+1) / Gamma(s+2) at n = 0."""
-    a, b = to_mpf(jp.alpha), to_mpf(jp.beta)
-    s = a + b
-    lg = mpmath.loggamma
-    if n == 0:
-        return (s + 1) * mpmath.log(2) + lg(a + 1) + lg(b + 1) - lg(s + 2)
-    return ((2 * n + s + 1) * mpmath.log(2) + lg(n + 1) + lg(n + a + 1) + lg(n + b + 1)
-            + lg(n + s + 1) - mpmath.log(2 * n + s + 1) - 2 * lg(2 * n + s + 1))
-
-
-@pytest.mark.parametrize("digits", [40, 111])
-@pytest.mark.parametrize("alpha, beta", [("-1/2", "-1/2"), ("-999/1000", "-999/1000"),
-                                         ("1/3", 2), (60, 0), (10 ** 4, 10 ** 4)])
-def test_norm_matches_gamma_form(alpha, beta, digits):
-    """mu_0 times the exact beta product is the Gamma form of h_n, to 10^-(digits + 4)
-    relative, from n = 0 to n = 799."""
-    jp, p = JacobiParams(alpha, beta), Precision(digits)
-    for n in (0, 1, 2, 7, 61, 123, 799):
-        got = jacobi_log_hn(n, jp, p)
-        with mpmath.workdps(2 * digits):
-            want = _log_hn_by_gamma(n, jp)
-            assert abs(got - want) <= mpmath.mpf(10) ** -(digits + 4) * abs(want), n
 
 
 def test_logdet_hand_values():
