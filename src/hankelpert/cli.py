@@ -45,7 +45,7 @@ from .errors import (DomainError, EvalDomainError, ParseError,
 from .precision import GUARD_DIGITS, Precision, to_mpf
 from .jacobi import (JacobiParams, jacobi_alpha_n_exact, jacobi_beta_n_exact,
                      jacobi_logdet_asym, jacobi_logdet_exact)
-from .hankel import (auto_digits, cross_validation_tol, hankel_logdet_ldl,
+from .hankel import (QUAD_ORDER_MARGIN, auto_digits, cross_validation_tol, hankel_logdet_ldl,
                      hankel_logdet_leading, hankel_logdet_recurrence, heine_average_small_n,
                      perturbed_moment_sequence, pure_moment_sequence)
 
@@ -427,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", required=True,
                     help="perturbation expression in x, e.g. 'exp(0.5*x)'")
     sp.add_argument("--quad-order", type=int, default=None,
-                    help="Gauss rule order for perturbed moments "
-                         "(default and minimum: largest n + 32, shared by every row)")
+                    help="Gauss rule order for perturbed moments (default and minimum: "
+                         f"largest n + {QUAD_ORDER_MARGIN}, shared by every row)")
     sp.add_argument("--heine", action="store_true",
                     help="add ensemble-average columns for sizes <= 3")
     sp.set_defaults(run=cmd_compare)

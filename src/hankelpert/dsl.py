@@ -49,7 +49,7 @@ from mpmath import mpf
 
 from .errors import DomainError, EvalDomainError, ParseError, PositivityError
 from .precision import BigReal, Precision, exact_fraction, to_mpf
-from .quadrature import SAMPLE_GUARD_DIGITS, lobatto_cos_sin
+from .quadrature import SAMPLE_GUARD_DIGITS, lobatto_cos
 
 #: name -> (function, domain fault or None, fault message). The fault test
 #: reads the argument before rounding, so exact arguments are judged exactly.
@@ -404,7 +404,7 @@ def validate_positive(h: PerturbationFn, p: Precision) -> BigReal:
 
     Samples the Chebyshev-Lobatto nodes cos(pi j / (SCREEN_POINTS-1)),
     j = 0..SCREEN_POINTS-1, at the precision (``SAMPLE_GUARD_DIGITS`` over
-    ``p``) and from the table (:func:`lobatto_cos_sin`) that
+    ``p``) and from the cosine table (:func:`lobatto_cos`) that
     ``quadrature.cheb_expand`` reads at ``p``, so one memo of h given to both
     evaluates h once at each node they share. The clustering near +-1
     targets where admissible perturbations degenerate first. Raises
@@ -412,7 +412,7 @@ def validate_positive(h: PerturbationFn, p: Precision) -> BigReal:
     EvalDomainError from the expression itself propagates unchanged.
     """
     with p.workdps(SAMPLE_GUARD_DIGITS):
-        return min(positive_sample(h, x) for x in lobatto_cos_sin(SCREEN_POINTS - 1)[0])
+        return min(positive_sample(h, x) for x in lobatto_cos(SCREEN_POINTS - 1))
 
 
 # --- ready-made perturbations ---

@@ -132,7 +132,7 @@ class MomentSequence(checked_namedtuple("MomentSequence", [
     multiplicative perturbation, and ``basis`` the exponents of the bare
     weight, whose pivot decay sizes the factorization's conditioning guard.
     ``modified`` carries the moments against the monic orthogonal basis of
-    that weight (one extra entry, indices 0..2n-1); these are well
+    that weight, nu_0..nu_{2n-2} as ``mu`` does; these are well
     conditioned, unlike the raw power moments, and the recurrence route
     reads nothing else. :func:`perturbed_moment_sequence` attaches them; a
     sequence without them, such as the pure one, serves the ldl route only.
@@ -192,7 +192,7 @@ def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
     """Moments of the perturbed weight w*h by one order-m Gauss rule, m >= n + 32 (the default).
 
     One pass over the nodes yields both the raw power moments mu_0..mu_{2n-2}
-    and the modified moments nu_0..nu_{2n-1} against the monic orthogonal
+    and the modified moments nu_0..nu_{2n-2} against the monic orthogonal
     basis of the unperturbed weight. The pass runs on F-bit fixed-point
     integers, F from ``quadrature.scaled_recurrence`` with one spare bit per bit of
     m: each node's w h becomes an integer W, scaled so that the largest sits
@@ -220,19 +220,20 @@ def perturbed_moment_sequence(jp: JacobiParams, h, n: int, p: Precision,
         whs = [ensure_finite(w * positive_sample(h, x), f"w h at node {i}")
                for i, (x, w) in enumerate(zip(rule.nodes, rule.weights))]
         shift = bits - mpmath.mag(max(whs))
-        mus = [0] * count
-        nus = [0] * (count + 1)
+        steps = tuple(zip(two_alpha[:count - 1], four_beta[:count - 1]))
+        mus, nus = [0] * count, [0] * count
         for node, wh in zip(rule.nodes, whs):
             x = int(mpmath.ldexp(node, bits))
             two_x = 2 * x
             xp = q = int(mpmath.ldexp(wh, shift))
             qm1 = 0
+            mus[0] += xp
             nus[0] += q
-            for k, (a, b) in enumerate(zip(two_alpha, four_beta)):
-                mus[k] += xp
+            for k, (a, b) in enumerate(steps, 1):
                 xp = (xp * x) >> bits
                 qm1, q = q, ((two_x - a) * q - b * qm1) >> bits
-                nus[k + 1] += q
+                mus[k] += xp
+                nus[k] += q
         mus = tuple(mpmath.ldexp(v, -shift) for v in mus)
         nus = tuple(mpmath.ldexp(v, -shift - k) for k, v in enumerate(nus))
     label = getattr(h, "source", None) or getattr(h, "__name__", "h")

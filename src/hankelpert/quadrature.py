@@ -64,10 +64,10 @@ An order-62 rule at 103 digits takes about 14 ms and an order-124 rule at
 pure-Python backend), of which the seeds are 1.8 and 6.7 ms.
 
 Chebyshev expansions and the positivity screen of ``dsl`` sample on the
-Chebyshev-Lobatto nodes cos(pi t / M), M a power of two. One table per
-working precision (:func:`lobatto_cos_sin`) holds their cosines and sines,
-so each :func:`cheb_expand_auto` doubling computes only its new angles (64,
-128, 256 for ln(1 + 2x^2) in ``compare --n 40``).
+Chebyshev-Lobatto nodes cos(pi t / M), M a power of two. One cosine table
+per working precision (:func:`lobatto_cos`) holds them and the transform's
+twiddle sines, so each :func:`cheb_expand_auto` doubling computes only its
+new angles (64, 128, 256 for ln(1 + 2x^2) in ``compare --n 40``).
 """
 from __future__ import annotations
 
@@ -287,52 +287,49 @@ class ChebExpansion(NamedTuple):
 
 
 @functools.lru_cache
-def _octant(prec: int, M: int) -> tuple:
-    """(cos, sin) of pi t / M for t <= M/4 at ``prec`` bits; M a power of two.
+def _quarter(prec: int, M: int) -> tuple:
+    """cos(pi t / M) for t <= M/2 at ``prec`` bits; M a power of two.
 
-    The even t are M/2's octant, so ``mpmath.cos_sin`` runs only on the odd t,
-    and each angle is computed once per precision.
+    The even t are M/2's table; one ``mpmath.cos_sin`` per odd t <= M/4 writes
+    its sine at M/2 - t and then its cosine at t (so M = 4 keeps cos(pi/4)).
     """
-    if M == 1:
-        return ((mpf(1), mpf(0)),)
-    coarse = _octant(prec, M // 2)
+    if M <= 2:
+        return (mpf(1), mpf(0))[:M // 2 + 1]
+    table = [None] * (M // 2 + 1)
+    table[0::2] = _quarter(prec, M // 2)
     with mp.workprec(prec):
-        return tuple(coarse[t // 2] if t % 2 == 0 else mpmath.cos_sin(mpmath.pi * t / M)
-                     for t in range(M // 4 + 1))
+        for t in range(1, M // 4 + 1, 2):
+            table[M // 2 - t], table[t] = mpmath.cos_sin(mpmath.pi * t / M)[::-1]
+    return tuple(table)
 
 
-def lobatto_cos_sin(M: int) -> tuple:
-    """(cos, sin) lists of pi t / M, t = 0..M, at the working precision; M a power of two.
+def lobatto_cos(M: int) -> list:
+    """The Chebyshev-Lobatto nodes cos(pi t / M), t = 0..M, at the working precision.
 
-    The cosines are the Chebyshev-Lobatto nodes cos(pi t / M). Only the first
-    octant, t <= M/4, is computed (:func:`_octant`): cos(pi/2 - a) = sin a and
-    cos(pi - a) = -cos a give the rest.
+    M is a power of two; :func:`_quarter` holds t <= M/2, and cos(pi - a) = -cos a.
     """
-    octant, half, cos_t, sin_t = _octant(mp.prec, M), M // 2, [], []
-    for t in range(M + 1):
-        u = min(t, M - t)
-        c, s = octant[u] if u <= half - u else octant[half - u][::-1]
-        cos_t.append(-c if t > half else c)
-        sin_t.append(s)
-    return cos_t, sin_t
+    quarter = _quarter(mp.prec, M)
+    return [quarter[t] if 2 * t <= M else -quarter[M - t] for t in range(M + 1)]
 
 
-def _dft(re: list, im: list, cos_t: list, sin_t: list, stride: int, bits: int) -> tuple:
-    """X_k = sum_j x_j e^(-2 pi i j k / L), L = len(re) a power of two, on fixed-point integers.
+def _dft(x: list, cos_t: list, stride: int, bits: int) -> tuple:
+    """(Re X_k, Im X_k), X_k = sum_j x_j e^(-2 pi i j k / L), of real fixed-point x_j.
 
-    ``cos_t[t]`` and ``sin_t[t]`` hold cos and sin of 2 pi t / (L * stride)
-    scaled by 2^bits, for the t < L * stride / 2 that are read. Each level
-    splits into even and odd samples (radix 2).
+    L = len(x), a power of two, split into even and odd samples (radix 2).
+    ``cos_t[t]`` is cos(2 pi t / N) scaled by 2^bits, t < N/2, N = L * stride at
+    the top call; sin(2 pi t / N) is read as ``cos_t[|N/4 - t|]``. N = 2 has no
+    integer N/4, so Im is wrong there; Re is right, as that sine meets a zero Im.
     """
-    L = len(re)
+    L = len(x)
     if L == 1:
-        return re, im
-    even_re, even_im = _dft(re[0::2], im[0::2], cos_t, sin_t, 2 * stride, bits)
-    odd_re, odd_im = _dft(re[1::2], im[1::2], cos_t, sin_t, 2 * stride, bits)
-    half = L // 2
+        return x, [0]
+    even_re, even_im = _dft(x[0::2], cos_t, 2 * stride, bits)
+    odd_re, odd_im = _dft(x[1::2], cos_t, 2 * stride, bits)
+    half, quarter = L // 2, len(cos_t) // 2
     out_re, out_im = [0] * L, [0] * L
     for k in range(half):
-        c, s = cos_t[k * stride], sin_t[k * stride]
+        t = k * stride
+        c, s = cos_t[t], cos_t[abs(quarter - t)]
         t_re = (odd_re[k] * c + odd_im[k] * s) >> bits
         t_im = (odd_im[k] * c - odd_re[k] * s) >> bits
         out_re[k], out_re[k + half] = even_re[k] + t_re, even_re[k] - t_re
@@ -349,22 +346,22 @@ def cheb_expand(f, M: int, p: Precision) -> ChebExpansion:
 
     where '' halves the first and last terms of the sum. The sum is 1/M
     times the length-2M DFT of the even extension f_0..f_M, f_{M-1}..f_1,
-    run by :func:`_dft` in O(M log M), so M must be a power of two. Its
-    fixed-point integers carry the working bits plus ``KERNEL_GUARD_BITS``
-    below the largest |f(x_j)|, so each coefficient is off by a few working
-    ulps of that largest value, as a cosine sum in mpf would be.
+    run by :func:`_dft` in O(M log M) on the node cosines alone, so M must be
+    a power of two. Its fixed-point integers carry the working bits plus
+    ``KERNEL_GUARD_BITS`` below the largest |f(x_j)|, so each coefficient is
+    off by a few working ulps of that largest value, as a cosine sum in mpf
+    would be.
     """
     if M < 1 or M & (M - 1):
         raise DomainError(f"expansion degree must be a power of two, got {M}")
     with p.workdps(SAMPLE_GUARD_DIGITS):
-        cos_t, sin_t = lobatto_cos_sin(M)
+        cos_t = lobatto_cos(M)
         fx = [ensure_finite(to_mpf(f(x)), f"f(x_{j})") for j, x in enumerate(cos_t)]
         bits = mp.prec + KERNEL_GUARD_BITS
         scale = bits - max((mpmath.mag(v) for v in fx if v), default=0)
         ints = [int(mpmath.ldexp(v, scale)) for v in fx]
-        out, _ = _dft(ints + ints[M - 1:0:-1], [0] * (2 * M),
-                      [int(mpmath.ldexp(c, bits)) for c in cos_t[:M]],
-                      [int(mpmath.ldexp(s, bits)) for s in sin_t[:M]], 1, bits)
+        out, _ = _dft(ints + ints[M - 1:0:-1],
+                      [int(mpmath.ldexp(c, bits)) for c in cos_t[:M]], 1, bits)
         coeffs = tuple(mpmath.ldexp(v, -scale) / M for v in out[:M + 1])
         return ChebExpansion(coeffs, max(abs(coeffs[-1]), abs(coeffs[-2])))
 

@@ -195,7 +195,7 @@ def test_compare_computes_each_lobatto_angle_once(capsys, monkeypatch):
     """The screen and the ln h expansion read their nodes from one table at one
     precision: every cos_sin call is at that precision, at most M/4 + 1 of them
     for its finest M = 256, and the screen calls no mpmath.cos."""
-    quadrature._octant.cache_clear()
+    quadrature._quarter.cache_clear()
     angles, screen_cosines, inside = [], [], []
     cos_sin, cos, screen = mpmath.cos_sin, mpmath.cos, dsl.validate_positive
 
@@ -222,8 +222,8 @@ def test_compare_computes_each_lobatto_angle_once(capsys, monkeypatch):
     assert code == 0
     assert screen_cosines == []
     assert len(set(angles)) == 1
-    # the octants of M = 1, 2, 4, ..., 256 at that one precision
-    assert quadrature._octant.cache_info().currsize == 9
+    # the cosine tables of M = 2, 4, ..., 256 at that one precision
+    assert quadrature._quarter.cache_info().currsize == 8
     assert len(angles) <= 256 // 4 + 1
 
 
@@ -248,7 +248,7 @@ def test_compare_evaluates_h_once_per_lobatto_node(capsys, monkeypatch, n, h,
         angles.append(mpmath.mp.prec)
         return cos_sin(*args, **kwargs)
 
-    quadrature._octant.cache_clear()
+    quadrature._quarter.cache_clear()
     monkeypatch.setattr(dsl.PerturbationFn, "__call__", counted_call)
     monkeypatch.setattr(mpmath, "cos_sin", counted_cos_sin)
     code, rep, _ = run_json(["compare", "--n", n, "--h", h], capsys)
@@ -412,6 +412,36 @@ def test_compare_sized_up_rule_at_large_exponents_prints_right_digits(capsys, al
     with mpmath.workdps(120):
         exact = mpmath.log(d8.numerator) - mpmath.log(d8.denominator)
         assert abs(mpmath.mpf(text) - exact) <= mpmath.mpf(10) ** -len(text.split(".")[1])
+
+
+def test_compare_degree_2048_expansion_prints_exact_constants(capsys, monkeypatch):
+    """h = 1 + 400 x^2 needs the ln h expansion at degree 2048, and its constants are
+    exact. With x = cos theta, h = 201 + 200 cos 2 theta = C |1 + q e^(2 i theta)|^2,
+    q = (201 - sqrt 401) / 200, C = 201 / (1 + q^2), so ln h has mean ln C and
+    c_{2j} = 2 (-1)^(j+1) q^j / j: pv_part = (1/8) sum k c_k^2 = -ln(1 - q^2) and
+    log_mean = 4 ln C. pv_part must be within one unit of its last printed digit, and
+    log_mean within the unit of log_det_ldl's last printed digit. h is a polynomial, so
+    the default order-36 rule is exact, and both routes must be within the unit of
+    their last printed digit of ln D_4 from the exact rational minors."""
+    expansions = _counting(monkeypatch, quadrature, "cheb_expand")
+    code, rep, err = run_json(["compare", "--n", "4", "--h", "1+400*x^2"], capsys)
+    assert code == 0, err
+    assert max(M for _, M, _ in expansions) == 2048
+    row = rep["rows"][0]
+
+    def unit(key):
+        return mpmath.mpf(10) ** -len(row[key].split(".")[1])
+
+    d4 = hankel.rational_hankel_minors(jacobi.JacobiParams(0, 0), 4, [1, 0, 400])[-1]
+    with mpmath.workdps(120):
+        q = (201 - mpmath.sqrt(401)) / 200
+        ln_d4 = mpmath.log(d4.numerator) - mpmath.log(d4.denominator)
+        for key, exact, tol in (("pv_part", -mpmath.log(1 - q ** 2), unit("pv_part")),
+                                ("log_mean", 4 * mpmath.log(201 / (1 + q ** 2)),
+                                 unit("log_det_ldl")),
+                                ("log_det_ldl", ln_d4, unit("log_det_ldl")),
+                                ("log_det_recurrence", ln_d4, unit("log_det_recurrence"))):
+            assert abs(mpmath.mpf(row[key]) - exact) <= tol, key
 
 
 @pytest.mark.parametrize("alpha, beta, n", [(60, 0, 20), (40, 0, 30), (60, 3, 30),

@@ -323,14 +323,15 @@ def test_fixed_point_kernel_matches_generic_loop(a, b, source, n):
     loop run on the same inputs at three times the working precision: the raw
     moments of the ldl route (source None) or the modified moments of w h. At
     exponents 60 and 100 the modified moments fall some 150 orders below nu_0,
-    which only the kernel's per-column scale keeps at full precision."""
+    which only the kernel's per-column scale keeps at full precision. The oracle
+    reads a 2n-th moment only to form alpha_{n-1}, so a zero stands in for it."""
     jp, p = JacobiParams(a, b), auto_precision(n)
     with p.workdps(_conditioning_guard(n)):
         if source is None:
             nu = [*pure_moment_sequence(jp, n, p).mu, mpmath.mpf(0)]
             aux_a = aux_b = [mpmath.mpf(0)] * (2 * n)
         else:
-            nu = perturbed_moment_sequence(jp, parse_h(source), n, p).modified
+            nu = [*perturbed_moment_sequence(jp, parse_h(source), n, p).modified, mpmath.mpf(0)]
             aux_a, aux_b = jacobi_recurrence_table(2 * n, jp)
         betas = modified_chebyshev(nu, aux_a, aux_b, n)
         dps = mpmath.mp.dps
@@ -458,10 +459,12 @@ def mpf_moment_pass(jp, h, n, p, m):
     ("1/3", "2", "cosh(3*x)", 60),
 ])
 def test_fixed_point_moment_pass_matches_mpf_loop(a, b, source, n):
-    """Raw moments and 2^k nu_k within a few working units of mu_0 of the mpf loop."""
+    """Raw moments and 2^k nu_k within a few working units of mu_0 of the mpf loop,
+    nu_0..nu_{2n-2} only: no route reads nu_{2n-1}."""
     jp, h, p = JacobiParams(a, b), parse_h(source), auto_precision(n)
     ms = perturbed_moment_sequence(jp, h, n, p)
     mus, nus = mpf_moment_pass(jp, h, n, p, n + 32)
+    assert len(ms.mu) == len(ms.modified) == 2 * n - 1
     with p.workdps(_conditioning_guard(n)):
         tol = ms.mu[0] * mpmath.mpf(10) ** (3 - mpmath.mp.dps)
         assert max(abs(u - v) for u, v in zip(ms.mu, mus)) < tol

@@ -416,32 +416,36 @@ def test_rule_raises_on_a_bracket_that_holds_no_root(monkeypatch):
 
 @pytest.mark.parametrize("digits", [40, 111])
 def test_lobatto_table_within_one_ulp(digits):
-    """Each cos and sin of pi t / M is within one unit of its last place of
-    mpmath's cospi and sinpi, which take the angle exactly (cos(pi * t / M)
-    rounds pi first, so near its zeros it is off by many of its own units)."""
-    quadrature._octant.cache_clear()
+    """Each node cos(pi t / M), and each twiddle sine sin(pi t / M), t < M,
+    that the transform reads from the node table as cos_t[|M/2 - t|], is
+    within one unit of its last place of mpmath's cospi and sinpi, which take
+    the angle exactly (cos(pi * t / M) rounds pi first, so near its zeros it
+    is off by many of its own units)."""
+    quadrature._quarter.cache_clear()
     with mpmath.workdps(digits):
         for M in (1, 2, 4, 64, 256):
-            cos_t, sin_t = quadrature.lobatto_cos_sin(M)
-            assert len(cos_t) == len(sin_t) == M + 1
-            for t in range(M + 1):
-                for got, want in ((cos_t[t], mpmath.cospi(mpmath.mpf(t) / M)),
-                                  (sin_t[t], mpmath.sinpi(mpmath.mpf(t) / M))):
-                    ulp = mpmath.ldexp(1, mpmath.mag(want) - mpmath.mp.prec) if want else 0
-                    assert abs(got - want) <= ulp, (M, t)
+            cos_t = quadrature.lobatto_cos(M)
+            assert len(cos_t) == M + 1
+            pairs = [(cos_t[t], mpmath.cospi(mpmath.mpf(t) / M)) for t in range(M + 1)]
+            if M >= 2:
+                pairs += [(cos_t[abs(M // 2 - t)], mpmath.sinpi(mpmath.mpf(t) / M))
+                          for t in range(M)]
+            for i, (got, want) in enumerate(pairs):
+                ulp = mpmath.ldexp(1, mpmath.mag(want) - mpmath.mp.prec) if want else 0
+                assert abs(got - want) <= ulp, (M, i)
 
 
 def test_coarser_lobatto_table_is_a_stride_of_a_finer_one():
     """Built alone or after a finer one, the degree-M table is every
     (256/M)-th entry of the degree-256 table."""
     with mpmath.workdps(72):
-        quadrature._octant.cache_clear()
-        fine_cos, fine_sin = quadrature.lobatto_cos_sin(256)
+        quadrature._quarter.cache_clear()
+        fine = quadrature.lobatto_cos(256)
         for M in (1, 2, 4, 64, 128):
             stride = 256 // M
-            assert quadrature.lobatto_cos_sin(M) == (fine_cos[::stride], fine_sin[::stride])
-            quadrature._octant.cache_clear()
-            assert quadrature.lobatto_cos_sin(M) == (fine_cos[::stride], fine_sin[::stride])
+            assert quadrature.lobatto_cos(M) == fine[::stride]
+            quadrature._quarter.cache_clear()
+            assert quadrature.lobatto_cos(M) == fine[::stride]
 
 
 @pytest.mark.parametrize("m, a_s, b_s", [(208, "1/3", "2"), (150, "0", "-1/2"),
