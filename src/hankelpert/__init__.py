@@ -40,8 +40,8 @@ _EXPORTS = {
                "rational_hankel_minors", "modified_chebyshev", "heine_average_small_n"),
     "fluid": ("SupportInterval", "support_endpoints", "support_endpoints_shifted",
               "equilibrium_density", "EquilibriumDensity", "fluid_recurrence", "band_kernel"),
-    "linstat": ("cheb_log_expand", "pv_double_integral", "mean_term", "LinStatTerms",
-                "linstat_terms", "AsymptoticPrediction", "assemble_prediction"),
+    "linstat": ("cheb_log_expand", "pv_double_integral", "linstat_terms",
+                "AsymptoticPrediction", "assemble_prediction"),
     "dsl": ("PerturbationFn", "parse_h", "to_source", "validate_positive", "h_one",
             "h_const", "h_exp_linear", "h_exp_cheb2", "h_one_plus_square"),
 }

@@ -274,9 +274,8 @@ def cmd_compare(args, jp: JacobiParams, ns: list) -> tuple:
         pred = assemble_prediction(n, jp, h, p, expansion())
         pure = jacobi_logdet_exact(n, jp, p)
         with p.workdps():
-            mean_limit = pred.log_mean + pred.boundary_part
             log_ratio = direct.log_det - pure
-            pv_estimate = log_ratio - mean_limit
+            pv_estimate = log_ratio - pred.mean
             out = {
                 "log_det_ldl": direct.log_det,
                 "log_det_recurrence": second.log_det,
@@ -284,15 +283,10 @@ def cmd_compare(args, jp: JacobiParams, ns: list) -> tuple:
                 "method_tol": cross_validation_tol(n, p),
                 "prediction_total": pred.total,
                 "prediction_gap": direct.log_det - pred.total,
-                "log_leading": pred.log_leading,
-                "log_mean": pred.log_mean,
-                "pv_part": pred.pv_part,
-                "boundary_part": pred.boundary_part,
-                "edge_part": pred.edge_part,
-                "pure_constant_part": pred.pure_constant_part,
+                **pred._asdict(),
                 "log_det_pure": pure,
                 "log_ratio": log_ratio,
-                "mean_term_limit": mean_limit,
+                "mean_term_limit": pred.mean,
                 "pv_estimate": pv_estimate,
                 "pv_estimate_edge_adjusted": pv_estimate - pred.edge_part,
             }

@@ -110,11 +110,13 @@ def support_endpoints_shifted(n: int, jp: JacobiParams) -> SupportInterval:
 
 
 def equilibrium_density(x, si: SupportInterval) -> BigReal:
-    """Continuum density sigma(x) on the band; zero at the endpoints.
+    """Continuum density sigma(x) on the band.
 
     sigma(x) = (n + s/2) sqrt((b-x)(x-a)) / (pi (1-x^2)); its integral over
     [a_n, b_n] is n + min(alpha, 0) + min(beta, 0), exactly n for
-    alpha, beta >= 0.
+    alpha, beta >= 0. At a band end inside (-1, 1) it is zero; at an end
+    equal to +-1, where that exponent is zero, 1 -/+ x cancels one factor
+    of the root and sigma grows like 1/sqrt(1 - x^2), so it is ``mpmath.inf``.
     """
     x = to_mpf(x)
     if not si.a_n <= x <= si.b_n:
@@ -122,7 +124,7 @@ def equilibrium_density(x, si: SupportInterval) -> BigReal:
             f"density supported on [{mpmath.nstr(si.a_n, 8)}, {mpmath.nstr(si.b_n, 8)}], "
             f"got {mpmath.nstr(x, 8)}")
     if x == si.a_n or x == si.b_n:
-        return mpf(0)
+        return mpmath.inf if abs(x) == 1 else mpf(0)
     a, b = si.jp.ab_mpf()
     s = a + b
     return ((si.n + s / 2) * mpmath.sqrt((si.b_n - x) * (x - si.a_n))

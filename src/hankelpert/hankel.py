@@ -109,12 +109,18 @@ def _pivot_decay(n: int, jp: JacobiParams) -> tuple:
     end, as at one large exponent, and at x = i when they are symmetric.
     growth is about 0.08 n at moderate exponents and nears 0.3 n as one
     exponent grows.
+
+    P_{n-1} has no zero at 1, -1 or i, so a float zero there has cancelled
+    (at alpha = 1e20 alpha_0 rounds to -1, P_1(-1) to 0.0): PrecisionError.
     """
     alphas, betas = jacobi_recurrence_table(n, jp)
     decay = -sum(math.log10(b.numerator) - math.log10(b.denominator) for b in betas[1:])
     growth = 0.0  # |P(i)| >= 1, the zeros being real
     for x in (1, -1, 1j):
         m, e = recurrence_frexp(alphas[:-1], betas, x)[-1]
+        if not m:
+            raise PrecisionError(f"P_{n - 1}({x}) cancels to 0 in floats, where it has "
+                                 "no zero: the exponents are too large to size the guard")
         growth = max(growth, (e + math.log2(abs(m))) * math.log10(2))
     return decay, growth
 

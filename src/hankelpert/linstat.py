@@ -36,8 +36,9 @@ Math. 174 (2011) 1243) for the weight (1-x)^alpha (1+x)^beta e^V(x) on
 [-1, 1] with V = ln h. Writing V(cos t) = V_0 + 2 sum_{k>=1} V_k cos(k t),
 so V_0 = c_0/2 and V_k = c_k/2, their mean (n + s/2) V_0, variance half
 (1/2) sum k V_k^2 and edge terms -(alpha/2) V(1) - (beta/2) V(-1) are
-log_mean + boundary_part, pv_part and edge_part. Their theorem holds for
-every alpha, beta > -1, the domain ``JacobiParams`` enforces.
+``AsymptoticPrediction.mean`` = log_mean + boundary_part, pv_part and
+edge_part. Their theorem holds for every alpha, beta > -1, the domain
+``JacobiParams`` enforces.
 """
 from __future__ import annotations
 
@@ -72,36 +73,14 @@ def pv_double_integral(ce: ChebExpansion) -> BigReal:
         "pv part")
 
 
-def mean_term(ce: ChebExpansion, n: int, jp: JacobiParams) -> BigReal:
-    """Mean of the linear statistic sum_j ln h(x_j) at size n, to its large-n form.
-
-    The coefficient is (n + s/2) c_0/2; the edge correction is accounted
-    separately in assembly.
-    """
-    if n < 1:
-        raise DomainError(f"size must be >= 1, got {n}")
-    a, b = jp.ab_mpf()
-    return (n + (a + b) / 2) * ce.coeffs[0] / 2
-
-
-class LinStatTerms(NamedTuple):
-    """Mean of sum_j ln h(x_j) at size n; its variance half is :func:`pv_double_integral`."""
-
-    mean: object
-
-
-def linstat_terms(h, n: int, jp: JacobiParams, p: Precision) -> LinStatTerms:
-    """Mean of the log-perturbation statistic, read from the global Chebyshev data of ln h."""
-    with p.workdps():
-        mean = mean_term(cheb_log_expand(h, p), n, jp)
-    return LinStatTerms(mean)
-
-
 class AsymptoticPrediction(NamedTuple):
     """Additive decomposition of the predicted ln D_n for a perturbed weight.
 
-    ``total`` re-assembles the prediction; ``log_constant`` collects the
-    n-independent part (everything except log_leading and log_mean).
+    The fields are the parts in the order a report prints them. ``mean`` is
+    the large-n mean (n + s/2) c_0/2 of sum_j ln h(x_j), log_mean +
+    boundary_part, and edge_part its correction from h(+-1); ``total``
+    re-assembles the prediction; ``log_constant`` collects the n-independent
+    part (everything except log_leading and log_mean).
     """
 
     log_leading: object
@@ -110,6 +89,10 @@ class AsymptoticPrediction(NamedTuple):
     boundary_part: object
     edge_part: object
     pure_constant_part: object
+
+    @property
+    def mean(self) -> BigReal:
+        return self.log_mean + self.boundary_part
 
     @property
     def log_constant(self) -> BigReal:
@@ -162,3 +145,8 @@ def assemble_prediction(n: int, jp: JacobiParams, h, p: Precision,
                         ("constant", pure)):
             ensure_finite(v, f"{name} part")
     return AsymptoticPrediction(log_leading, log_mean, pv, boundary, edge, pure)
+
+
+def linstat_terms(h, n: int, jp: JacobiParams, p: Precision) -> AsymptoticPrediction:
+    """:func:`assemble_prediction`, under the name the acceptance gate reads ``mean`` by."""
+    return assemble_prediction(n, jp, h, p)

@@ -8,6 +8,7 @@ eight digits to downstream arithmetic and still meet their own targets.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from fractions import Fraction
@@ -66,7 +67,7 @@ def to_mpf(value) -> BigReal:
     An mpf is returned unchanged. Values with an exact rational form
     (:func:`exact_fraction`) are converted by one division of numerator by
     denominator, so no decimal-representation error sneaks in; anything else,
-    text such as 'inf' included, raises DomainError.
+    text such as 'inf' and a non-finite float included, raises DomainError.
     """
     if isinstance(value, mpf):
         return value
@@ -89,11 +90,12 @@ def to_fixed(value, bits: int) -> int:
 def exact_fraction(value) -> Fraction | None:
     """Exact rational form of ``value``, or None when there is none.
 
-    Ints, Fractions, floats (binary rationals) and decimal/ratio strings all
-    have one; mpf values are deliberately not treated as exact because they
-    normally arrive as rounded computation results. Text with ``_`` has
-    none: ``Fraction`` reads '1_0' as 10 from Python 3.11 but refuses it on
-    3.10, and the ``--h`` grammar refuses it too.
+    Ints, Fractions, finite floats (binary rationals) and decimal/ratio
+    strings all have one; an infinite or NaN float has none, and mpf values
+    are deliberately not treated as exact because they normally arrive as
+    rounded computation results. Text with ``_`` has none: ``Fraction``
+    reads '1_0' as 10 from Python 3.11 but refuses it on 3.10, and the
+    ``--h`` grammar refuses it too.
 
     Text that writes more digits, counted with the size of its decimal
     exponent, than ``sys.get_int_max_str_digits()`` allows raises
@@ -105,7 +107,7 @@ def exact_fraction(value) -> Fraction | None:
     if isinstance(value, numbers.Integral):
         return Fraction(int(value))
     if isinstance(value, float):
-        return Fraction(value)
+        return Fraction(value) if math.isfinite(value) else None
     if isinstance(value, str):
         if "_" in value:
             return None

@@ -634,6 +634,23 @@ def test_density_grid_and_mass(capsys):
     assert float(rep["rows"][0]["sigma"]) == 0.0  # band edge
 
 
+@pytest.mark.parametrize("argv, ends", [
+    (["--n", "20", "--points", "5"], ["+inf", "+inf"]),
+    (["--n", "3", "--beta", "1", "--points", "3"], ["0.0", "+inf"]),
+], ids=["both-ends-at-one", "one-end-inside"])
+def test_density_is_unbounded_at_a_band_end_on_plus_minus_one(capsys, argv, ends):
+    """With exponent 0 at x = +-1 the band reaches it and sigma grows like
+    1/sqrt(1 - x^2) there; a band end inside (-1, 1) keeps sigma = 0."""
+    code, rep, _ = run_json(["density", *argv], capsys)
+    assert code == 0
+    rows = rep["rows"]
+    assert [rows[0]["sigma"], rows[-1]["sigma"]] == ends
+    if ends == ["+inf", "+inf"]:
+        # sigma = n / (pi sqrt(1 - x^2)) on [-1, 1]: 20/pi at the centre
+        with mpmath.workdps(72):
+            assert rows[2]["sigma"] == mpmath.nstr(20 / mpmath.pi, 64)
+
+
 @pytest.mark.parametrize("argv", [
     ["--n", "20", "--points", "5"],
     ["--n", "7", "--alpha", "2/3", "--beta", "2/3", "--points", "21"]])
@@ -1083,6 +1100,21 @@ def test_exit_3_on_precision_failure(capsys, monkeypatch, argv):
     rep = json.loads(out)
     assert all(row["error_type"] == "PrecisionError" for row in rep["rows"])
     assert "pivot" in rep["rows"][0]["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--n", "2", "--alpha", "1e20"],
+    ["compare", "--n", "2", "--alpha", "1e20", "--h", "1+x^2"],
+], ids=["exact", "compare"])
+def test_exit_3_when_the_guard_screen_cancels(capsys, argv):
+    """At alpha = 1e20, alpha_0 rounds to -1 in floats and P_1(-1) to 0.0,
+    where P_1 has no zero: an error row naming x, not a math domain error."""
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert err == ""
+    row, = json.loads(out)["rows"]
+    assert row["error_type"] == "PrecisionError"
+    assert row["error"].startswith("P_1(-1) cancels to 0 in floats")
 
 
 def test_exit_3_when_routes_differ_beyond_method_tol(capsys, monkeypatch):

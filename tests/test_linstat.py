@@ -8,7 +8,7 @@ from hankelpert.hankel import (auto_precision, hankel_logdet_ldl,
                                perturbed_moment_sequence)
 from hankelpert.jacobi import JacobiParams, jacobi_logdet_asym, jacobi_logdet_exact
 from hankelpert.linstat import (assemble_prediction, cheb_log_expand,
-                                linstat_terms, mean_term, pv_double_integral)
+                                linstat_terms, pv_double_integral)
 from hankelpert.precision import Precision
 
 P64 = Precision(64)
@@ -47,16 +47,27 @@ def test_pv_is_nonnegative():
 
 def test_mean_term_odd_perturbation_vanishes():
     with mpmath.workdps(64):
-        ce = cheb_log_expand(h_exp_linear(1), P64)
-        assert float(abs(mean_term(ce, 10, LEG))) < 1e-55
+        pred = assemble_prediction(10, LEG, h_exp_linear(1), P64)
+        assert float(abs(pred.mean)) < 1e-55
 
 
 def test_mean_term_constant_perturbation():
     with mpmath.workdps(64):
         jp = JacobiParams(1, 0)
-        ce = cheb_log_expand(h_const(Fraction(3, 2)), P64)
+        pred = assemble_prediction(10, jp, h_const(Fraction(3, 2)), P64)
         want = (10 + mpmath.mpf(1) / 2) * mpmath.log(mpmath.mpf(3) / 2)
-        assert float(abs(mean_term(ce, 10, jp) - want)) < 1e-50
+        assert float(abs(pred.mean - want)) < 1e-50
+
+
+def test_linstat_terms_is_the_assembled_prediction():
+    """The gate's name reads the same record, and its mean is the sum of the
+    order-n and boundary parts, to the last bit."""
+    with mpmath.workdps(64):
+        jp = JacobiParams(Fraction(1, 2), 2)
+        h = parse_h("1 + x^2/2")
+        pred = assemble_prediction(12, jp, h, P64)
+        assert linstat_terms(h, 12, jp, P64) == pred
+        assert pred.mean == pred.log_mean + pred.boundary_part
 
 
 def test_scaling_covariance():

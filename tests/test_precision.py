@@ -1,5 +1,6 @@
 """The shared running product of ``precision``, its cuts and its error bound,
-the fixed-point conversion, and the size rule for number text."""
+the fixed-point conversion, the size rule for number text, and the values
+with no exact form."""
 import random
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ import mpmath
 import pytest
 
 from hankelpert.errors import DomainError, PrecisionError
+from hankelpert.jacobi import JacobiParams
 from hankelpert.precision import exact_fraction, running_product, to_fixed, to_mpf
 
 
@@ -71,6 +73,17 @@ def test_text_without_an_exact_rational_value_is_refused():
     """'inf' has no exact rational form, and ``to_mpf`` reads text only through one."""
     with pytest.raises(DomainError, match="cannot convert str to mpf"):
         to_mpf("inf")
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_nonfinite_float_has_no_exact_value(value):
+    """A float that is no binary rational has no exact form: ``to_mpf`` and
+    ``JacobiParams`` refuse it with DomainError, the latter naming the parameter."""
+    assert exact_fraction(value) is None
+    with pytest.raises(DomainError, match="cannot convert float to mpf"):
+        to_mpf(value)
+    with pytest.raises(DomainError, match="^beta must be a rational number"):
+        JacobiParams(0, value)
 
 
 @pytest.mark.parametrize("value, bits, want", [
