@@ -17,8 +17,8 @@ Reports go to stdout as JSON (default) or CSV; arbitrary-precision values
 are emitted as decimal strings, never as binary floats. Identical command
 lines produce identical reports except for the timing fields.
 
-Each printed difference is paired with its printed bound in ``BOUNDS``;
-the row runner checks every pair and makes a row over its bound an error row.
+Each check is declared once, in ``CHECKS``; ``_run_rows`` prints its difference
+to 3 digits just before its bound, and a row over its bound is an error row.
 
 Exit codes: 0 success; 1 stdout closed before the report was written;
 2 usage or parameter error (including expression syntax errors); 3
@@ -51,18 +51,20 @@ from .hankel import (QUAD_ORDER_MARGIN, auto_digits, cross_validation_tol, hanke
 
 SCHEMA_VERSION = 2
 HEINE_GUARD = 20
-#: Every printed (difference, bound, what differs) of a row. ``_run_rows``
-#: turns a row whose difference exceeds its bound into an error row (exit 3).
-BOUNDS = (
-    ("diff_closed_norm", "method_tol", "closed form and norm product"),
-    ("diff_closed_ldl", "method_tol", "closed form and ldl routes"),
-    ("diff_norm_ldl", "method_tol", "norm product and ldl routes"),
-    ("method_diff", "method_tol", "ldl and recurrence routes"),
-    ("heine_diff", "heine_tol", "determinant ratio and ensemble average"),
-)
+#: Every check a row prints: difference field -> (side, other side, bound field,
+#: what differs). A row holding both sides prints |side - other| just before the
+#: bound; a side named "_..." is a value the row computes but does not print.
+CHECKS = {
+    "diff_closed_norm": ("log_det_closed", "log_det_norm_product", "method_tol",
+                         "closed form and norm product"),
+    "diff_closed_ldl": ("log_det_closed", "log_det_ldl", "method_tol", "closed form and ldl routes"),
+    "diff_norm_ldl": ("log_det_norm_product", "log_det_ldl", "method_tol",
+                      "norm product and ldl routes"),
+    "method_diff": ("log_det_ldl", "log_det_recurrence", "method_tol", "ldl and recurrence routes"),
+    "heine_diff": ("_ratio", "heine_average", "heine_tol", "determinant ratio and ensemble average"),
+}
 #: Differences of two working-precision values carry only a few meaningful
-#: digits; these fields print that many significant digits, not ``digits``.
-DIFF_FIELDS = frozenset(diff for diff, _, _ in BOUNDS)
+#: digits; a check's difference prints that many significant digits, not ``digits``.
 DIFF_DIGITS = 3
 #: A field computed from a printed value by subtracting others printed no
 #: finer, or one of the terms so subtracted (``log_mean`` and ``boundary_part``
@@ -133,11 +135,11 @@ def _fmt_resolved(value, unit) -> str:
 
 def _fmt_row(row: dict, digits: int) -> dict:
     """Each field formatted once: a ``RESOLVED_BY`` field to its reference's
-    last printed digit, a difference to DIFF_DIGITS digits, the rest to ``digits``."""
+    last printed digit, a check's difference to DIFF_DIGITS digits, the rest to ``digits``."""
     unit = functools.cache(lambda reference: _last_digit_unit(row[reference], digits))
     with mpmath.workdps(digits + GUARD_DIGITS):
         return {k: _fmt_resolved(v, unit(RESOLVED_BY[k])) if k in RESOLVED_BY
-                else _fmt(v, DIFF_DIGITS if k in DIFF_FIELDS else digits)
+                else _fmt(v, DIFF_DIGITS if k in CHECKS else digits)
                 for k, v in row.items()}
 
 
@@ -185,12 +187,13 @@ def _run_rows(args, ns, compute) -> tuple:
     """One report row per size, and the exit code: 2 if a size is outside
     the domain, else 3 if any row failed, else 0.
 
-    ``compute(n, p)`` returns the row's values after ``n`` and ``digits``,
-    with ``p`` the row's precision from :func:`_row_digits`, timed into
-    ``elapsed_s``. A PrecisionError, a DomainError other than h's
-    EvalDomainError, or a difference of ``BOUNDS`` above its bound becomes
-    the row {n, digits, error, error_type} and the next size runs; if no
-    size is in the domain, the first DomainError is raised.
+    ``compute(n, p)`` returns the row's values after ``n`` and ``digits``, with
+    ``p`` the row's precision from :func:`_row_digits`; it and the ``CHECKS``
+    whose sides it returns (None where the bound is None) run at ``p.workdps()``,
+    timed into ``elapsed_s``. A PrecisionError, a DomainError other than h's
+    EvalDomainError, or a check over its bound (the first in ``CHECKS``) becomes
+    the row {n, digits, error, error_type} and the next size runs; if no size is
+    in the domain, the first DomainError is raised.
     """
     rows, failed = [], []
     for n in ns:
@@ -198,8 +201,16 @@ def _run_rows(args, ns, compute) -> tuple:
         p = Precision(digits)
         t0 = time.perf_counter()
         try:
-            row = {"n": n, "digits": digits, **compute(n, p)}
-            for diff, bound, what in BOUNDS:
+            row = {"n": n, "digits": digits}
+            with p.workdps():
+                values = compute(n, p)
+                for key, value in values.items():
+                    for diff, (side, other, bound, _) in CHECKS.items():
+                        if key == bound and side in values and other in values:
+                            row[diff] = None if value is None else abs(values[side] - values[other])
+                    if not key.startswith("_"):
+                        row[key] = value
+            for diff, (_, _, bound, what) in CHECKS.items():
                 if row.get(diff) is not None and row[diff] > row[bound]:
                     raise PrecisionError(
                         f"{what} differ by {mpmath.nstr(row[diff], DIFF_DIGITS)}, "
@@ -228,22 +239,17 @@ def cmd_exact(args, jp: JacobiParams, ns: list) -> tuple:
         moments = pure_moment_sequence(jp, n, p)
         ldl = hankel_logdet_ldl(moments, n, p)
         asym = jacobi_logdet_asym(n, jp, p)
-        with p.workdps():
-            # ln D_n = n ln h_0 + sum_{0<j<n} (n-j) ln beta_j, h_0 = mu_0 of the
-            # moments, the beta_j exact rationals; the closed form reads neither
-            betas = [moments.mu[0], *(to_mpf(jacobi_beta_n_exact(j, jp)) for j in range(1, n))]
-            norm_product = hankel_logdet_leading(betas, n, p).log_det
-            return {
-                "log_det_closed": closed,
-                "log_det_norm_product": norm_product,
-                "log_det_ldl": ldl.log_det,
-                "diff_closed_norm": abs(closed - norm_product),
-                "diff_closed_ldl": abs(closed - ldl.log_det),
-                "diff_norm_ldl": abs(norm_product - ldl.log_det),
-                "method_tol": cross_validation_tol(n, p),
-                "log_det_asym": asym,
-                "asym_gap": abs(closed - asym),
-            }
+        # ln D_n = n ln h_0 + sum_{0<j<n} (n-j) ln beta_j, h_0 = mu_0 of the
+        # moments, the beta_j exact rationals; the closed form reads neither
+        betas = [moments.mu[0], *(to_mpf(jacobi_beta_n_exact(j, jp)) for j in range(1, n))]
+        return {
+            "log_det_closed": closed,
+            "log_det_norm_product": hankel_logdet_leading(betas, n, p).log_det,
+            "log_det_ldl": ldl.log_det,
+            "method_tol": cross_validation_tol(n, p),
+            "log_det_asym": asym,
+            "asym_gap": abs(closed - asym),
+        }
 
     rows, code = _run_rows(args, ns, row)
     return _parameters(jp, ns, digits=_digits_param(args)), rows, code
@@ -273,32 +279,27 @@ def cmd_compare(args, jp: JacobiParams, ns: list) -> tuple:
         second = _leading(recurrence, n, p)
         pred = assemble_prediction(n, jp, h, p, expansion())
         pure = jacobi_logdet_exact(n, jp, p)
-        with p.workdps():
-            log_ratio = direct.log_det - pure
-            pv_estimate = log_ratio - pred.mean
-            out = {
-                "log_det_ldl": direct.log_det,
-                "log_det_recurrence": second.log_det,
-                "method_diff": abs(direct.log_det - second.log_det),
-                "method_tol": cross_validation_tol(n, p),
-                "prediction_total": pred.total,
-                "prediction_gap": direct.log_det - pred.total,
-                **pred._asdict(),
-                "log_det_pure": pure,
-                "log_ratio": log_ratio,
-                "mean_term_limit": pred.mean,
-                "pv_estimate": pv_estimate,
-                "pv_estimate_edge_adjusted": pv_estimate - pred.edge_part,
-            }
-            if args.heine:
-                # Heine's n-fold average of h equals D_n[w h]/D_n[w]
-                avg = diff = tol = None
-                if n <= 3:
-                    avg = heine_average_small_n(n, jp, h, p)
-                    diff = abs(mpmath.exp(log_ratio) - avg)
-                    tol = mpf(10) ** (HEINE_GUARD - p.decimal_digits)
-                out.update(heine_average=avg, heine_diff=diff, heine_tol=tol)
-            return out
+        log_ratio = direct.log_det - pure
+        pv_estimate = log_ratio - pred.mean
+        out = {
+            "log_det_ldl": direct.log_det,
+            "log_det_recurrence": second.log_det,
+            "method_tol": cross_validation_tol(n, p),
+            "prediction_total": pred.total,
+            "prediction_gap": direct.log_det - pred.total,
+            **pred._asdict(),
+            "log_det_pure": pure,
+            "log_ratio": log_ratio,
+            "mean_term_limit": pred.mean,
+            "pv_estimate": pv_estimate,
+            "pv_estimate_edge_adjusted": pv_estimate - pred.edge_part,
+        }
+        if args.heine:
+            # Heine's n-fold average of h equals D_n[w h]/D_n[w]; sizes above 3 print nulls
+            out.update(_ratio=mpmath.exp(log_ratio),
+                       heine_average=heine_average_small_n(n, jp, h, p) if n <= 3 else None,
+                       heine_tol=mpf(10) ** (HEINE_GUARD - p.decimal_digits) if n <= 3 else None)
+        return out
 
     rows, code = _run_rows(args, ns, row)
     return _parameters(
@@ -311,26 +312,25 @@ def cmd_fluid(args, jp: JacobiParams, ns: list) -> tuple:
     from .fluid import fluid_recurrence, support_endpoints, support_endpoints_shifted
 
     def row(n, p):
-        with p.workdps():
-            si = support_endpoints(n, jp)
-            shifted = support_endpoints_shifted(n, jp)
-            alpha_tilde, beta_tilde = fluid_recurrence(n, jp)
-            alpha_true = to_mpf(jacobi_alpha_n_exact(n, jp))
-            beta_true = to_mpf(jacobi_beta_n_exact(n, jp))
-            return {
-                "a_n": si.a_n,
-                "b_n": si.b_n,
-                "a_n_shifted": shifted.a_n,
-                "b_n_shifted": shifted.b_n,
-                "alpha_n": alpha_true,
-                "beta_n": beta_true,
-                "alpha_tilde": alpha_tilde,
-                "beta_tilde": beta_tilde,
-                "n3_alpha_dev": n ** 3 * (alpha_tilde - alpha_true),
-                "n2_beta_dev": n ** 2 * (beta_tilde - beta_true),
-                "n2_one_plus_a": n ** 2 * (1 + si.a_n),
-                "n2_one_minus_b": n ** 2 * (1 - si.b_n),
-            }
+        si = support_endpoints(n, jp)
+        shifted = support_endpoints_shifted(n, jp)
+        alpha_tilde, beta_tilde = fluid_recurrence(n, jp)
+        alpha_true = to_mpf(jacobi_alpha_n_exact(n, jp))
+        beta_true = to_mpf(jacobi_beta_n_exact(n, jp))
+        return {
+            "a_n": si.a_n,
+            "b_n": si.b_n,
+            "a_n_shifted": shifted.a_n,
+            "b_n_shifted": shifted.b_n,
+            "alpha_n": alpha_true,
+            "beta_n": beta_true,
+            "alpha_tilde": alpha_tilde,
+            "beta_tilde": beta_tilde,
+            "n3_alpha_dev": n ** 3 * (alpha_tilde - alpha_true),
+            "n2_beta_dev": n ** 2 * (beta_tilde - beta_true),
+            "n2_one_plus_a": n ** 2 * (1 + si.a_n),
+            "n2_one_minus_b": n ** 2 * (1 - si.b_n),
+        }
 
     rows, code = _run_rows(args, ns, row)
     return _parameters(jp, ns, digits=args.digits), rows, code

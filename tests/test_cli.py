@@ -834,6 +834,7 @@ PINNED_ARGV = (
     ["compare", "--n", "2,3", "--alpha", "1/3", "--beta", "2", "--h", "1 + x^2/2", "--heine"],
     ["fluid", "--n", "5,50", "--alpha", "1", "--beta", "2"],
     ["density", "--n", "20", "--alpha", "1/2", "--beta", "1", "--points", "9"],
+    ["exact", "--n", "2", "--alpha", "1e20"],
 )
 
 
@@ -1117,36 +1118,57 @@ def test_exit_3_when_the_guard_screen_cancels(capsys, argv):
     assert row["error"].startswith("P_1(-1) cancels to 0 in floats")
 
 
-def test_exit_3_when_routes_differ_beyond_method_tol(capsys, monkeypatch):
-    recurrence = cli.hankel_logdet_recurrence
-
-    def offset(ms, n, jp, p):
-        r = recurrence(ms, n, jp, p)
-        with p.workdps():
-            return r._replace(log_det=r.log_det + mpmath.mpf("1e-30"))
-
-    monkeypatch.setattr(cli, "hankel_logdet_recurrence", offset)
-    code, out, _ = run(["compare", "--n", "10", "--h", "exp(x)"], capsys)
-    assert code == 3
-    row = json.loads(out)["rows"][0]
-    assert row["error_type"] == "PrecisionError"
-    assert "method_tol 1.0e-47" in row["error"]
+#: Runs whose rows hold both sides of each check of ``cli.CHECKS``; h = 1/(3 - x)
+#: is a constant over a polynomial, the form a rational-h route reads.
+CHECKED_ARGV = (["exact", "--n", "3"], ["compare", "--n", "3", "--h", "1/(3-x)", "--heine"])
 
 
-def test_exit_3_when_exact_routes_differ_beyond_method_tol(capsys, monkeypatch):
+@pytest.mark.parametrize("diff", list(cli.CHECKS))
+def test_exit_3_when_a_check_fails(capsys, monkeypatch, diff):
+    """Each side of the check moved 0.9 of its bound away from the other turns
+    the row into an error row naming that check: a check that shares only one
+    of the two sides moves by 0.9 of the bound and still passes."""
+    side, other, bound, what = cli.CHECKS[diff]
+    run_rows, bounds = cli._run_rows, []
+
+    def moved_apart(args, ns, compute):
+        def row(n, p):
+            values = compute(n, p)
+            if values.get(side) is not None and values.get(other) is not None:
+                shift = mpmath.mpf("0.9") * values[bound]
+                values[side] += shift
+                values[other] -= shift
+                bounds.append(values[bound])
+            return values
+        return run_rows(args, ns, row)
+
+    monkeypatch.setattr(cli, "_run_rows", moved_apart)
+    for argv in CHECKED_ARGV:
+        code, out, err = run(argv, capsys)
+        if bounds:
+            break
+    assert bounds, f"no run of CHECKED_ARGV holds both sides of {diff}"
+    tol, = bounds
+    assert (code, err) == (3, "")
+    assert json.loads(out)["rows"] == [{
+        "n": 3, "digits": 64, "error_type": "PrecisionError",
+        "error": f"{what} differ by {mpmath.nstr(mpmath.mpf('1.8') * tol, 3)}, "
+                 f"above {bound} {mpmath.nstr(tol, 3)}"}]
+
+
+def test_row_names_its_first_failing_check(capsys, monkeypatch):
+    """The closed form moved off both other routes fails two checks; the
+    error row names the first of them in ``cli.CHECKS``."""
     closed = cli.jacobi_logdet_exact
 
     def offset(n, jp, p):
-        with p.workdps():
-            return closed(n, jp, p) + mpmath.mpf("1e-30")
+        return closed(n, jp, p) + mpmath.mpf("1e-30")
 
     monkeypatch.setattr(cli, "jacobi_logdet_exact", offset)
     code, out, _ = run(["exact", "--n", "10"], capsys)
     assert code == 3
-    row = json.loads(out)["rows"][0]
-    assert row["error_type"] == "PrecisionError"
-    assert "closed form and norm product differ by 1.0e-30" in row["error"]
-    assert "method_tol 1.0e-47" in row["error"]
+    assert json.loads(out)["rows"][0]["error"] == (
+        "closed form and norm product differ by 1.0e-30, above method_tol 1.0e-47")
 
 
 def test_usage_error_exits_2(capsys):
